@@ -11,6 +11,7 @@ shortcut full-rank confirmations, never replace exact answers.
 """
 
 from ._version import __version__
+from .errors import VerificationError
 from .forms import Form, dim_sym, monomials_of_degree, random_form
 from .linalg import rank_with_certificate
 from .hessians import (EpsilonForm, TParameterForm, h3, h12, hess, hess_eps,
@@ -31,7 +32,7 @@ from .reports import Certificate, SuiteResult, canonical_json, certify, \
     run_suite
 
 __all__ = [
-    "__version__",
+    "__version__", "VerificationError",
     "Form", "dim_sym", "monomials_of_degree", "random_form",
     "rank_with_certificate",
     "EpsilonForm", "TParameterForm", "h3", "h12", "hess", "hess_eps",

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from ._version import __version__
 from .curves import CONDITIONS, CURVE_ONE, CURVE_TWO, condition_matches_curve, \
     scan_condition, verify_family
+from .errors import VerificationError
 from .indeterminacy import NAMED_FAMILIES, limit_divisibility_check, \
     sample_family
 from .orbit_checks import verify_closed_form, verify_pair
@@ -214,7 +215,7 @@ def _cmd_rank(args, parser) -> int:
     try:
         rep = verify_special_point_rank(point, r=args.r, rng=rng,
                                         force_exact=args.force_exact)
-    except AssertionError as exc:
+    except VerificationError as exc:
         _emit({"point": point.label(), "r": args.r, "d": args.d,
                "passed": False, "error": str(exc)})
         return EXIT_VERIFICATION

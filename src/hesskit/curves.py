@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from math import isqrt
+from math import comb, isqrt, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .forms import Form
@@ -378,12 +378,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
         roots.append(Fraction(0))
     if len(cs) == 1:
         return sorted(set(roots))
-    lcm = 1
-    for c in cs:
-        den = c.denominator
-        g = _gcd(lcm, den)
-        lcm = lcm // g * den
-    ints = [int(c * lcm) for c in cs]
+    scale = lcm(*(c.denominator for c in cs))
+    ints = [int(c * scale) for c in cs]
     a0, an = ints[0], ints[-1]
     for p in _divisors(a0):
         for q in _divisors(an):
@@ -394,12 +390,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
                 if total == 0:
                     roots.append(cand)
     return sorted(set(roots))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _quadratic_rational_roots(a2: Fraction, a1: Fraction, a0: Fraction) -> List[Fraction]:
@@ -419,17 +409,12 @@ def _line_meets_cubic(cubic: Form, slope: Fraction, intercept: Fraction) -> List
         # expand c * x^i * (s x + t)^j, z = 1
         base = [Fraction(0)] * (j + 1)
         for b in range(j + 1):
-            base[b] = _binom(j, b) * slope ** b * intercept ** (j - b)
+            base[b] = comb(j, b) * slope ** b * intercept ** (j - b)
         for b in range(j + 1):
             coeffs[i + b] += c * base[b]
     if all(c == 0 for c in coeffs):
         raise ValueError("line is contained in the cubic")
     return rational_roots(coeffs)
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
 
 
 # ---------------------------------------------------------------------------

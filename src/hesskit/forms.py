@@ -1,8 +1,19 @@
 """Exact sparse arithmetic for homogeneous polynomials over the rationals.
 
-A form in ``nvars`` variables x0..x_{nvars-1} is a dictionary mapping exponent
-tuples to nonzero ``Fraction`` coefficients.  Zero coefficients are never
-stored, so dictionary equality is polynomial equality.  Nothing in this module
+A form in ``nvars`` variables x0..x_{nvars-1} is stored as integer numerators
+over one shared positive denominator: ``_num`` maps exponent tuples to
+nonzero ``int`` numerators and ``_den`` is an ``int`` with
+``gcd(_den, *_num.values()) == 1``, so the coefficient of x**e is
+``_num[e] / _den``.  The invariant makes the representation unique: ``_den``
+is the least common denominator of the coefficients, and equal polynomials
+have equal ``(_num, _den)``.  Every product and sum therefore runs on Python
+integers, with one gcd per result to restore the invariant.
+
+``Form(nvars, degree, terms)`` validates every term and converts the
+coefficients; arithmetic builds its results with the trusted constructor
+``Form._make``, which only restores the invariant.  ``Form.terms`` is a
+read-only mapping of exponent tuples to reduced ``Fraction`` coefficients,
+computed on access from ``_num`` and ``_den``.  Nothing in this module
 touches floating point.
 
 The canonical term order used everywhere (serialization, matrix column
@@ -14,13 +25,13 @@ degree-lexicographic order.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping as MappingABC
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
-
-_ZERO = Fraction(0)
 
 
 def dim_sym(nvars: int, degree: int) -> int:
@@ -61,16 +72,40 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"coefficient must be int, Fraction or string, got {type(c)!r}")
 
 
+class _Terms(MappingABC):
+    """Read-only view of a form's coefficients as reduced ``Fraction`` values."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: Dict[Exponent, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps: Exponent) -> Fraction:
+        return Fraction(self._num[exps], self._den)
+
+    def __contains__(self, exps) -> bool:
+        return exps in self._num
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class Form:
     """An exactly represented homogeneous polynomial.
 
-    Instances are immutable by convention: no method mutates ``terms`` after
-    construction, and all arithmetic returns new objects.  The zero form keeps
-    a nominal degree so degree bookkeeping survives cancellation; two zero
-    forms compare equal regardless of nominal degree.
+    Instances are immutable: all arithmetic returns new objects.  The zero
+    form keeps a nominal degree so degree bookkeeping survives cancellation;
+    two zero forms compare equal regardless of nominal degree.
     """
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree", "_num", "_den")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         if nvars < 1:
@@ -89,12 +124,42 @@ class Form:
             if sum(exps) != degree:
                 raise ValueError(f"monomial {exps} is not of degree {degree}")
             clean[tuple(exps)] = c
+        # The least common denominator is coprime to the set of numerators.
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._set(nvars, degree, num, den)
+
+    def _set(self, nvars: int, degree: int, num: Dict[Exponent, int], den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @staticmethod
+    def _make(nvars: int, degree: int, num: Dict[Exponent, int], den: int) -> "Form":
+        """Trusted constructor for results of arithmetic on valid forms.
+
+        The caller guarantees what ``__init__`` would check: ``num`` maps
+        exponent tuples of length ``nvars`` and total ``degree`` to nonzero
+        ints, and ``den`` > 0.  The only work done is dividing out
+        ``gcd(den, *num.values())``.
+        """
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        f = object.__new__(Form)
+        f._set(nvars, degree, num, den)
+        return f
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Form is immutable")
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Exponent tuple -> nonzero reduced ``Fraction`` coefficient (read-only)."""
+        return _Terms(self._num, self._den)
 
     # ----- constructors -------------------------------------------------
 
@@ -122,22 +187,23 @@ class Form:
     # ----- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def leading_monomial(self) -> Exponent:
         """Largest exponent tuple in canonical order.  Errors on the zero form."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero form has no leading monomial")
-        return max(self.terms)
+        return max(self._num)
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
+        den = self._den
+        return [(e, Fraction(self._num[e], den)) for e in sorted(self._num, reverse=True)]
 
     def __iter__(self) -> Iterator[Tuple[Exponent, Fraction]]:
         return iter(self.sorted_terms())
@@ -150,23 +216,27 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other)
-        if self.is_zero():
+        if not self._num:
             return other
-        if other.is_zero():
+        if not other._num:
             return self
         if self.degree != other.degree:
             raise ValueError(f"cannot add forms of degrees {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, den // other._den
+        out = dict(self._num) if m1 == 1 else {e: c * m1 for e, c in self._num.items()}
+        get = out.get
+        for e, c in other._num.items():
+            s = get(e, 0) + c * m2
+            if s:
                 out[e] = s
-        return Form(self.nvars, self.degree, out)
+            else:
+                del out[e]
+        return Form._make(self.nvars, self.degree, out, den)
 
     def __neg__(self) -> "Form":
-        return Form(self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
+        return Form._make(self.nvars, self.degree,
+                          {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -175,25 +245,43 @@ class Form:
         c = _coerce(c)
         if c == 0:
             return Form.zero(self.nvars, self.degree)
-        return Form(self.nvars, self.degree, {e: c * v for e, v in self.terms.items()})
+        p = c.numerator
+        return Form._make(self.nvars, self.degree,
+                          {e: p * v for e, v in self._num.items()},
+                          self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Form.zero(self.nvars, self.degree + other.degree)
-        out: Dict[Exponent, Fraction] = {}
         n = self.nvars
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(e1[i] + e2[i] for i in range(n))
-                s = out.get(key, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Form(self.nvars, self.degree + other.degree, out)
+        degree = self.degree + other.degree
+        if not self._num or not other._num:
+            return Form.zero(n, degree)
+        # Pack each exponent tuple into one int, digits base degree + 1 (no
+        # digit of a product term can carry), so multiplying monomials is one
+        # integer addition; the distinct result keys are unpacked once.
+        base = degree + 1
+        weights = [base ** (n - 1 - i) for i in range(n)]
+        right = [(sum(map(mul, e, weights)), c) for e, c in other._num.items()]
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for e1, c1 in self._num.items():
+            k1 = sum(map(mul, e1, weights))
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        head = weights[:-1]
+        out: Dict[Exponent, int] = {}
+        for k, c in acc.items():
+            if c:
+                exps = []
+                for w in head:
+                    q, k = divmod(k, w)
+                    exps.append(q)
+                exps.append(k)
+                out[tuple(exps)] = c
+        return Form._make(n, degree, out, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,13 +291,12 @@ class Form:
     def __pow__(self, k: int) -> "Form":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Form.monomial((0,) * self.nvars, 1)
+        result = Form._make(self.nvars, 0, {(0,) * self.nvars: 1}, 1)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k > 1
-            if base_needed:
+            if k > 1:
                 base = base * base
             k >>= 1
         return result
@@ -220,15 +307,15 @@ class Form:
         """Exact partial derivative with respect to x_index."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for e, c in self._num.items():
             k = e[index]
             if k == 0:
                 continue
             e2 = list(e)
             e2[index] = k - 1
             out[tuple(e2)] = c * k
-        return Form(self.nvars, max(self.degree - 1, 0), out)
+        return Form._make(self.nvars, max(self.degree - 1, 0), out, self._den)
 
     def second_partials(self) -> List[List["Form"]]:
         """The symmetric matrix of second partial derivatives."""
@@ -246,19 +333,19 @@ class Form:
             raise ValueError("point has wrong length")
         pt = [_coerce(p) for p in point]
         total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
+        for e, c in self._num.items():
+            v = Fraction(c)
             for i, k in enumerate(e):
                 if k:
                     v *= pt[i] ** k
             total += v
-        return total
+        return total / self._den
 
     # ----- divisibility -------------------------------------------------
 
     def divisible_by_power(self, index: int, power: int) -> bool:
         """True when x_index**power divides every term (vacuously true for zero)."""
-        return all(e[index] >= power for e in self.terms)
+        return all(e[index] >= power for e in self._num)
 
     def divide_by_monomial(self, exps: Sequence[int]) -> "Form":
         """Exact division by the monomial x**exps; raises if not divisible."""
@@ -266,12 +353,12 @@ class Form:
         if len(exps) != self.nvars:
             raise ValueError("exponent tuple has wrong length")
         drop = sum(exps)
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for e, c in self._num.items():
             if any(e[i] < exps[i] for i in range(self.nvars)):
                 raise ValueError(f"term {e} not divisible by {exps}")
             out[tuple(e[i] - exps[i] for i in range(self.nvars))] = c
-        return Form(self.nvars, max(self.degree - drop, 0), out)
+        return Form._make(self.nvars, max(self.degree - drop, 0), out, self._den)
 
     # ----- linear substitution ------------------------------------------
 
@@ -318,12 +405,13 @@ class Form:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        if self.is_zero() and other.is_zero():
+        if not self._num and not other._num:
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        return (self.degree == other.degree and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
         if self.is_zero():

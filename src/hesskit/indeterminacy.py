@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .errors import VerificationError
 from .forms import Form, monomials_of_degree
 from .hessians import TParameterForm, h3, h12, hess, hess_t, lowest_t_order
 
@@ -506,6 +507,9 @@ def exclusion_gate(d: int) -> dict:
             "needs": "k >= 3",
             "available": k >= 3,
         }
-    for rec in gates.values():
-        assert rec["excluded"] == rec["available"]
+    for name, rec in gates.items():
+        if rec["excluded"] != rec["available"]:
+            raise VerificationError(
+                f"gate {name} at degree {d}: valuation bound and "
+                f"'{rec['needs']}' disagree")
     return {"d": d, "k": k, "odd": bool(odd), "gates": gates}

@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import VerificationError
+
 Matrix = List[List[Fraction]]
 
 # Default probe primes for the modular path: distinct primes above 2**30.
@@ -136,7 +138,7 @@ def rank_with_certificate(rows: Sequence[Sequence],
     exact = rank_bareiss(rows)
     for p, rp in zip(primes, mod_ranks):
         if rp > exact:
-            raise AssertionError(f"mod-{p} rank {rp} exceeds exact rank {exact}")
+            raise VerificationError(f"mod-{p} rank {rp} exceeds exact rank {exact}")
     return exact, "bareiss", list(primes)
 
 

@@ -29,6 +29,7 @@ from . import curves
 from .forms import Form, dim_sym, monomials_of_degree
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, hess
+from .errors import VerificationError
 from .linalg import rank_with_certificate
 from .orbit_checks import hyperbolic_q, power_product
 
@@ -266,9 +267,9 @@ def verify_special_point_rank(point: SpecialPoint, r: int,
     """Conditional injectivity certificate at one special point.
 
     The integer condition is evaluated first.  When it holds, the exact rank
-    must certify injectivity, and a failure raises.  When it is violated the
-    rank is still computed and reported, but the claim field records that no
-    injectivity statement is made either way.
+    must certify injectivity, and a failure raises ``VerificationError``.
+    When it is violated the rank is still computed and reported, but the
+    claim field records that no injectivity statement is made either way.
     """
     pre = precondition_report(point, r)
     f = point.form(r)
@@ -278,7 +279,7 @@ def verify_special_point_rank(point: SpecialPoint, r: int,
     if pre["holds"]:
         report.claim = "injective"
         if not report.injective:
-            raise AssertionError(
+            raise VerificationError(
                 f"condition holds at {point.label()} but rank "
                 f"{report.rank} < {report.domain_dim}")
     else:

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
+from .errors import VerificationError
 from .forms import Form, random_form
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
@@ -172,7 +173,7 @@ def certify(d: int, force_exact: bool = False) -> Certificate:
         rank = verify_special_point_rank(point, r=2, force_exact=force_exact)
         rank_dict = rank.to_json_dict()
         rank_ok = rank.claim == "injective" and rank.injective
-    except AssertionError as exc:
+    except VerificationError as exc:
         notes.append(f"rank verification failed: {exc}")
 
     gates = exclusion_gate(d)

@@ -28,8 +28,17 @@ def from_sympy(expr, nvars: int, degree: int) -> Form:
     return Form.from_coeffs(nvars, degree, terms)
 
 
+# Opt-in denominators for ``forms``: 2, 3, 4 and 6 share factors and 35 is
+# coprime to them, so sums and products exercise the shared denominator and
+# its gcd normalisation.
+RATIONAL = (1, 2, 3, 4, 6, 35)
+
+
 @st.composite
-def forms(draw, nvars=3, min_degree=1, max_degree=4, coeff_bound=6):
+def forms(draw, nvars=3, min_degree=1, max_degree=4, coeff_bound=6,
+          denominators=(1,)):
+    """Forms with coefficients c/q, c in [-coeff_bound, coeff_bound] and q
+    drawn from ``denominators``; the default draws integer forms only."""
     d = draw(st.integers(min_degree, max_degree))
     monos = monomials_of_degree(nvars, d)
     coeffs = draw(st.lists(st.integers(-coeff_bound, coeff_bound),
@@ -37,5 +46,11 @@ def forms(draw, nvars=3, min_degree=1, max_degree=4, coeff_bound=6):
     if all(c == 0 for c in coeffs):
         coeffs = list(coeffs)
         coeffs[0] = 1
+    if denominators == (1,):
+        dens = [1] * len(monos)
+    else:
+        dens = draw(st.lists(st.sampled_from(denominators),
+                             min_size=len(monos), max_size=len(monos)))
     return Form.from_coeffs(
-        nvars, d, {e: Fraction(c) for e, c in zip(monos, coeffs) if c})
+        nvars, d,
+        {e: Fraction(c, q) for e, c, q in zip(monos, coeffs, dens) if c})

@@ -2,14 +2,22 @@ import json
 
 import pytest
 
+import hesskit.cli
 import hesskit.reports
 from hesskit.cli import main
+from hesskit.errors import VerificationError
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
 
 
 class TestVerifyProp:
@@ -59,6 +67,19 @@ class TestRank:
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--point", "qk", "--d", "5"])
         assert exc.value.code == 2
+
+    def test_failed_verification_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(hesskit.cli, "verify_special_point_rank",
+                            raising(VerificationError("rank 13 < 14")))
+        code, doc = run(capsys, "rank", "--point", "qk", "--d", "4")
+        assert code == 1
+        assert doc["passed"] is False and doc["error"] == "rank 13 < 14"
+
+    def test_genuine_bug_is_not_a_failed_verification(self, monkeypatch):
+        monkeypatch.setattr(hesskit.cli, "verify_special_point_rank",
+                            raising(AssertionError("bug")))
+        with pytest.raises(AssertionError):
+            main(["rank", "--point", "qk", "--d", "4"])
 
 
 class TestScan:
@@ -134,6 +155,19 @@ class TestCertify:
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--d", "3"])
         assert exc.value.code == 2
+
+    def test_failed_rank_is_a_failed_certificate(self, monkeypatch):
+        monkeypatch.setattr(hesskit.reports, "verify_special_point_rank",
+                            raising(VerificationError("rank 13 < 14")))
+        cert = hesskit.reports.certify(4)
+        assert not cert.ok and cert.rank is None
+        assert "rank verification failed: rank 13 < 14" in cert.notes
+
+    def test_genuine_bug_is_not_a_failed_certificate(self, monkeypatch):
+        monkeypatch.setattr(hesskit.reports, "verify_special_point_rank",
+                            raising(AssertionError("bug")))
+        with pytest.raises(AssertionError):
+            hesskit.reports.certify(4)
 
 
 class TestSuiteAndConfig:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -7,7 +8,76 @@ from hypothesis import strategies as st
 
 from hesskit.forms import Form, dim_sym, monomials_of_degree, random_form
 
-from conftest import SYMS, forms, to_sympy
+from conftest import RATIONAL, SYMS, forms, to_sympy
+
+
+# Reference kernel: forms as plain dicts of exponent tuple -> nonzero
+# Fraction, multiplied and added term by term.  The differential tests below
+# compare the integer-numerator kernel of ``Form`` against it.
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a, c):
+    return {e: c * v for e, v in a.items()} if c else {}
+
+
+def ref_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def ref_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def assert_canonical(f):
+    """The stored numerators and denominator satisfy the module invariant."""
+    assert f._den > 0
+    assert all(type(c) is int and c for c in f._num.values())
+    assert gcd(f._den, *f._num.values()) == 1
+    assert len(f.terms) == f.num_terms() == len(f._num)
+    for c in f.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert gcd(c.numerator, c.denominator) == 1
+    rebuilt = Form(f.nvars, f.degree, dict(f.terms))
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+
+
+rational_forms = forms(denominators=RATIONAL)
+same_degree_pairs = st.integers(1, 4).flatmap(lambda d: st.tuples(
+    forms(min_degree=d, max_degree=d, denominators=RATIONAL),
+    forms(min_degree=d, max_degree=d, denominators=RATIONAL)))
+
+
+def check_product_against_sympy(f, g):
+    fg = f * g
+    assert to_sympy(fg) == sympy.expand(to_sympy(f) * to_sympy(g))
+    assert fg.degree == f.degree + g.degree
+
+
+def check_derivative_against_sympy(f, i):
+    df = f.diff(i)
+    assert to_sympy(df) == sympy.expand(sympy.diff(to_sympy(f), SYMS[i]))
 
 
 class TestConstruction:
@@ -40,9 +110,12 @@ class TestArithmetic:
     @settings(max_examples=40)
     @given(f=forms(), g=forms())
     def test_product_against_sympy(self, f, g):
-        fg = f * g
-        assert to_sympy(fg) == sympy.expand(to_sympy(f) * to_sympy(g))
-        assert fg.degree == f.degree + g.degree
+        check_product_against_sympy(f, g)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms, g=rational_forms)
+    def test_product_against_sympy_rational(self, f, g):
+        check_product_against_sympy(f, g)
 
     @settings(max_examples=40)
     @given(f=forms(max_degree=3))
@@ -55,11 +128,21 @@ class TestArithmetic:
     def test_product_distributes_over_sums(self, f, g, h):
         assert f * (g + h) == f * g + f * h
 
+    @given(f=rational_forms, gh=same_degree_pairs)
+    @settings(max_examples=25)
+    def test_product_distributes_over_sums_rational(self, f, gh):
+        g, h = gh
+        assert f * (g + h) == f * g + f * h
+
     @settings(max_examples=40)
     @given(f=forms(), i=st.integers(0, 2))
     def test_derivative_against_sympy(self, f, i):
-        df = f.diff(i)
-        assert to_sympy(df) == sympy.expand(sympy.diff(to_sympy(f), SYMS[i]))
+        check_derivative_against_sympy(f, i)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms, i=st.integers(0, 2))
+    def test_derivative_against_sympy_rational(self, f, i):
+        check_derivative_against_sympy(f, i)
 
     @settings(max_examples=30)
     @given(f=forms(), point=st.tuples(st.integers(-5, 5), st.integers(-5, 5),
@@ -76,6 +159,81 @@ class TestArithmetic:
         for i in range(3):
             total = total + Form.variable(3, i) * f.diff(i)
         assert total == Fraction(3) * f
+
+
+class TestIntegerKernel:
+    """Integer numerators over one shared denominator, against ``ref_*``."""
+
+    @settings(max_examples=60)
+    @given(f=rational_forms, g=rational_forms)
+    def test_product_matches_reference(self, f, g):
+        fg = f * g
+        assert dict(fg.terms) == ref_mul(dict(f.terms), dict(g.terms))
+        assert_canonical(fg)
+
+    @settings(max_examples=60)
+    @given(fg=same_degree_pairs)
+    def test_sum_and_difference_match_reference(self, fg):
+        f, g = fg
+        a, b = dict(f.terms), dict(g.terms)
+        minus_b = ref_scale(b, -1)
+        for got, want in ((f + g, ref_add(a, b)), (f - g, ref_add(a, minus_b)),
+                          (-g, minus_b)):
+            assert dict(got.terms) == want
+            assert_canonical(got)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms,
+           c=st.fractions(min_value=-20, max_value=20, max_denominator=35))
+    def test_scale_matches_reference(self, f, c):
+        for got in (f.scale(c), f * c, c * f):
+            assert dict(got.terms) == ref_scale(dict(f.terms), c)
+            assert_canonical(got)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms, i=st.integers(0, 2))
+    def test_derivative_matches_reference(self, f, i):
+        df = f.diff(i)
+        assert dict(df.terms) == ref_diff(dict(f.terms), i)
+        assert_canonical(df)
+
+    @settings(max_examples=25)
+    @given(f=forms(max_degree=2, denominators=RATIONAL), k=st.integers(0, 3))
+    def test_power_matches_reference(self, f, k):
+        fk = f ** k
+        assert dict(fk.terms) == ref_pow(dict(f.terms), k, f.nvars)
+        assert_canonical(fk)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms)
+    def test_cancellation_gives_the_zero_form(self, f):
+        half = f.scale(Fraction(1, 2))
+        for z in (f - f, f + (-f), half + half - f, f.scale(0)):
+            assert z.is_zero() and z.num_terms() == 0
+            assert z == Form.zero(3, 0) == Form.zero(3, 11)
+            assert hash(z) == hash(Form.zero(3, 11))
+            assert_canonical(z)
+
+    def test_shared_denominator_is_reduced(self):
+        sixth = Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 6),
+                                        (0, 1, 0): Fraction(1, 2)})
+        third = Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 3),
+                                        (0, 1, 0): Fraction(1, 2)})
+        total = sixth + third
+        assert (total._num, total._den) == ({(1, 0, 0): 1, (0, 1, 0): 2}, 2)
+        assert total == Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 2),
+                                                (0, 1, 0): 1})
+        assert (total * 2) == Form.from_coeffs(3, 1, {(1, 0, 0): 1,
+                                                      (0, 1, 0): 2})
+        assert hash(total * 2) == hash(Form.from_coeffs(
+            3, 1, {(1, 0, 0): 1, (0, 1, 0): 2}))
+
+    def test_terms_view_is_read_only(self):
+        f = Form.from_coeffs(3, 2, {(2, 0, 0): Fraction(3, 4)})
+        assert f.terms == {(2, 0, 0): Fraction(3, 4)}
+        assert f.terms.get((0, 2, 0)) is None and (2, 0, 0) in f.terms
+        with pytest.raises(TypeError):
+            f.terms[(2, 0, 0)] = Fraction(1)
 
 
 class TestRandomAndJson:

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hesskit import linalg
+from hesskit.errors import VerificationError
 from hesskit.linalg import (PROBE_PRIMES, det_exact, nullspace, rank_bareiss,
                             rank_with_certificate, solve_exact)
 
@@ -47,6 +50,12 @@ class TestRank:
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         rank, method, _ = rank_with_certificate(m)
         assert rank == 1 and method == "bareiss"
+
+    def test_modular_rank_above_exact_is_a_verification_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: 2)
+        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(VerificationError, match="exceeds exact rank 1"):
+            rank_with_certificate(m, force_exact=True)
 
 
 class TestDetSolve:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from hesskit import rank_certificates
+from hesskit.errors import VerificationError
 from hesskit.forms import dim_sym
 from hesskit.rank_certificates import (SpecialPoint, block_structure_check,
                                        pijk_injectivity, precondition_report,
@@ -41,6 +43,19 @@ class TestSpecialPointRanks:
         assert not rep.injective
         assert rep.claim == "no-claim"
         assert rep.precondition["violations"] == [1]
+
+    def test_rank_below_claim_is_a_verification_error(self, monkeypatch):
+        real = rank_certificates.projective_injectivity
+
+        def rank_drops(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.rank, rep.injective = rep.rank - 1, False
+            return rep
+
+        monkeypatch.setattr(rank_certificates, "projective_injectivity",
+                            rank_drops)
+        with pytest.raises(VerificationError, match="rank 13 < 14"):
+            verify_special_point_rank(SpecialPoint("qk", 2), r=2)
 
     def test_degree_fourteen_condition_root(self):
         pre = precondition_report(SpecialPoint("qk", 7), r=2)
