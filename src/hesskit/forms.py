@@ -13,8 +13,10 @@ integers, with one gcd per result to restore the invariant.
 coefficients; arithmetic builds its results with the trusted constructor
 ``Form._make``, which only restores the invariant.  ``Form.terms`` is a
 read-only mapping of exponent tuples to reduced ``Fraction`` coefficients,
-computed on access from ``_num`` and ``_den``.  Nothing in this module
-touches floating point.
+computed on access from ``_num`` and ``_den``; ``Form.numerators`` is a
+read-only view of ``_num`` itself, for callers that only need the
+coefficients up to one positive factor.  Nothing in this module touches
+floating point.
 
 The canonical term order used everywhere (serialization, matrix column
 indexing, leading monomials) is descending lexicographic on exponent tuples
@@ -29,6 +31,7 @@ from collections.abc import Mapping as MappingABC
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -160,6 +163,12 @@ class Form:
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Exponent tuple -> nonzero reduced ``Fraction`` coefficient (read-only)."""
         return _Terms(self._num, self._den)
+
+    @property
+    def numerators(self) -> Mapping[Exponent, int]:
+        """Exponent tuple -> nonzero int: the coefficients times the least
+        common denominator (read-only)."""
+        return MappingProxyType(self._num)
 
     # ----- constructors -------------------------------------------------
 

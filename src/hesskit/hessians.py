@@ -91,18 +91,29 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
     return adj  # type: ignore[return-value]
 
 
+def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
+    """trace(adj * D2 g), the sum over i, j of adj[i][j] * d_i d_j g.
+
+    With ``adj = adjugate_second_partials(f)`` this is the jet of Hess along
+    g at f (Jacobi's formula); taking the adjugate as an argument lets a
+    caller that needs many directions at one f build it once.  A zero result
+    keeps the degree nvars * (deg g - 2).
+    """
+    n = g.nvars
+    total = Form.zero(n, max(n * (g.degree - 2), 0))
+    gm = g.second_partials()
+    for i in range(n):
+        for j in range(n):
+            if not gm[i][j].is_zero():
+                total = total + adj[i][j] * gm[i][j]
+    return total
+
+
 def hess_directional(f: Form, g: Form) -> Form:
     """d/deps Hess(f + eps g) at eps=0, via trace(adj(D2 f) * D2 g)."""
     if f.degree != g.degree or f.nvars != g.nvars:
         raise ValueError("f and g must share variables and degree")
-    adj = adjugate_second_partials(f)
-    gm = g.second_partials()
-    n = f.nvars
-    total = Form.zero(n, max(n * (f.degree - 2), 0))
-    for i in range(n):
-        for j in range(n):
-            total = total + adj[i][j] * gm[j][i]
-    return total
+    return adjugate_trace(adjugate_second_partials(f), g)
 
 
 class EpsilonForm:

@@ -1,11 +1,18 @@
 """Exact linear algebra over the rationals, plus a mod-p fast path.
 
-Ground truth for every rank claim is fraction-free Bareiss elimination on an
-integer matrix (denominators cleared row by row).  The mod-p path reduces the
-same integer matrix modulo a large prime and eliminates with vectorized int64
-arithmetic; since reduction can only lower rank, a full-column-rank result mod
-p is already a proof of full column rank over the rationals.  Any other
-modular answer is advisory and must be confirmed by the exact path.
+Every routine works on integer matrices.  ``clear_denominators`` scales each
+row by the lcm of its denominators, which keeps the rank, the row space and
+the solutions of A X = B; on an integer matrix it only copies.  One
+fraction-free Gauss-Jordan routine (``_echelon``, Bareiss's integer-preserving
+elimination carried through to the reduced form) then gives the exact rank,
+determinant, solutions, inverse and nullspace; every division in it is exact.
+
+The mod-p path reduces the same integer matrix modulo a large prime and
+eliminates with vectorized int64 arithmetic; since reduction can only lower
+rank, a full-column-rank result mod p is already a proof of full column rank
+over the rationals.  Any other modular answer is advisory and must be
+confirmed by the exact path.  ``rank_with_certificate`` clears once and hands
+the same integer matrix to every probe prime and to the exact fallback.
 
 Pivoting is deterministic throughout: first row with a nonzero entry in the
 leftmost unfinished column.  No randomness, no floats.
@@ -14,7 +21,7 @@ leftmost unfinished column.  No randomness, no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,80 +29,78 @@ import numpy as np
 from .errors import VerificationError
 
 Matrix = List[List[Fraction]]
+IntMatrix = List[List[int]]
 
 # Default probe primes for the modular path: distinct primes above 2**30.
 PROBE_PRIMES = (2147483647, 2147483629)
 
 
-def _as_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+def clear_denominators(rows: Sequence[Sequence]) -> IntMatrix:
+    """Scale each row by the lcm of its denominators; rank is unchanged.
 
-
-def clear_denominators(rows: Sequence[Sequence]) -> List[List[int]]:
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
-    out: List[List[int]] = []
+    Entries are ints or Fractions; the result is a new integer matrix.
+    """
+    out: IntMatrix = []
     for row in rows:
-        fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in fr])
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
-def rank_bareiss(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free Bareiss elimination.
+def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of ``m`` in place.
 
-    Entries may be ints or Fractions; denominators are cleared first so all
-    intermediate arithmetic is integer-only.
+    Columns ``0 .. ncols-1`` are eliminated; any further columns (right-hand
+    sides) are carried along.  Returns ``(pivot_cols, den, sign)``: afterwards
+    ``m[r][c] / den`` is the reduced row echelon form, its first
+    ``len(pivot_cols)`` rows hold the pivots, and for a square matrix of full
+    rank ``sign * den`` is the determinant.  Each step replaces every other
+    row by ``(p * row - row[col] * pivot_row) / den`` with ``p`` the new pivot
+    and ``den`` the previous one; by Sylvester's identity the division is
+    exact, so all entries stay integers (Bareiss, Math. Comp. 22, 1968).
     """
-    m = clear_denominators(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
+    nrows = len(m)
+    pivots: List[int] = []
+    den, sign = 1, 1
     for col in range(ncols):
-        if row >= nrows:
+        row = len(pivots)
+        if row == nrows:
             break
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(row, nrows) if m[i][col]), None)
         if piv is None:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for i in range(row + 1, nrows):
-            mi = m[i]
-            mic = mi[col]
-            if mic == 0 and prev == 1:
+            sign = -sign
+        prow = m[row]
+        p = prow[col]
+        for i in range(nrows):
+            f = m[i][col]
+            if i == row or (not f and p == den):
                 continue
-            mr = m[row]
-            for j in range(col, ncols):
-                mi[j] = (p * mi[j] - mic * mr[j]) // prev
-        prev = p
-        row += 1
-        rank += 1
-    return rank
+            m[i] = [(p * x - f * y) // den for x, y in zip(m[i], prow)]
+        pivots.append(col)
+        den = p
+    return pivots, den, sign
 
 
-def rank_mod_p(rows: Sequence[Sequence], p: int) -> int:
-    """Rank of the integer-cleared matrix over GF(p), vectorized.
+def rank_bareiss(rows: Sequence[Sequence]) -> int:
+    """Exact rank via fraction-free elimination; entries ints or Fractions."""
+    m = clear_denominators(rows)
+    return len(_echelon(m, len(m[0]) if m else 0)[0])
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank of the integer matrix ``m`` over GF(p), vectorized.
 
     Always a lower bound for the rational rank.  Requires p < 2**31 so that
     products of residues stay inside int64.
     """
     if p >= 1 << 31:
         raise ValueError("prime too large for the int64 elimination path")
-    cleared = clear_denominators(rows)
-    if not cleared:
+    if not m:
         return 0
-    a = np.array([[x % p for x in row] for row in cleared], dtype=np.int64)
+    a = np.array([[x % p for x in row] for row in m], dtype=np.int64)
     nrows, ncols = a.shape
     rank = 0
     row = 0
@@ -130,16 +135,23 @@ def rank_with_certificate(rows: Sequence[Sequence],
     A disagreement between a probe prime and the exact rank is tolerated only
     downward (an unlucky prime can drop rank, never raise it).
     """
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    mod_ranks = [rank_mod_p(rows, p) for p in primes]
+    m = clear_denominators(rows)
+    ncols = len(m[0]) if m else 0
+    mod_ranks = [rank_mod_p(m, p) for p in primes]
     if not force_exact and mod_ranks and all(r == ncols for r in mod_ranks):
         return ncols, "modular-full-rank", list(primes)
-    exact = rank_bareiss(rows)
+    exact = rank_bareiss(m)
     for p, rp in zip(primes, mod_ranks):
         if rp > exact:
             raise VerificationError(f"mod-{p} rank {rp} exceeds exact rank {exact}")
     return exact, "bareiss", list(primes)
+
+
+def _square(a: Sequence[Sequence]) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    return n
 
 
 def solve_exact(a: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> Matrix:
@@ -149,68 +161,31 @@ def solve_exact(a: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> Matrix:
     side.  The result is returned column-wise as well.  Raises ValueError on a
     singular matrix.
     """
-    a = _as_fraction_matrix(a)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    cols = [_as_fraction_matrix([col])[0] for col in rhs_cols]
-    if any(len(c) != n for c in cols):
+    n = _square(a)
+    if any(len(c) != n for c in rhs_cols):
         raise ValueError("right-hand side has wrong length")
-    aug = [a[i] + [c[i] for c in cols] for i in range(n)]
-    width = n + len(cols)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [aug[i][j] - f * aug[col][j] for j in range(width)]
-    return [[aug[i][n + k] for i in range(n)] for k in range(len(cols))]
+    m = clear_denominators([list(a[i]) + [c[i] for c in rhs_cols] for i in range(n)])
+    pivots, den, _ = _echelon(m, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [[Fraction(m[i][n + k], den) for i in range(n)] for k in range(len(rhs_cols))]
 
 
 def invert(a: Sequence[Sequence]) -> Matrix:
     """Exact inverse of a square matrix (row-major)."""
     n = len(a)
-    identity_cols = [[Fraction(1) if i == k else Fraction(0) for i in range(n)] for k in range(n)]
-    cols = solve_exact(a, identity_cols)
+    cols = solve_exact(a, [[int(i == k) for i in range(n)] for k in range(n)])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def det_exact(a: Sequence[Sequence]) -> Fraction:
-    a = _as_fraction_matrix(a)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    det = Fraction(1)
-    m = [row[:] for row in a]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [m[i][j] - f * m[col][j] for j in range(col, n)]
-                m[i] = [Fraction(0)] * col + m[i]
-    return det
+    """Exact determinant; clearing row i by l_i multiplies it by l_i."""
+    n = _square(a)
+    m = clear_denominators(a)
+    pivots, den, sign = _echelon(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * den, prod(lcm(*(x.denominator for x in row)) for row in a))
 
 
 def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
@@ -220,43 +195,18 @@ def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
     basis vector per free column in canonical column order, the free
     coordinate set to 1.
     """
-    a = _as_fraction_matrix(a)
     if not a:
         if ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
-        return [[Fraction(1) if i == k else Fraction(0) for i in range(ncols)]
-                for k in range(ncols)]
+        return [[Fraction(int(i == k)) for i in range(ncols)] for k in range(ncols)]
     n_cols = len(a[0])
-    m = [row[:] for row in a]
-    nrows = len(m)
-    pivots: List[int] = []
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [m[i][j] - f * m[row][j] for j in range(n_cols)]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+    m = clear_denominators(a)
+    pivots, den, _ = _echelon(m, n_cols)
     basis: Matrix = []
-    for fc in free:
+    for fc in [c for c in range(n_cols) if c not in pivots]:
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = Fraction(-m[r][fc], den)
         basis.append(v)
     return basis

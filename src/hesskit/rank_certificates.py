@@ -13,6 +13,12 @@ column, the span of [M' | hess] equals the span of [M | hess], making the
 choice of complement immaterial; a randomized second complement re-checks
 that on demand.
 
+Each column is an image form's integer numerators, that is the rational
+column times its own positive denominator, which keeps the rank and the zero
+pattern.  The matrices handed to ``linalg.rank_with_certificate`` are thus
+integer from the start: one clearing (a copy) per rank and no ``Fraction``
+on the rank path.
+
 Injectivity at the special points q**k, q**k l, q**(k-1) l**2 is conditional
 on an integer condition having no root in a finite m-range; the certificate
 evaluates the condition first and claims nothing when it fails.
@@ -23,12 +29,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
 from .forms import Form, dim_sym, monomials_of_degree
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
-from .hessians import adjugate_second_partials, hess
+from .hessians import adjugate_second_partials, adjugate_trace, hess
 from .errors import VerificationError
 from .linalg import rank_with_certificate
 from .orbit_checks import hyperbolic_q, power_product
@@ -97,42 +103,24 @@ class DifferentialMatrix:
     degree: int
     row_monomials: List[Tuple[int, ...]]
     col_monomials: List[Tuple[int, ...]]
-    columns: List[Dict[Tuple[int, ...], Fraction]]  # sparse column forms
-    hess_column: Dict[Tuple[int, ...], Fraction]
+    columns: List[Mapping[Tuple[int, ...], int]]  # image numerators
+    hess_column: Mapping[Tuple[int, ...], int]
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_monomials), len(self.col_monomials))
 
-    def rows_for(self, selected: Sequence[int], with_hess: bool) -> List[List[Fraction]]:
-        """Dense row-major matrix over the selected columns."""
+    def rows_for(self, selected: Sequence[int], with_hess: bool) -> List[List[int]]:
+        """Dense row-major integer matrix over the selected columns."""
         cols = [self.columns[j] for j in selected]
         if with_hess:
             cols = cols + [self.hess_column]
-        zero = Fraction(0)
-        return [[c.get(mono, zero) for c in cols] for mono in self.row_monomials]
-
-
-def _image_of_direction(adj, g: Form) -> Form:
-    """Sum over i, j of adj[i][j] * d_i d_j g: the jet of det along g."""
-    n = g.nvars
-    out = None
-    for i in range(n):
-        gi = g.diff(i)
-        for j in range(n):
-            gij = gi.diff(j)
-            if gij.is_zero():
-                continue
-            term = adj[i][j] * gij
-            out = term if out is None else out + term
-    if out is None:
-        degree = (g.nvars) * (g.degree - 2) if g.degree >= 2 else 0
-        return Form.zero(n, max(degree, 0))
-    return out
+        return [[c.get(mono, 0) for c in cols] for mono in self.row_monomials]
 
 
 def differential_matrix(f: Form) -> DifferentialMatrix:
-    """Exact matrix of the Hessian differential at f over monomial bases."""
+    """Matrix of the Hessian differential at f over monomial bases, with
+    each column scaled to integers by its own positive denominator."""
     H = hess(f)
     if H.is_zero():
         raise ValueError("differential is not certified at a vanishing Hessian")
@@ -141,14 +129,12 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     adj = adjugate_second_partials(f)
     col_monos = monomials_of_degree(n, d)
     row_monos = monomials_of_degree(n, target_degree)
-    columns = []
-    for mono in col_monos:
-        img = _image_of_direction(adj, Form.monomial(mono))
-        columns.append(dict(img.terms))
+    columns = [adjugate_trace(adj, Form.monomial(mono)).numerators
+               for mono in col_monos]
     return DifferentialMatrix(
         nvars=n, degree=d,
         row_monomials=row_monos, col_monomials=col_monos,
-        columns=columns, hess_column=dict(H.terms),
+        columns=columns, hess_column=H.numerators,
     )
 
 
@@ -193,7 +179,8 @@ class RankReport:
 
 def _largest_coefficient_monomial(f: Form) -> Tuple[int, ...]:
     """The monomial with the largest |coefficient|, canonical order as tie-break."""
-    return max(f.terms, key=lambda e: (abs(f.terms[e]), e))
+    num = f.numerators
+    return max(num, key=lambda e: (abs(num[e]), e))
 
 
 def projective_injectivity(f: Form, label: Optional[str] = None,
@@ -204,8 +191,8 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
     The domain complement drops f's coefficient-largest monomial; the Hessian
     column is appended so the quotient by <hess f> costs one final rank unit.
     With ``rng`` given, a second computation over a randomized complement
-    (different dropped monomial, columns shifted by random multiples of the
-    Hessian column) must reproduce the rank.
+    (different dropped monomial, each column shifted by its own random
+    multiple of the Hessian column) must reproduce the rank.
     """
     M = differential_matrix(f)
     n, d = f.nvars, f.degree
@@ -218,18 +205,19 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
 
     complement_checked = False
     if rng is not None:
-        others = [e for e in f.terms if e != lead]
+        others = [e for e in f.numerators if e != lead]
         drop = rng.choice(others) if others else lead
         sel2 = [j for j, mono in enumerate(M.col_monomials) if mono != drop]
         rows2 = M.rows_for(sel2, with_hess=True)
         hcol = len(sel2)
+        # column_j += c_j * hess column: a column operation, so the span of
+        # [M'' | hess] and hence the rank must not change.
+        mults = [1 + rng.randrange(3) for _ in range(hcol)]
         for row in rows2:
             h = row[hcol]
             if h:
                 for j in range(hcol):
-                    row[j] += h * (1 + rng.randrange(3))
-        # Deterministic shift per column would cancel rank information only
-        # if it collapsed the span; using the hess column keeps the span.
+                    row[j] += h * mults[j]
         rank2, _, _ = rank_with_certificate(rows2, force_exact=force_exact)
         if rank2 != rank:
             raise AssertionError("complement choice changed the quotient rank")
@@ -299,10 +287,9 @@ class BlockReport:
     blocks: List[dict] = field(default_factory=list)
     all_single_slot: bool = True
     all_scalar: bool = True
-    scalars_match: bool = True
 
     def passed(self) -> bool:
-        return self.all_single_slot and self.all_scalar and self.scalars_match
+        return self.all_single_slot and self.all_scalar
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,7 +298,7 @@ class BlockReport:
             "blocks": self.blocks,
             "all_single_slot": self.all_single_slot,
             "all_scalar": self.all_scalar,
-            "scalars_match": self.scalars_match,
+            "scalars_match": self.all_scalar,
             "passed": self.passed(),
         }
 
@@ -349,7 +336,7 @@ def block_structure_check(k: int, r: int) -> BlockReport:
         scalar_ok = True
         for h in basis:
             direction = h if i == k else (qpoly ** (k - i)) * h
-            img = _image_of_direction(adj, direction)
+            img = adjugate_trace(adj, direction)
             slots = harmonic_decompose(img, qform)
             nonzero = [t for t, s in enumerate(slots) if not s.is_zero()]
             if nonzero != [slot]:
@@ -367,7 +354,6 @@ def block_structure_check(k: int, r: int) -> BlockReport:
         })
         report.all_single_slot &= single
         report.all_scalar &= scalar_ok
-    report.scalars_match = report.all_scalar
     return report
 
 
@@ -387,12 +373,8 @@ def pijk_injectivity(i: int, k: int, r: int,
     basis = harmonic_basis(i, qform)
     lk = Form.monomial((k,) + (0,) * r)
     target_monos = monomials_of_degree(r + 1, i + k)
-    zero = Fraction(0)
-    cols = []
-    for h in basis:
-        top = harmonic_decompose(h * lk, qform)[0]
-        cols.append(dict(top.terms))
-    rows = [[c.get(mono, zero) for c in cols] for mono in target_monos]
+    cols = [harmonic_decompose(h * lk, qform)[0].numerators for h in basis]
+    rows = [[c.get(mono, 0) for c in cols] for mono in target_monos]
     rank, method, primes = rank_with_certificate(rows, force_exact=force_exact)
     dim = dim_harmonic(r + 1, i)
     return RankReport(

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -234,6 +234,15 @@ class TestIntegerKernel:
         assert f.terms.get((0, 2, 0)) is None and (2, 0, 0) in f.terms
         with pytest.raises(TypeError):
             f.terms[(2, 0, 0)] = Fraction(1)
+
+    @settings(max_examples=40)
+    @given(f=rational_forms)
+    def test_numerators_are_the_terms_times_one_denominator(self, f):
+        num = f.numerators
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        assert num == {e: int(c * den) for e, c in f.terms.items()}
+        with pytest.raises(TypeError):
+            num[next(iter(num))] = 1
 
 
 class TestRandomAndJson:

@@ -7,20 +7,33 @@ from hypothesis import strategies as st
 
 from hesskit import linalg
 from hesskit.errors import VerificationError
-from hesskit.linalg import (PROBE_PRIMES, det_exact, nullspace, rank_bareiss,
-                            rank_with_certificate, solve_exact)
+from hesskit.linalg import (PROBE_PRIMES, det_exact, invert, nullspace,
+                            rank_bareiss, rank_with_certificate, solve_exact)
 
 
 @st.composite
-def matrices(draw, max_dim=5, bound=9):
+def matrices(draw, max_dim=5, bound=9, sparse=False, square=False):
+    """Rational matrices; ``sparse`` makes about three entries in four 0,
+    so elimination meets rows that are already zero in the pivot column."""
     rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
+    cols = rows if square else draw(st.integers(1, max_dim))
+    entry = st.fractions(min_value=-bound, max_value=bound, max_denominator=4)
+    if sparse:
+        entry = st.integers(0, 3).flatmap(
+            lambda k, value=entry: value if k == 0 else st.just(Fraction(0)))
     data = draw(st.lists(
-        st.lists(st.fractions(min_value=-bound, max_value=bound,
-                              max_denominator=4),
-                 min_size=cols, max_size=cols),
+        st.lists(entry, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
     return [[Fraction(x) for x in row] for row in data]
+
+
+def fractions_of(sympy_matrix):
+    return [Fraction(int(x.p), int(x.q)) for x in sympy_matrix]
+
+
+# Fraction-free elimination that skips a row with a zero in the pivot column
+# without scaling it by the pivot turns later exact divisions into floors.
+ZERO_PIVOT_ROWS = [[0, 0, 0, 0], [0, -1, 0, 2], [-3, -2, 0, 0], [0, 1, 0, 0]]
 
 
 class TestRank:
@@ -79,3 +92,45 @@ class TestDetSolve:
         assert len(basis) == 2
         for v in basis:
             assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in m)
+
+
+class TestSparse:
+    """Every exact routine against sympy on mostly-zero matrices."""
+
+    @settings(max_examples=150)
+    @given(m=matrices(sparse=True))
+    def test_rank_matches_sympy(self, m):
+        rank = sympy.Matrix(m).rank()
+        assert rank_bareiss(m) == rank
+        assert rank_with_certificate(m, force_exact=True) == (
+            rank, "bareiss", list(PROBE_PRIMES))
+
+    @settings(max_examples=150)
+    @given(m=matrices(sparse=True))
+    def test_nullspace_matches_sympy(self, m):
+        expected = [fractions_of(v) for v in sympy.Matrix(m).nullspace()]
+        assert nullspace(m) == expected
+
+    @settings(max_examples=150)
+    @given(m=matrices(sparse=True, square=True), data=st.data())
+    def test_det_invert_solve_match_sympy(self, m, data):
+        sm = sympy.Matrix(m)
+        assert det_exact(m) == sm.det()
+        n = len(m)
+        rhs = data.draw(st.lists(st.fractions(-9, 9, max_denominator=4),
+                                 min_size=n, max_size=n))
+        if sm.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+            with pytest.raises(ValueError, match="singular"):
+                solve_exact(m, [rhs])
+            return
+        inv = sm.inv()
+        assert invert(m) == [fractions_of(inv.row(i)) for i in range(n)]
+        assert solve_exact(m, [rhs]) == [fractions_of(inv * sympy.Matrix(rhs))]
+
+    def test_zero_pivot_rows_keep_their_rank(self):
+        assert sympy.Matrix(ZERO_PIVOT_ROWS).rank() == 3
+        assert rank_bareiss(ZERO_PIVOT_ROWS) == 3
+        assert rank_with_certificate(ZERO_PIVOT_ROWS) == (
+            3, "bareiss", list(PROBE_PRIMES))

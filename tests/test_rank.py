@@ -1,12 +1,15 @@
 import random
 
 import pytest
+import sympy
 
 from hesskit import rank_certificates
 from hesskit.errors import VerificationError
-from hesskit.forms import dim_sym
+from hesskit.forms import Form, dim_sym
 from hesskit.rank_certificates import (SpecialPoint, block_structure_check,
-                                       pijk_injectivity, precondition_report,
+                                       differential_matrix, pijk_injectivity,
+                                       precondition_report,
+                                       projective_injectivity,
                                        verify_special_point_rank)
 
 # (kind, k) -> (rank, projective domain dim) for r = 2, computed exactly
@@ -75,6 +78,28 @@ class TestSpecialPointRanks:
             SpecialPoint("qq", 2)
         with pytest.raises(ValueError):
             SpecialPoint("qk1l2", 1)
+
+
+class TestSparseCubics:
+    """Sparse ternary cubics whose matrices once broke the rank path."""
+
+    def test_zero_pivot_rows_keep_their_rank(self):
+        # 2*x0^2*x2 - 3*x1^3 + x2^3; its matrix has rows that are zero in a
+        # pivot column while the previous pivot is 1
+        f = Form.from_coeffs(3, 3, {(2, 0, 1): 2, (0, 3, 0): -3, (0, 0, 3): 1})
+        rep = projective_injectivity(f)
+        M = differential_matrix(f)
+        full = M.rows_for(range(len(M.col_monomials)), with_hess=True)
+        assert rep.rank == sympy.Matrix(full).rank() - 1 == 6
+        assert rep.method == "bareiss"
+
+    def test_complement_recheck_keeps_the_span(self):
+        # -2*x0^3 + 3*x1^2*x2 + x1*x2^2: per-entry multipliers of the
+        # Hessian column raised the rank of the second complement
+        f = Form.from_coeffs(3, 3, {(3, 0, 0): -2, (0, 2, 1): 3, (0, 1, 2): 1})
+        rep = projective_injectivity(f, rng=random.Random(70))
+        assert rep.complement_checked
+        assert rep.rank == projective_injectivity(f).rank
 
 
 class TestBlockStructure:
