@@ -9,9 +9,16 @@ Three integer-valued conditions govern the rank certificates:
 A scan is clean when no (k, m) in range makes the condition vanish.  For three
 variables (r = 2), odd_c and even_b are literally the defining polynomials of
 two affine curves under (x, y) = (k, m); their full integer point sets are
-known finite lists, reproduced here by brute force and, independently, by
-transporting finitely many S-integral points of Weierstrass models back
-through an explicit birational map.
+known finite lists, reproduced here by two independent routes:
+
+* brute force over |x| <= bound.  Each curve is quadratic in y, so an integer
+  point needs the discriminant b(x)**2 - 4 a(x) c(x) to be a perfect square.
+  A residue sieve in numpy first drops every x whose discriminant is a
+  non-square modulo one of SIEVE_MODULI (the square test of Cohen, GTM 138,
+  section 1.7.2); it rejects only x that provably carry no point, and the
+  few survivors get the exact ``isqrt`` test, so the search stays a proof;
+* transport of finitely many S-integral points of Weierstrass models back
+  through an explicit birational map.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from fractions import Fraction
 from importlib import resources
 from math import comb, isqrt, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .forms import Form
 
@@ -100,6 +109,14 @@ def scan_condition(condition: str, r: int, kmin: int, kmax: int) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
+# Moduli of the residue sieve in QuadraticInY.integral_points.  Together they
+# pass one x in a thousand or fewer on the two shipped curves.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# x values sieved per numpy pass; keeps each of the sieve's int32 arrays at
+# 128 kB whatever the bound.
+_CHUNK = 1 << 15
+
+
 class QuadraticInY:
     """Affine curve a(x) y**2 + b(x) y + c(x) = 0 with integer coefficients.
 
@@ -119,42 +136,83 @@ class QuadraticInY:
             total = total * x + k
         return total
 
+    def _coeffs_at(self, x):
+        return (self._eval_poly(self.a, x), self._eval_poly(self.b, x),
+                self._eval_poly(self.c, x))
+
     def evaluate(self, x, y):
-        a = self._eval_poly(self.a, x)
-        b = self._eval_poly(self.b, x)
-        c = self._eval_poly(self.c, x)
+        a, b, c = self._coeffs_at(x)
         return a * y * y + b * y + c
 
     def contains(self, x, y) -> bool:
         return self.evaluate(x, y) == 0
 
-    def integral_points(self, bound: int) -> List[IntPoint]:
-        """All integer points with |x| <= bound, by exact discriminant search.
+    def _sieve_tables(self) -> List[Tuple[int, np.ndarray]]:
+        """Per modulus m, a table over r in range(m): is disc(r) a square mod m.
 
-        For each x the curve is a quadratic (or linear) in y; a solution needs
-        the discriminant to be a perfect square and the root to be integral.
+        Sorted by the share of residues kept, so the most selective modulus
+        thins the candidates first.
         """
+        tables = []
+        for m in SIEVE_MODULI:
+            squares = {r * r % m for r in range(m)}
+            keep = []
+            for r in range(m):
+                a, b, c = self._coeffs_at(r)
+                keep.append((b * b - 4 * a * c) % m in squares)
+            tables.append((m, np.array(keep)))
+        tables.sort(key=lambda entry: entry[1].mean())
+        return tables
+
+    def _ys_at(self, x: int) -> List[int]:
+        """Every integer y with (x, y) on the curve, by the exact root test."""
+        a, b, c = self._coeffs_at(x)
+        if a == 0:
+            if b == 0:
+                if c == 0:
+                    raise ValueError(
+                        f"{self.name}: the whole line x = {x} lies on the curve")
+                return []
+            return [-c // b] if c % b == 0 else []
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        s = isqrt(disc)
+        if s * s != disc:
+            return []
+        return [num // (2 * a) for num in ((-b + s, -b - s) if s else (-b,))
+                if num % (2 * a) == 0]
+
+    def integral_points(self, bound: int) -> List[IntPoint]:
+        """All integer points with |x| <= bound, by a sieved discriminant search.
+
+        For each x the curve is a quadratic in y (linear where a(x) = 0), and
+        an integer y needs disc(x) = b(x)**2 - 4 a(x) c(x) to be a perfect
+        square.  A square stays a square modulo every m, and disc(x) mod m
+        depends only on x mod m; so x is dropped as soon as one table of
+        ``_sieve_tables`` marks its residue as a non-square (Cohen, GTM 138,
+        section 1.7.2).  That rejects only x without a point, so the search
+        is exhaustive.  Where a(x) = 0 the discriminant is b(x)**2, which
+        every table keeps, so the linear case always reaches the exact test.
+        The range is sieved in chunks of _CHUNK values with residues taken
+        from small offsets, so memory stays flat and nothing can overflow;
+        the survivors get the exact test of ``_ys_at``.
+
+        Raises ValueError unless ``bound`` is a non-negative int, and when a
+        whole vertical line x = const lies on the curve (an infinite set).
+        """
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            raise ValueError(f"bound must be a non-negative int, got {bound!r}")
+        tables = self._sieve_tables()
+        offsets = np.arange(_CHUNK, dtype=np.int32)
         found: List[IntPoint] = []
-        for x in range(-bound, bound + 1):
-            a = self._eval_poly(self.a, x)
-            b = self._eval_poly(self.b, x)
-            c = self._eval_poly(self.c, x)
-            if a == 0:
-                if b == 0:
-                    continue  # b == c == 0 would be a full line; not the case here
-                if c % b == 0:
-                    found.append((x, -c // b))
-                continue
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            for num in ((-b + s), (-b - s)) if s else ((-b,)):
-                if num % (2 * a) == 0:
-                    found.append((x, num // (2 * a)))
-        return sorted(set(found))
+        for lo in range(-bound, bound + 1, _CHUNK):
+            cand = offsets[:min(_CHUNK, bound + 1 - lo)]
+            for m, table in tables:
+                cand = cand[table[(cand + lo % m) % m]]
+            for i in cand.tolist():
+                found.extend((lo + i, y) for y in self._ys_at(lo + i))
+        return sorted(found)
 
 
 CURVE_ONE = QuadraticInY("curve-one", a=(1, 2), b=(2, 1), c=(0, -3, -3))
@@ -537,7 +595,8 @@ def verify_family(family: int, bound: int) -> FamilyReport:
     point back through rho1, keep the integer candidates, land on the curve.
     Both routes must produce the same set.  The completeness of the
     S-integral lists themselves is an external input; everything else here is
-    verified exactly.
+    verified exactly.  Raises ValueError unless ``bound`` is a non-negative
+    int.
     """
     if family == 1:
         wcurve, xcurve, u = W1, X1, 64

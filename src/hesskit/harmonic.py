@@ -43,11 +43,13 @@ class QuadraticForm:
             for j in range(i + 1, n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if linalg.det_exact(g) == 0:
-            raise ValueError("Gram matrix is degenerate")
+        try:
+            dual = linalg.invert(g)
+        except ValueError as err:
+            raise ValueError("Gram matrix is degenerate") from err
         self.nvars = n
         self.gram = tuple(tuple(row) for row in g)
-        self.dual = tuple(tuple(row) for row in linalg.invert(g))
+        self.dual = tuple(tuple(row) for row in dual)
         terms: Dict[Tuple[int, ...], Fraction] = {}
         for i in range(n):
             for j in range(n):

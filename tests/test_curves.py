@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import zip_longest
+from math import isqrt
 
 import pytest
 import sympy
@@ -9,10 +11,10 @@ from hesskit import curves
 from hesskit.curves import (CURVE_ONE, CURVE_TWO, FAMILY1_INTEGER_CANDIDATES,
                             FAMILY2_INTEGER_CANDIDATES, OMEGA1, OMEGA2, W1,
                             W1_SINTEGRAL_X_Y, W2, W2_INTEGRAL_X_Y, X1, X2,
-                            condition_matches_curve, denominator_support,
-                            even_a, even_b, fiber_recover, odd_c, rho1, rho2,
-                            scan_condition, shift_from_c1, signed_points,
-                            verify_family)
+                            QuadraticInY, condition_matches_curve,
+                            denominator_support, even_a, even_b,
+                            fiber_recover, odd_c, rho1, rho2, scan_condition,
+                            shift_from_c1, signed_points, verify_family)
 
 ks = st.integers(min_value=-60, max_value=60)
 
@@ -74,6 +76,131 @@ class TestIntegralPoints:
 
     def test_set_sizes(self):
         assert len(OMEGA1) == 6 and len(OMEGA2) == 7
+
+
+def _horner(coeffs, x):
+    total = 0
+    for k in reversed(coeffs):
+        total = total * x + k
+    return total
+
+
+def _loop_points(curve, bound):
+    """Reference search: the exact discriminant test on every x, no sieve."""
+    found = set()
+    for x in range(-bound, bound + 1):
+        a, b, c = (_horner(p, x) for p in (curve.a, curve.b, curve.c))
+        if a == 0:
+            if b == 0:
+                if c == 0:
+                    raise ValueError(f"line x = {x} lies on the curve")
+                continue
+            if c % b == 0:
+                found.add((x, -c // b))
+            continue
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            continue
+        s = isqrt(disc)
+        if s * s != disc:
+            continue
+        for num in (-b + s, -b - s):
+            if num % (2 * a) == 0:
+                found.add((x, num // (2 * a)))
+    return sorted(found)
+
+
+def _agrees_with_loop(curve, bound):
+    try:
+        expected = _loop_points(curve, bound)
+    except ValueError:
+        with pytest.raises(ValueError, match="lies on the curve"):
+            curve.integral_points(bound)
+        return
+    assert curve.integral_points(bound) == expected
+
+
+_coeff_polys = st.lists(st.integers(-6, 6), max_size=4)  # degree <= 3
+_small_polys = st.lists(st.integers(-3, 3), max_size=2)  # degree <= 1
+_bounds = st.integers(0, 3 * 10 ** 5)  # crosses several chunk edges
+
+
+def _mul(p, q):
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+@st.composite
+def factored_curves(draw):
+    """(u y - p)(v y - q) = 0, integer points on many x.
+
+    Its discriminant (u q - v p)**2 is a square at every x, so no x is sieved
+    out and the chunk walk and exact test are what these curves check.
+    """
+    u, p, v, q = (draw(_small_polys) for _ in range(4))
+    b = [-s - t for s, t in zip_longest(_mul(u, q), _mul(v, p), fillvalue=0)]
+    return QuadraticInY("factored", _mul(u, v), b, _mul(p, q))
+
+
+CHUNK = curves._CHUNK
+DIAGONALS = QuadraticInY("y^2 = x^2", a=(1,), b=(0,), c=(0, 0, -1))
+ANTIDIAGONAL = QuadraticInY("y + x = 0", a=(0,), b=(1,), c=(0, 1))
+
+
+class TestSieve:
+    """The residue sieve against the plain loop it replaced."""
+
+    @pytest.mark.parametrize("curve", [CURVE_ONE, CURVE_TWO, DIAGONALS,
+                                       ANTIDIAGONAL])
+    def test_bound_zero(self, curve):
+        assert curve.integral_points(0) == _loop_points(curve, 0)
+
+    @pytest.mark.parametrize("bound", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_every_x_near_chunk_edges(self, bound):
+        xs = range(-bound, bound + 1)
+        assert DIAGONALS.integral_points(bound) == sorted(
+            {(x, y) for x in xs for y in (x, -x)})
+        # a(x) = 0 for every x: the curve is linear in y
+        assert ANTIDIAGONAL.integral_points(bound) == [(x, -x) for x in xs]
+
+    def test_linear_branch_at_a_root_of_a(self):
+        # (x - 3) y**2 + y - x = 0 is linear in y at x = 3, where y = 3
+        curve = QuadraticInY("a-root", a=(-3, 1), b=(1,), c=(0, -1))
+        points = curve.integral_points(1000)
+        assert (3, 3) in points
+        assert points == _loop_points(curve, 1000)
+
+    def test_a_whole_vertical_line_is_refused(self):
+        # (x - 2)(y**2 + y + 1) = 0 contains the line x = 2
+        curve = QuadraticInY("line", a=(-2, 1), b=(-2, 1), c=(-2, 1))
+        assert curve.integral_points(1) == []
+        with pytest.raises(ValueError, match="x = 2 lies on the curve"):
+            curve.integral_points(2)
+
+    def test_a_and_b_vanishing_alone_is_no_line(self):
+        # at x = 2 the equation reads 1 = 0: no point, no error
+        curve = QuadraticInY("no-line", a=(-2, 1), b=(-2, 1), c=(1,))
+        assert curve.integral_points(10) == _loop_points(curve, 10)
+
+    @pytest.mark.parametrize("bound", [-1, 1.5, 10.0, True, "10", None])
+    def test_bad_bounds_are_rejected(self, bound):
+        with pytest.raises(ValueError, match="non-negative int"):
+            CURVE_ONE.integral_points(bound)
+        with pytest.raises(ValueError, match="non-negative int"):
+            verify_family(1, bound)
+
+    @settings(max_examples=12, deadline=None)
+    @given(a=_coeff_polys, b=_coeff_polys, c=_coeff_polys, bound=_bounds)
+    def test_random_curves_agree_with_the_loop(self, a, b, c, bound):
+        _agrees_with_loop(QuadraticInY("random", a, b, c), bound)
+
+    @settings(max_examples=12, deadline=None)
+    @given(curve=factored_curves(), bound=_bounds)
+    def test_factored_curves_agree_with_the_loop(self, curve, bound):
+        _agrees_with_loop(curve, bound)
 
 
 class TestWeierstrassModels:

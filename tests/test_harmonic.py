@@ -110,3 +110,11 @@ class TestQuadraticForm:
     def test_variable_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             harmonic_decompose(Form.monomial((2, 0)), Q)
+
+    @pytest.mark.parametrize("gram", [[[1, 1], [1, 1]],
+                                      [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[1, Fraction(1, 2)], [Fraction(1, 2),
+                                                             Fraction(1, 4)]]])
+    def test_degenerate_gram_matrix_rejected(self, gram):
+        with pytest.raises(ValueError, match="^Gram matrix is degenerate$"):
+            QuadraticForm(gram)
