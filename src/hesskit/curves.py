@@ -331,12 +331,6 @@ C2_CUBIC = Form.from_coeffs(3, 3, {
 })
 
 
-def shift_to_c1(x, y) -> Point:
-    """Curve-one affine point -> C model point."""
-    x, y = Fraction(x), Fraction(y)
-    return (x, y - x)
-
-
 def shift_from_c1(x, y) -> Point:
     """C model point -> curve-one affine point."""
     x, y = Fraction(x), Fraction(y)
@@ -348,10 +342,6 @@ class ProjectiveImage:
     defined: bool
     coords: Tuple[Fraction, Fraction, Fraction]
     affine: Optional[Point]  # None when undefined or at infinity
-
-    @property
-    def at_infinity(self) -> bool:
-        return self.defined and self.affine is None
 
 
 def _image(cx, cy, cz) -> ProjectiveImage:

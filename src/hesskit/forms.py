@@ -19,20 +19,19 @@ coefficients up to one positive factor.  Nothing in this module touches
 floating point.
 
 The canonical term order used everywhere (serialization, matrix column
-indexing, leading monomials) is descending lexicographic on exponent tuples
-with x0 most significant.  Within a fixed degree this is the usual
-degree-lexicographic order.
+indexing) is descending lexicographic on exponent tuples with x0 most
+significant.  Within a fixed degree this is the usual degree-lexicographic
+order.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping as MappingABC
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -204,12 +203,6 @@ class Form:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(tuple(exps), 0), self._den)
 
-    def leading_monomial(self) -> Exponent:
-        """Largest exponent tuple in canonical order.  Errors on the zero form."""
-        if not self._num:
-            raise ValueError("zero form has no leading monomial")
-        return max(self._num)
-
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         den = self._den
         return [(e, Fraction(self._num[e], den)) for e in sorted(self._num, reverse=True)]
@@ -350,63 +343,6 @@ class Form:
             total += v
         return total / self._den
 
-    # ----- divisibility -------------------------------------------------
-
-    def divisible_by_power(self, index: int, power: int) -> bool:
-        """True when x_index**power divides every term (vacuously true for zero)."""
-        return all(e[index] >= power for e in self._num)
-
-    def divide_by_monomial(self, exps: Sequence[int]) -> "Form":
-        """Exact division by the monomial x**exps; raises if not divisible."""
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        drop = sum(exps)
-        out: Dict[Exponent, int] = {}
-        for e, c in self._num.items():
-            if any(e[i] < exps[i] for i in range(self.nvars)):
-                raise ValueError(f"term {e} not divisible by {exps}")
-            out[tuple(e[i] - exps[i] for i in range(self.nvars))] = c
-        return Form._make(self.nvars, max(self.degree - drop, 0), out, self._den)
-
-    # ----- linear substitution ------------------------------------------
-
-    def substitute_linear(self, matrix: Sequence[Sequence]) -> "Form":
-        """Return f(M x): substitute x_i -> sum_j M[i][j] x_j.
-
-        The matrix need not be invertible; the result is the exact composite.
-        """
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("substitution matrix has wrong shape")
-        images = []
-        for i in range(n):
-            row = {(tuple(1 if t == j else 0 for t in range(n))): _coerce(matrix[i][j])
-                   for j in range(n) if _coerce(matrix[i][j]) != 0}
-            images.append(Form(n, 1, row))
-        # Cache powers of each image form; exponents repeat across terms.
-        power_cache: List[Dict[int, Form]] = [dict() for _ in range(n)]
-
-        def image_power(i: int, k: int) -> Form:
-            cache = power_cache[i]
-            if k not in cache:
-                cache[k] = images[i] ** k
-            return cache[k]
-
-        total = Form.zero(n, self.degree)
-        for e, c in self.terms.items():
-            prod = Form.monomial((0,) * n, c)
-            for i, k in enumerate(e):
-                if k:
-                    prod = prod * image_power(i, k)
-            if prod.degree != self.degree and not prod.is_zero():
-                raise AssertionError("substitution degree drift")
-            if total.is_zero():
-                total = prod
-            elif not prod.is_zero():
-                total = total + prod
-        return total
-
     # ----- equality / hashing / display ---------------------------------
 
     def __eq__(self, other) -> bool:
@@ -454,9 +390,6 @@ class Form:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @staticmethod
     def from_json_dict(data: Mapping) -> "Form":
         nvars = int(data["r"]) + 1
@@ -464,30 +397,8 @@ class Form:
         terms = {tuple(t["e"]): Fraction(t["c"]) for t in data["terms"]}
         return Form(nvars, degree, terms)
 
-    @staticmethod
-    def from_json(text: str) -> "Form":
-        return Form.from_json_dict(json.loads(text))
-
 
 # ----- convenience builders used throughout the package -----------------
-
-
-def form_sum(forms: Iterable[Form]) -> Form:
-    """Sum a nonempty iterable of compatible forms."""
-    total = None
-    for f in forms:
-        total = f if total is None else total + f
-    if total is None:
-        raise ValueError("form_sum needs at least one form")
-    return total
-
-
-def multinomial(exps: Sequence[int]) -> int:
-    """Multinomial coefficient (sum exps)! / prod(exps_i!)."""
-    n = factorial(sum(exps))
-    for e in exps:
-        n //= factorial(e)
-    return n
 
 
 def random_form(nvars: int, degree: int, rng, coeff_bound: int = 9,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .forms import Form, dim_sym, monomials_of_degree
@@ -105,23 +105,8 @@ class QuadraticForm:
                 total = total + di.diff(j).scale(c)
         return total
 
-    def evaluate_bilinear(self, v: Sequence, w: Sequence) -> Fraction:
-        """The bilinear pairing v^T A w."""
-        n = self.nvars
-        vv = [Fraction(x) for x in v]
-        ww = [Fraction(x) for x in w]
-        total = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                total += vv[i] * self.gram[i][j] * ww[j]
-        return total
-
     def to_json_dict(self) -> dict:
         return {"gram": [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.gram]}
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "QuadraticForm":
-        return QuadraticForm([[Fraction(x) for x in row] for row in data["gram"]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadraticForm):

@@ -1,15 +1,16 @@
-"""Hessian determinants, first-order jets, and t-parameter families.
+"""Hessian determinants, their first-order jets, and t-parameter families.
 
-``hess`` is the exact Hessian determinant of a form.  ``hess_eps`` tracks a
-first-order perturbation f + eps*g through the determinant using dual-number
-(jet) arithmetic, so its eps-part is the directional derivative of the Hessian
-map at f in direction g.  The same derivative can be read off the Jacobi
-formula as trace(adj(D2 f) * D2 g); both routes are exposed and tested against
-each other.
+``hess`` is the exact Hessian determinant of a form.  The first-order jet of
+the Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is
+read off Jacobi's formula as trace(adj(D2 f) * D2 g):
+``adjugate_second_partials`` builds adj(D2 f) once and ``adjugate_trace``
+applies it to each direction.
 
-For three variables the polarized operators h12 and h3 are provided, together
-with families depending on a parameter t (polynomially, with Form
-coefficients) and their exact Hessians.
+For three variables the polarized operators h12 and h3 are provided.  A
+family depending polynomially on a parameter t is a ``TParameterForm``; the
+families form a ring that contains the zero family, so ``hess_t`` runs the
+same determinant expansion over them, and ``hessian_expansion`` is the
+independent polarization route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -109,62 +110,6 @@ def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
     return total
 
 
-def hess_directional(f: Form, g: Form) -> Form:
-    """d/deps Hess(f + eps g) at eps=0, via trace(adj(D2 f) * D2 g)."""
-    if f.degree != g.degree or f.nvars != g.nvars:
-        raise ValueError("f and g must share variables and degree")
-    return adjugate_trace(adjugate_second_partials(f), g)
-
-
-class EpsilonForm:
-    """First-order jet a + eps*b with Form components (eps**2 = 0)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Form, b: Form):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other: "EpsilonForm") -> "EpsilonForm":
-        return EpsilonForm(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EpsilonForm") -> "EpsilonForm":
-        return EpsilonForm(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EpsilonForm":
-        return EpsilonForm(-self.a, -self.b)
-
-    def __mul__(self, other: "EpsilonForm") -> "EpsilonForm":
-        return EpsilonForm(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpsilonForm):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __repr__(self) -> str:
-        return f"EpsilonForm({self.a!r}, {self.b!r})"
-
-
-def hess_eps(f: Form, g: Form) -> Tuple[Form, Form]:
-    """Hessian of f + eps*g to first order: returns (Hess f, eps-part).
-
-    Computed by running the determinant in jet arithmetic; no truncation error
-    because eps**2 is dropped exactly at each multiplication.
-    """
-    if f.degree != g.degree or f.nvars != g.nvars:
-        raise ValueError("f and g must share variables and degree")
-    n = f.nvars
-    target = max(n * (f.degree - 2), 0)
-    if f.degree < 2:
-        return Form.zero(n, target), Form.zero(n, target)
-    fm = f.second_partials()
-    gm = g.second_partials()
-    jet = [[EpsilonForm(fm[i][j], gm[i][j]) for j in range(n)] for i in range(n)]
-    d = _det_by_expansion(jet)
-    return d.a, d.b
-
-
 # ---------------------------------------------------------------------------
 # polarized operators in three variables
 # ---------------------------------------------------------------------------
@@ -226,144 +171,101 @@ def h3(f: Form, g: Form, h: Form) -> Form:
 class TParameterForm:
     """A form whose coefficients are polynomials in a parameter t.
 
-    Stored as {t_exponent: Form}; all slot forms share the same variable count
-    and degree.  Fractional parameter exponents are expected to be cleared to
-    integers by the caller (substituting t -> t**N changes nothing that is
-    checked here: orders scale, vanishing does not).
+    Stored as {t_exponent: Form} with zero slots dropped; all slots share the
+    variable count and degree of the first slot given, which may be a zero
+    form, so the zero family (no slots) keeps its variable count and degree.
+    Fractional parameter exponents are expected to be cleared to integers by
+    the caller (substituting t -> t**N changes nothing that is checked here:
+    orders scale, vanishing does not).
     """
 
     __slots__ = ("nvars", "degree", "slots")
 
     def __init__(self, slots: Mapping[int, Form]):
-        clean: Dict[int, Form] = {}
-        nvars = None
-        degree = None
+        if not slots:
+            raise ValueError("a t-parameter family needs at least one slot")
+        first = next(iter(slots.values()))
         for a, form in slots.items():
             if not isinstance(a, int) or a < 0:
                 raise ValueError("t-exponents must be nonnegative integers")
-            if form.is_zero():
-                continue
-            if nvars is None:
-                nvars, degree = form.nvars, form.degree
-            elif form.nvars != nvars or form.degree != degree:
+            if form.nvars != first.nvars or (not form.is_zero()
+                                             and form.degree != first.degree):
                 raise ValueError("all slots must share variable count and degree")
-            clean[a] = form
-        if nvars is None:
-            raise ValueError("a t-parameter family needs at least one nonzero slot")
+        self._set(first.nvars, first.degree, slots)
+
+    def _set(self, nvars: int, degree: int, slots: Mapping[int, Form]) -> None:
         self.nvars = nvars
         self.degree = degree
-        self.slots = clean
+        self.slots = {a: f for a, f in slots.items() if not f.is_zero()}
+
+    @staticmethod
+    def _make(nvars: int, degree: int, slots: Mapping[int, Form]) -> "TParameterForm":
+        """Trusted constructor: the caller guarantees matching slot forms."""
+        family = object.__new__(TParameterForm)
+        family._set(nvars, degree, slots)
+        return family
+
+    def is_zero(self) -> bool:
+        return not self.slots
 
     def sorted_slots(self) -> List[Tuple[int, Form]]:
         return sorted(self.slots.items())
 
-    def at_t(self, value) -> Form:
-        value = Fraction(value)
-        total = Form.zero(self.nvars, self.degree)
-        for a, form in self.slots.items():
-            total = total + form.scale(value ** a)
-        return total
+    def _check_compatible(self, other: "TParameterForm") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError("families live in different variable counts")
 
     def __add__(self, other: "TParameterForm") -> "TParameterForm":
+        self._check_compatible(other)
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add families of degrees {self.degree} and {other.degree}")
         merged: Dict[int, Form] = dict(self.slots)
         for a, form in other.slots.items():
             merged[a] = merged[a] + form if a in merged else form
-        merged = {a: f for a, f in merged.items() if not f.is_zero()}
-        if not merged:
-            raise ValueError("sum of families vanished identically; not representable")
-        return TParameterForm(merged)
+        return TParameterForm._make(self.nvars, self.degree, merged)
+
+    def __neg__(self) -> "TParameterForm":
+        return TParameterForm._make(self.nvars, self.degree,
+                                    {a: -f for a, f in self.slots.items()})
+
+    def __sub__(self, other: "TParameterForm") -> "TParameterForm":
+        return self + (-other)
 
     def __mul__(self, other: "TParameterForm") -> "TParameterForm":
+        self._check_compatible(other)
         acc: Dict[int, Form] = {}
         for a1, f1 in self.slots.items():
             for a2, f2 in other.slots.items():
                 key = a1 + a2
                 prod = f1 * f2
                 acc[key] = acc[key] + prod if key in acc else prod
-        acc = {a: f for a, f in acc.items() if not f.is_zero()}
-        if not acc:
-            # Zero products cannot happen for nonzero forms over the rationals.
-            raise AssertionError("product of nonzero families vanished")
-        return TParameterForm(acc)
-
-    def to_json_dict(self) -> dict:
-        return {"slots": [{"t": a, "form": f.to_json_dict()} for a, f in self.sorted_slots()]}
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "TParameterForm":
-        return TParameterForm({int(s["t"]): Form.from_json_dict(s["form"]) for s in data["slots"]})
+        return TParameterForm._make(self.nvars, self.degree + other.degree, acc)
 
 
-def hess_t(family: TParameterForm) -> Optional[TParameterForm]:
+def hess_t(family: TParameterForm) -> TParameterForm:
     """Exact Hessian of a t-parameter family, as a family again.
 
-    Returns None when the Hessian vanishes identically in t (a family of
-    cones), since TParameterForm cannot represent the zero family.
+    The determinant runs over cells that are families themselves: cell (i, j)
+    holds d_i d_j of every slot, and is the zero family of degree d - 2 when
+    all of them vanish.  A family of cones gives the zero family.
     """
     n = family.nvars
-    entries: List[List[Dict[int, Form]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for a, form in family.slots.items():
-        mat = form.second_partials()
-        for i in range(n):
-            for j in range(n):
-                if not mat[i][j].is_zero():
-                    cell = entries[i][j]
-                    cell[a] = cell[a] + mat[i][j] if a in cell else mat[i][j]
-
-    def tp_mul(x: Dict[int, Form], y: Dict[int, Form]) -> Dict[int, Form]:
-        acc: Dict[int, Form] = {}
-        for a1, f1 in x.items():
-            for a2, f2 in y.items():
-                key = a1 + a2
-                prod = f1 * f2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return {a: f for a, f in acc.items() if not f.is_zero()}
-
-    def tp_add(x: Dict[int, Form], y: Dict[int, Form]) -> Dict[int, Form]:
-        out = dict(x)
-        for a, f in y.items():
-            out[a] = out[a] + f if a in out else f
-        return {a: f for a, f in out.items() if not f.is_zero()}
-
-    def tp_neg(x: Dict[int, Form]) -> Dict[int, Form]:
-        return {a: -f for a, f in x.items()}
-
-    class _Cell:
-        __slots__ = ("d",)
-
-        def __init__(self, d):
-            self.d = d
-
-        def __mul__(self, other):
-            return _Cell(tp_mul(self.d, other.d))
-
-        def __add__(self, other):
-            return _Cell(tp_add(self.d, other.d))
-
-        def __sub__(self, other):
-            return _Cell(tp_add(self.d, tp_neg(other.d)))
-
-        def __neg__(self):
-            return _Cell(tp_neg(self.d))
-
-    det = _det_by_expansion([[_Cell(entries[i][j]) for j in range(n)] for i in range(n)])
-    if not det.d:
-        return None
-    return TParameterForm(det.d)
+    partials = {a: form.second_partials() for a, form in family.slots.items()}
+    cell_degree = max(family.degree - 2, 0)
+    mat = [[TParameterForm._make(n, cell_degree, {a: m[i][j] for a, m in partials.items()})
+            for j in range(n)] for i in range(n)]
+    return _det_by_expansion(mat)
 
 
-def lowest_t_order(family: Optional[TParameterForm]) -> Optional[Tuple[int, Form]]:
-    """Lowest t-exponent with a nonzero coefficient form, or None for None."""
-    if family is None:
-        return None
+def lowest_t_order(family: TParameterForm) -> Tuple[int, Form]:
+    """Lowest t-exponent with a nonzero coefficient form, and that form."""
+    if family.is_zero():
+        raise ValueError("the zero family has no lowest t-order")
     a = min(family.slots)
     return a, family.slots[a]
 
 
-def hessian_expansion(family: TParameterForm) -> Optional[TParameterForm]:
+def hessian_expansion(family: TParameterForm) -> TParameterForm:
     """Hessian of x0**d + sum_i t**a_i f_i via the polarized operators.
 
     Requires three variables, a t**0 slot equal to exactly x0**d, and uses
@@ -372,8 +274,8 @@ def hessian_expansion(family: TParameterForm) -> Optional[TParameterForm]:
         hess = d(d-1) x0**(d-2) * sum_{i,j} t**(a_i+a_j) h12(f_i, f_j)
              + sum_{i,j,k} t**(a_i+a_j+a_k) h3(f_i, f_j, f_k)
 
-    Returns None when the result vanishes identically.  This is the slow dual
-    route used to cross-check hess_t.
+    Returns the zero family when the result vanishes identically.  This is
+    the slow dual route used to cross-check hess_t.
     """
     if family.nvars != 3:
         raise ValueError("expansion route is defined for three variables only")
@@ -387,8 +289,6 @@ def hessian_expansion(family: TParameterForm) -> Optional[TParameterForm]:
     acc: Dict[int, Form] = {}
 
     def put(a: int, form: Form) -> None:
-        if form.is_zero():
-            return
         acc[a] = acc[a] + form if a in acc else form
 
     for ai, fi in rest:
@@ -398,7 +298,4 @@ def hessian_expansion(family: TParameterForm) -> Optional[TParameterForm]:
         for aj, fj in rest:
             for ak, fk in rest:
                 put(ai + aj + ak, h3(fi, fj, fk))
-    acc = {a: f for a, f in acc.items() if not f.is_zero()}
-    if not acc:
-        return None
-    return TParameterForm(acc)
+    return TParameterForm._make(3, 3 * (d - 2), acc)

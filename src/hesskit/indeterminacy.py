@@ -424,7 +424,7 @@ def limit_divisibility_check(family: TParameterForm) -> LimitReport:
     if d < 4:
         raise ValueError("need degree >= 4")
     H = hess_t(family)
-    if H is None:
+    if H.is_zero():
         return LimitReport(d, "inconclusive-limit", None, d - 3)
     order, lead = lowest_t_order(H)
     ok = f_divisible_by_x0(lead, d - 3)

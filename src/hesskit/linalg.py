@@ -5,7 +5,7 @@ row by the lcm of its denominators, which keeps the rank, the row space and
 the solutions of A X = B; on an integer matrix it only copies.  One
 fraction-free Gauss-Jordan routine (``_echelon``, Bareiss's integer-preserving
 elimination carried through to the reduced form) then gives the exact rank,
-determinant, solutions, inverse and nullspace; every division in it is exact.
+solutions, inverse and nullspace; every division in it is exact.
 
 The mod-p path reduces the same integer matrix modulo a large prime and
 eliminates with vectorized int64 arithmetic; since reduction can only lower
@@ -21,7 +21,7 @@ leftmost unfinished column.  No randomness, no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,21 +47,20 @@ def clear_denominators(rows: Sequence[Sequence]) -> IntMatrix:
     return out
 
 
-def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int, int]:
+def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int]:
     """Fraction-free Gauss-Jordan elimination of ``m`` in place.
 
     Columns ``0 .. ncols-1`` are eliminated; any further columns (right-hand
-    sides) are carried along.  Returns ``(pivot_cols, den, sign)``: afterwards
-    ``m[r][c] / den`` is the reduced row echelon form, its first
-    ``len(pivot_cols)`` rows hold the pivots, and for a square matrix of full
-    rank ``sign * den`` is the determinant.  Each step replaces every other
+    sides) are carried along.  Returns ``(pivot_cols, den)``: afterwards
+    ``m[r][c] / den`` is the reduced row echelon form and its first
+    ``len(pivot_cols)`` rows hold the pivots.  Each step replaces every other
     row by ``(p * row - row[col] * pivot_row) / den`` with ``p`` the new pivot
     and ``den`` the previous one; by Sylvester's identity the division is
     exact, so all entries stay integers (Bareiss, Math. Comp. 22, 1968).
     """
     nrows = len(m)
     pivots: List[int] = []
-    den, sign = 1, 1
+    den = 1
     for col in range(ncols):
         row = len(pivots)
         if row == nrows:
@@ -71,7 +70,6 @@ def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int, int]:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-            sign = -sign
         prow = m[row]
         p = prow[col]
         for i in range(nrows):
@@ -81,7 +79,7 @@ def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int, int]:
             m[i] = [(p * x - f * y) // den for x, y in zip(m[i], prow)]
         pivots.append(col)
         den = p
-    return pivots, den, sign
+    return pivots, den
 
 
 def rank_bareiss(rows: Sequence[Sequence]) -> int:
@@ -165,7 +163,7 @@ def solve_exact(a: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> Matrix:
     if any(len(c) != n for c in rhs_cols):
         raise ValueError("right-hand side has wrong length")
     m = clear_denominators([list(a[i]) + [c[i] for c in rhs_cols] for i in range(n)])
-    pivots, den, _ = _echelon(m, n)
+    pivots, den = _echelon(m, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
     return [[Fraction(m[i][n + k], den) for i in range(n)] for k in range(len(rhs_cols))]
@@ -176,16 +174,6 @@ def invert(a: Sequence[Sequence]) -> Matrix:
     n = len(a)
     cols = solve_exact(a, [[int(i == k) for i in range(n)] for k in range(n)])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def det_exact(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant; clearing row i by l_i multiplies it by l_i."""
-    n = _square(a)
-    m = clear_denominators(a)
-    pivots, den, sign = _echelon(m, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * den, prod(lcm(*(x.denominator for x in row)) for row in a))
 
 
 def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
@@ -201,7 +189,7 @@ def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
         return [[Fraction(int(i == k)) for i in range(ncols)] for k in range(ncols)]
     n_cols = len(a[0])
     m = clear_denominators(a)
-    pivots, den, _ = _echelon(m, n_cols)
+    pivots, den = _echelon(m, n_cols)
     basis: Matrix = []
     for fc in [c for c in range(n_cols) if c not in pivots]:
         v = [Fraction(0)] * n_cols

@@ -220,7 +220,7 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
                     row[j] += h * mults[j]
         rank2, _, _ = rank_with_certificate(rows2, force_exact=force_exact)
         if rank2 != rank:
-            raise AssertionError("complement choice changed the quotient rank")
+            raise VerificationError("complement choice changed the quotient rank")
         complement_checked = True
 
     return RankReport(

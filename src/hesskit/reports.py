@@ -343,9 +343,7 @@ def _entry_multilinear_identities(ctx: dict) -> dict:
         fam = sample_family(d, rng, max_slots=2, max_exponent=3)
         a = hess_t(fam)
         b = hessian_expansion(fam)
-        if a is None and b is None:
-            fam_ok += 1
-        elif a is not None and b is not None and a.slots == b.slots:
+        if a.slots == b.slots:
             fam_ok += 1
     ok = sym_ok == 70 and fam_ok == fam_total
     return {"passed": ok, "hessian_as_triple": sym_ok,

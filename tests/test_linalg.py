@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hesskit import linalg
 from hesskit.errors import VerificationError
-from hesskit.linalg import (PROBE_PRIMES, det_exact, invert, nullspace,
-                            rank_bareiss, rank_with_certificate, solve_exact)
+from hesskit.linalg import (PROBE_PRIMES, invert, nullspace, rank_bareiss,
+                            rank_with_certificate, solve_exact)
 
 
 @st.composite
@@ -72,13 +72,6 @@ class TestRank:
 
 
 class TestDetSolve:
-    @settings(max_examples=40)
-    @given(m=matrices(max_dim=4))
-    def test_determinant_matches_sympy(self, m):
-        if len(m) != len(m[0]):
-            return
-        assert det_exact(m) == sympy.Matrix(m).det()
-
     def test_solve_recovers_solution(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
         rhs = [Fraction(5), Fraction(10)]
@@ -115,7 +108,6 @@ class TestSparse:
     @given(m=matrices(sparse=True, square=True), data=st.data())
     def test_det_invert_solve_match_sympy(self, m, data):
         sm = sympy.Matrix(m)
-        assert det_exact(m) == sm.det()
         n = len(m)
         rhs = data.draw(st.lists(st.fractions(-9, 9, max_denominator=4),
                                  min_size=n, max_size=n))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hesskit import orbit_checks
+from hesskit.errors import VerificationError
 from hesskit.forms import Form
-from hesskit.hessians import hess, hess_eps
+from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.orbit_checks import (closed_form_constant, hyperbolic_q,
                                   isotropic_l, power_product,
                                   verify_closed_form, verify_pair,
@@ -80,7 +82,9 @@ class TestPerturbationPairs:
     def test_even_first_order_term_read_off_directly(self):
         """The eps-part at the even k=2, m=1 pair is exactly -72 q**2 l**2."""
         q, l = hyperbolic_q(2), isotropic_l(2)
-        h0, h1 = hess_eps(q ** 2, q * l ** 2)
+        base = q ** 2
+        h0 = hess(base)
+        h1 = adjugate_trace(adjugate_second_partials(base), q * l ** 2)
         assert h1 == Fraction(-72) * q * q * l * l
         assert h0 == Fraction(-48) * q ** 3
 
@@ -89,6 +93,18 @@ class TestPerturbationPairs:
     def test_boundary_values_vanish_identically(self, kind, k, m):
         rep = verify_pair(kind, 2, k, m)
         assert rep.c1 == 0 and rep.matches
+
+    def test_nonzero_constant_at_a_negative_power_is_a_verification_error(
+            self, monkeypatch):
+        real = orbit_checks._pair_data
+
+        def negative_eps_power(*args):
+            base, direction, base_img, eps_img, mono0, mono1 = real(*args)
+            return base, direction, base_img, (-1, 0), mono0, mono1
+
+        monkeypatch.setattr(orbit_checks, "_pair_data", negative_eps_power)
+        with pytest.raises(VerificationError, match="invalid power product"):
+            verify_pair("even", 2, 2, 1)
 
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

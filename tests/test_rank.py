@@ -101,6 +101,22 @@ class TestSparseCubics:
         assert rep.complement_checked
         assert rep.rank == projective_injectivity(f).rank
 
+    def test_complement_rank_change_is_a_verification_error(self, monkeypatch):
+        real = rank_certificates.rank_with_certificate
+        calls = []
+
+        def second_disagrees(rows, **kwargs):
+            rank, method, primes = real(rows, **kwargs)
+            calls.append(rank)
+            return rank + (len(calls) == 2), method, primes
+
+        monkeypatch.setattr(rank_certificates, "rank_with_certificate",
+                            second_disagrees)
+        f = Form.from_coeffs(3, 3, {(3, 0, 0): -2, (0, 2, 1): 3, (0, 1, 2): 1})
+        with pytest.raises(VerificationError, match="complement"):
+            projective_injectivity(f, rng=random.Random(70))
+        assert len(calls) == 2
+
 
 class TestBlockStructure:
     @pytest.mark.parametrize("k,scalars", [
