@@ -18,8 +18,8 @@ read-only view of ``_num`` itself, for callers that only need the
 coefficients up to one positive factor.  Nothing in this module touches
 floating point.
 
-The canonical term order used everywhere (serialization, matrix column
-indexing) is descending lexicographic on exponent tuples with x0 most
+The canonical term order used everywhere (printing, iteration, matrix
+column indexing) is descending lexicographic on exponent tuples with x0 most
 significant.  Within a fixed degree this is the usual degree-lexicographic
 order.
 """
@@ -376,26 +376,6 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {self.num_terms()} terms)"
-
-    # ----- serialization -------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Canonical JSON data: terms sorted in descending canonical order."""
-        return {
-            "r": self.nvars - 1,
-            "d": self.degree,
-            "terms": [
-                {"e": list(e), "c": f"{c.numerator}/{c.denominator}"}
-                for e, c in self.sorted_terms()
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "Form":
-        nvars = int(data["r"]) + 1
-        degree = int(data["d"])
-        terms = {tuple(t["e"]): Fraction(t["c"]) for t in data["terms"]}
-        return Form(nvars, degree, terms)
 
 
 # ----- convenience builders used throughout the package -----------------

@@ -7,18 +7,15 @@ x^T A x.  Its dual differential operator is
 
 normalized so that lap_q applied to the quadric itself gives 2*(r+1) in r+1
 variables.  A form is harmonic when lap_q kills it.  Every degree-d form f
-splits uniquely as f = sum_i q**i * f_{d-2i} with all f_{d-2i} harmonic; the
-splitting here follows the constructive recursion: peel the top summand by
-solving lap_q(q*g) = lap_q(f) for g, then recurse on g.
-
-The solve is an exact linear solve over the monomial basis; the inverse of the
-multiplication-then-Laplacian operator is cached per (variables, degree,
-quadric), which makes repeated decompositions cheap.
+splits uniquely as f = sum_i q**i * f_{d-2i} with all f_{d-2i} harmonic.
+``harmonic_decompose`` peels the top summand off by the closed Laplacian
+formula, a short sum of q-powers times iterated Laplacians of f, and recurses
+on the rest; it solves no linear system.  ``harmonic_basis`` and the dual
+Gram matrix come from exact linear algebra in ``linalg``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
@@ -32,7 +29,7 @@ _ONE_HALF = Fraction(1, 2)
 class QuadraticForm:
     """Nondegenerate quadratic form given by its symmetric Gram matrix."""
 
-    __slots__ = ("nvars", "gram", "dual", "_poly", "_key")
+    __slots__ = ("nvars", "gram", "dual", "_poly")
 
     def __init__(self, gram: Sequence[Sequence]):
         n = len(gram)
@@ -61,7 +58,6 @@ class QuadraticForm:
                 key = tuple(e)
                 terms[key] = terms.get(key, Fraction(0)) + g[i][j]
         self._poly = Form(n, 2, terms)
-        self._key = json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @staticmethod
     def identity(r: int) -> "QuadraticForm":
@@ -84,9 +80,6 @@ class QuadraticForm:
     def polynomial(self) -> Form:
         return self._poly
 
-    def key(self) -> str:
-        return self._key
-
     def laplacian(self, f: Form) -> Form:
         """The dual second-order operator sum_ij (A**-1)_ij d_i d_j f."""
         if f.nvars != self.nvars:
@@ -105,9 +98,6 @@ class QuadraticForm:
                 total = total + di.diff(j).scale(c)
         return total
 
-    def to_json_dict(self) -> dict:
-        return {"gram": [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.gram]}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadraticForm):
             return NotImplemented
@@ -120,75 +110,41 @@ class QuadraticForm:
         return f"QuadraticForm({self.nvars} vars)"
 
 
-# Cache of inverses of g -> lap_q(q*g) on the degree-(d-2) monomial basis,
-# keyed by (nvars, d, gram serialization).
-_SOLVER_CACHE: Dict[Tuple[int, int, str], List[List[Fraction]]] = {}
-
-
-def _mult_solver(q: QuadraticForm, d: int) -> List[List[Fraction]]:
-    key = (q.nvars, d, q.key())
-    cached = _SOLVER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    basis = monomials_of_degree(q.nvars, d - 2)
-    index = {m: i for i, m in enumerate(basis)}
-    n = len(basis)
-    qpoly = q.polynomial()
-    cols: List[List[Fraction]] = []
-    for m in basis:
-        image = q.laplacian(qpoly * Form.monomial(m, 1))
-        col = [Fraction(0)] * n
-        for e, c in image.terms.items():
-            col[index[e]] = c
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    inv = linalg.invert(matrix)
-    _SOLVER_CACHE[key] = inv
-    return inv
-
-
 def harmonic_decompose(f: Form, q: QuadraticForm) -> List[Form]:
     """Split f into [f_d, f_{d-2}, ..., f_{d mod 2}] with every slot harmonic.
 
     The returned list has d//2 + 1 entries and satisfies
-    f == sum_i q**i * slots[i] exactly.
+    f == sum_i q**i * slots[i] exactly.  Each step writes the current form c
+    of degree m as c = h + q*g with h harmonic, where
+
+        g = -sum_{j>=1} a_j q**(j-1) lap_q**j (c),
+        a_0 = 1,  a_j = -a_{j-1} / (2j (n + 2m - 2 - 2j)),
+
+    (Axler-Bourdon-Ramey, Harmonic Function Theory, ch. 5), and recurses on
+    g.  The formula rests on lap_q(q**j h) = 2j (n + 2m' + 2j - 2) q**(j-1) h
+    for h harmonic of degree m', which holds for every nondegenerate q under
+    the normalization lap_q(q) = 2n; no denominator vanishes for m >= 2.
     """
     if f.nvars != q.nvars:
         raise ValueError("form and quadric have different variable counts")
-    d = f.degree
-    nvars = f.nvars
+    n = f.nvars
     qpoly = q.polynomial()
     slots: List[Form] = []
     cur = f
-    for i in range(d // 2 + 1):
-        dd = d - 2 * i
-        if dd <= 1 or cur.is_zero():
-            slots.append(cur if not cur.is_zero() else Form.zero(nvars, dd))
-            cur = Form.zero(nvars, max(dd - 2, 0))
-            continue
-        rhs = q.laplacian(cur)
-        if rhs.is_zero():
-            slots.append(cur)
-            cur = Form.zero(nvars, dd - 2)
-            continue
-        inv = _mult_solver(q, dd)
-        basis = monomials_of_degree(nvars, dd - 2)
-        index = {m: k for k, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for e, c in rhs.terms.items():
-            vec[index[e]] = c
-        g_terms: Dict[Tuple[int, ...], Fraction] = {}
-        for row_i, m in enumerate(basis):
-            s = Fraction(0)
-            row = inv[row_i]
-            for k, v in enumerate(vec):
-                if v:
-                    s += row[k] * v
-            if s:
-                g_terms[m] = s
-        g = Form(nvars, dd - 2, g_terms)
+    for m in range(f.degree, 1, -2):
+        laps = [cur]
+        for _ in range(m // 2):
+            laps.append(q.laplacian(laps[-1]))
+        coeffs = [Fraction(1)]
+        for j in range(1, m // 2 + 1):
+            coeffs.append(-coeffs[-1] / (2 * j * (n + 2 * m - 2 - 2 * j)))
+        acc = laps[-1].scale(coeffs[-1])
+        for j in range(m // 2 - 1, 0, -1):
+            acc = qpoly * acc + laps[j].scale(coeffs[j])
+        g = -acc
         slots.append(cur - qpoly * g)
         cur = g
+    slots.append(cur)
     return slots
 
 

@@ -4,7 +4,8 @@
 the Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is
 read off Jacobi's formula as trace(adj(D2 f) * D2 g):
 ``adjugate_second_partials`` builds adj(D2 f) once and ``adjugate_trace``
-applies it to each direction.
+applies it to each direction; ``hess_from_adjugate`` reads Hess f itself off
+the same adjugate.
 
 For three variables the polarized operators h12 and h3 are provided.  A
 family depending polynomially on a parameter t is a ``TParameterForm``; the
@@ -107,6 +108,20 @@ def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
         for j in range(n):
             if not gm[i][j].is_zero():
                 total = total + adj[i][j] * gm[i][j]
+    return total
+
+
+def hess_from_adjugate(f: Form, adj: Sequence[Sequence[Form]]) -> Form:
+    """hess(f) as the first-row cofactor sum, sum over j of f_0j * adj[j][0].
+
+    With ``adj = adjugate_second_partials(f)`` this takes nvars products in
+    place of a second determinant expansion.
+    """
+    n = f.nvars
+    row = f.diff(0)
+    total = Form.zero(n, max(n * (f.degree - 2), 0))
+    for j in range(n):
+        total = total + row.diff(j) * adj[j][0]
     return total
 
 

@@ -8,30 +8,29 @@ q**k * l**h is again a monomial in (q, l):
     c(r, k, h) = -2**(r-1) * k**r * (k+h) * (2k+h-1)        (zero when k = 0)
 
 For the perturbation checks, hess(f + eps*g) is taken to first order in eps:
-its eps-part is the Jacobi trace of adj(D2 f) * D2 g, and both jet components
-are compared against predicted closed forms.  The scalar in front of each component is also re-extracted from a
-single monomial coefficient, which pins the normalization independently of
-the full-form comparison.
+its eps-part is the Jacobi trace of adj(D2 f) * D2 g and its constant part
+the first-row cofactor sum over the same adjugate, and both jet components
+are compared against predicted closed forms.  The scalar in front of each
+component is also re-extracted from a single monomial coefficient, which pins
+the normalization independently of the full-form comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
+from .curves import even_a, even_b, odd_c
 from .errors import VerificationError
 from .forms import Form
 from .harmonic import QuadraticForm
-from .hessians import adjugate_second_partials, adjugate_trace, hess
+from .hessians import (adjugate_second_partials, adjugate_trace, hess,
+                       hess_from_adjugate)
 
 
 def hyperbolic_q(r: int) -> Form:
     return QuadraticForm.canonical_hyperbolic(r).polynomial()
-
-
-def isotropic_l(r: int) -> Form:
-    return Form.variable(r + 1, 0)
 
 
 def power_product(r: int, k: int, h: int) -> Form:
@@ -106,18 +105,14 @@ def _predicted_constants(kind: str, r: int, k: int, m: int) -> Tuple[Fraction, F
     # with this factor c1 degenerates to (r+1) c0 at m = 0 as scaling demands.
     if kind == "even":
         c0 = Fraction(2 ** (r - 1) * k ** (r + 1) * (1 - 2 * k))
-        c1 = Fraction(2 ** (r - 1) * k ** r * (2 * k - 1)
-                      * (2 * m * m + m * (r - 1) - k * (r + 1)))
+        c1 = Fraction(2 ** (r - 1) * k ** r * (2 * k - 1) * even_a(r, k, m))
     elif kind == "odd":
         c0 = Fraction(-(2 ** r) * k ** (r + 1) * (k + 1))
-        c1 = Fraction(2 ** r * k ** r
-                      * (m * m * (2 * k + 1) + m * (r * k + r - k)
-                         - k * (k + 1) * (r + 1)))
+        c1 = Fraction(2 ** r * k ** r * odd_c(r, k, m))
     elif kind == "even2":
         c0 = Fraction(-(2 ** (r - 1)) * (k - 1) ** r * (k + 1) * (2 * k - 1))
         c1 = Fraction(2 ** (r - 1) * (k - 1) ** (r - 1) * (2 * k - 1)
-                      * (2 * k * m * m + m * (r * k + r - 5 * k + 1)
-                         - k * (k * (r + 1) + r - 3)))
+                      * even_b(r, k, m))
     else:
         raise ValueError(f"unknown pair kind {kind!r}")
     return c0, c1
@@ -221,8 +216,9 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
 
     base = power_product(r, bk, bh)
     direction = power_product(r, dk, dh)
-    h0 = hess(base)
-    h1 = adjugate_trace(adjugate_second_partials(base), direction)
+    adj = adjugate_second_partials(base)
+    h0 = hess_from_adjugate(base, adj)
+    h1 = adjugate_trace(adj, direction)
 
     def predicted(c: Fraction, img: Tuple[int, int], like: Form) -> Form:
         if c == 0:
@@ -237,7 +233,6 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
     base_ok = h0 == predicted(c0, base_img, h0)
     eps_ok = h1 == predicted(c1, eps_img, h1)
 
-    from .curves import even_a, even_b, odd_c
     cond = {"even": even_a, "odd": odd_c, "even2": even_b}[kind](r, k, m)
 
     return PairReport(
@@ -249,8 +244,3 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
         eps_matches=eps_ok,
         condition_value=cond,
     )
-
-
-def pair_kinds_for_point(kind: str) -> Optional[str]:
-    """Map a special-point kind to the pair family probing it."""
-    return {"qk": "even", "qkl": "odd", "qk1l2": "even2"}.get(kind)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
@@ -37,7 +36,7 @@ from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_deco
 from .hessians import adjugate_second_partials, adjugate_trace, hess
 from .errors import VerificationError
 from .linalg import rank_with_certificate
-from .orbit_checks import hyperbolic_q, power_product
+from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +302,6 @@ class BlockReport:
         }
 
 
-def _taylor_even_c0_c1(r: int, k: int, m: int) -> Tuple[Fraction, Fraction]:
-    from .orbit_checks import _predicted_constants
-    return _predicted_constants("even", r, k, m)
-
-
 def block_structure_check(k: int, r: int) -> BlockReport:
     """The differential at q**k acts by a scalar on each harmonic block.
 
@@ -329,7 +323,7 @@ def block_structure_check(k: int, r: int) -> BlockReport:
     for i in range(0, k + 1):
         slot = target_total - i
         basis = harmonic_basis(2 * i, qform) if i else [Form.monomial((0,) * (r + 1))]
-        c0, c1 = _taylor_even_c0_c1(r, k, max(i, 1))
+        c0, c1 = _predicted_constants("even", r, k, max(i, 1))
         lam = (r + 1) * c0 if i == 0 else c1
         qpow = qpoly ** slot if slot else None
         single = True

@@ -251,8 +251,3 @@ class TestRandomAndJson:
         a = random_form(3, 4, random.Random(11))
         b = random_form(3, 4, random.Random(11))
         assert a == b
-
-    @settings(max_examples=20)
-    @given(f=forms())
-    def test_json_round_trip(self, f):
-        assert Form.from_json_dict(f.to_json_dict()) == f

@@ -12,29 +12,59 @@ from conftest import forms
 
 Q = QuadraticForm.canonical_hyperbolic(2)
 
+# Nondegenerate quadrics of both signatures, in one to four variables, with
+# integer and non-integer Gram entries.  Round trip plus harmonic slots
+# characterise the unique decomposition, so the tests below need no second
+# implementation to compare against.
+QUADRICS = [
+    QuadraticForm.canonical_hyperbolic(1),
+    Q,
+    QuadraticForm.canonical_hyperbolic(3),
+    QuadraticForm.identity(2),
+    QuadraticForm([[2, 1, 0], [1, 3, 1], [0, 1, 5]]),
+    QuadraticForm([[1, Fraction(1, 3), 0, 0],
+                   [Fraction(1, 3), -1, Fraction(1, 2), 0],
+                   [0, Fraction(1, 2), 0, 1],
+                   [0, 0, 1, Fraction(1, 3)]]),
+    QuadraticForm([[3]]),
+]
+
+
+def slot_degrees(d):
+    return list(range(d, -1, -2))
+
 
 class TestDecomposition:
+    # Each example draws one form per quadric, so every quadric is covered
+    # in every run.
     @settings(max_examples=30, deadline=None)
-    @given(f=forms(min_degree=1, max_degree=7))
-    def test_round_trip(self, f):
-        slots = harmonic_decompose(f, Q)
-        assert recompose(slots, Q) == f
-        assert len(slots) == f.degree // 2 + 1
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        for q in QUADRICS:
+            f = data.draw(forms(nvars=q.nvars, min_degree=1, max_degree=7))
+            slots = harmonic_decompose(f, q)
+            assert recompose(slots, q) == f
+            assert [s.degree for s in slots] == slot_degrees(f.degree)
 
     @settings(max_examples=30, deadline=None)
-    @given(f=forms(min_degree=1, max_degree=6))
-    def test_every_slot_is_harmonic(self, f):
-        for s in harmonic_decompose(f, Q):
-            assert Q.laplacian(s).is_zero()
+    @given(data=st.data())
+    def test_every_slot_is_harmonic(self, data):
+        for q in QUADRICS:
+            f = data.draw(forms(nvars=q.nvars, min_degree=1, max_degree=6))
+            for s in harmonic_decompose(f, q):
+                assert q.laplacian(s).is_zero()
 
     @settings(max_examples=20, deadline=None)
-    @given(f=forms(min_degree=1, max_degree=4), j=st.integers(1, 2))
-    def test_multiplying_by_q_shifts_slots(self, f, j):
-        slots = harmonic_decompose(f, Q)
-        shifted = harmonic_decompose((Q.polynomial() ** j) * f, Q)
-        assert shifted[:j] == [Form.zero(3, f.degree + 2 * j - 2 * i)
-                               for i in range(j)]
-        assert shifted[j:] == slots
+    @given(data=st.data(), j=st.integers(1, 2))
+    def test_multiplying_by_q_shifts_slots(self, data, j):
+        for q in QUADRICS:
+            f = data.draw(forms(nvars=q.nvars, min_degree=1, max_degree=4))
+            slots = harmonic_decompose(f, q)
+            shifted = harmonic_decompose((q.polynomial() ** j) * f, q)
+            assert [s.degree for s in shifted] \
+                == slot_degrees(f.degree + 2 * j)
+            assert all(s.is_zero() for s in shifted[:j])
+            assert shifted[j:] == slots
 
     @settings(max_examples=20)
     @given(f=forms(min_degree=2, max_degree=5), g=forms(min_degree=2, max_degree=5))
@@ -47,10 +77,23 @@ class TestDecomposition:
         assert sfg == [a + b for a, b in zip(sf, sg)]
 
     def test_decomposition_of_q_power_is_a_single_slot(self):
-        qp = Q.polynomial() ** 3
-        slots = harmonic_decompose(qp, Q)
-        assert [i for i, s in enumerate(slots) if not s.is_zero()] == [3]
-        assert slots[3] == Form.monomial((0, 0, 0), 1)
+        for q in QUADRICS:
+            slots = harmonic_decompose(q.polynomial() ** 3, q)
+            assert [i for i, s in enumerate(slots) if not s.is_zero()] == [3]
+            assert [s.degree for s in slots] == slot_degrees(6)
+            assert slots[3] == Form.monomial((0,) * q.nvars, 1)
+
+    @pytest.mark.parametrize("q", QUADRICS)
+    def test_laplacian_of_q_power_times_harmonic(self, q):
+        """lap_q(q**j h) = 2j (n + 2m + 2j - 2) q**(j-1) h for h harmonic
+        of degree m in n variables."""
+        n = q.nvars
+        qpoly = q.polynomial()
+        for m in range(5 if n < 4 else 3):
+            for h in harmonic_basis(m, q):
+                for j in (1, 2, 3):
+                    assert q.laplacian(qpoly ** j * h) \
+                        == (2 * j * (n + 2 * m + 2 * j - 2)) * qpoly ** (j - 1) * h
 
 
 class TestDimensions:

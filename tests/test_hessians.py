@@ -9,18 +9,23 @@ from sympy.polys.matrices import DomainMatrix
 
 from hesskit.forms import Form
 from hesskit.hessians import (TParameterForm, adjugate_second_partials,
-                              adjugate_trace, h3, h12, hess, hess_t,
-                              hessian_expansion, lowest_t_order)
+                              adjugate_trace, h3, h12, hess,
+                              hess_from_adjugate, hess_t, hessian_expansion,
+                              lowest_t_order)
 from hesskit.indeterminacy import sample_family
 
 from conftest import SYMS, forms, to_sympy
 
 
-def sympy_hessian(f: Form):
-    expr = to_sympy(f)
-    vs = SYMS[:f.nvars]
+def sympy_hessian(expr, nvars: int):
+    """det of the matrix of second partials of a sympy expression in the
+    first ``nvars`` symbols."""
+    vs = SYMS[:nvars]
     mat = sympy.Matrix([[sympy.diff(expr, a, b) for b in vs] for a in vs])
-    return sympy.expand(mat.det())
+    # sympy's polynomial-ring determinant; Matrix.det on these entries takes
+    # seconds per 4x4 case
+    dm = DomainMatrix.from_Matrix(mat)
+    return sympy.expand(dm.domain.to_sympy(dm.det()))
 
 
 def jet(f: Form, g: Form):
@@ -30,13 +35,8 @@ def jet(f: Form, g: Form):
 
 def check_jet_against_sympy(f: Form, g: Form):
     eps = sympy.Symbol("_eps")
-    vs = SYMS[:f.nvars]
     expr = to_sympy(f) + eps * to_sympy(g)
-    mat = sympy.Matrix([[sympy.diff(expr, a, b) for b in vs] for a in vs])
-    # sympy's polynomial-ring determinant; Matrix.det on these entries takes
-    # seconds per 4x4 case
-    det = DomainMatrix.from_Matrix(mat).det().as_expr()
-    poly = sympy.Poly(sympy.expand(det), eps)
+    poly = sympy.Poly(sympy_hessian(expr, f.nvars), eps)
     h0, h1 = jet(f, g)
     assert to_sympy(h0) == sympy.expand(poly.coeff_monomial(eps ** 0))
     assert to_sympy(h1) == sympy.expand(poly.coeff_monomial(eps))
@@ -58,12 +58,12 @@ class TestHessian:
     @settings(max_examples=25, deadline=None)
     @given(f=forms(min_degree=2, max_degree=4))
     def test_matches_sympy(self, f):
-        assert to_sympy(hess(f)) == sympy_hessian(f)
+        assert to_sympy(hess(f)) == sympy_hessian(to_sympy(f), f.nvars)
 
     @settings(max_examples=10, deadline=None)
     @given(f=forms(nvars=4, min_degree=2, max_degree=3, coeff_bound=4))
     def test_matches_sympy_in_four_variables(self, f):
-        assert to_sympy(hess(f)) == sympy_hessian(f)
+        assert to_sympy(hess(f)) == sympy_hessian(to_sympy(f), f.nvars)
 
     def test_hyperbolic_quadric_anchor(self):
         assert hess(Q2) == Form.monomial((0, 0, 0), -2)
@@ -95,6 +95,13 @@ class TestFirstOrderJet:
            g=forms(nvars=4, min_degree=3, max_degree=3, coeff_bound=4))
     def test_jet_matches_sympy_epsilon_expansion_in_four_variables(self, f, g):
         check_jet_against_sympy(f, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nvars=st.integers(2, 4), data=st.data())
+    def test_first_row_cofactor_sum_is_the_hessian(self, nvars, data):
+        f = data.draw(forms(nvars=nvars, min_degree=1,
+                            max_degree=4 if nvars < 4 else 3, coeff_bound=4))
+        assert hess_from_adjugate(f, adjugate_second_partials(f)) == hess(f)
 
 
 class TestPolarizations:

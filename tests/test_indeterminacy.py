@@ -13,7 +13,7 @@ from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
                                    pair_divisibility_check, sample_family,
                                    sample_gated_pair, sample_gated_triple,
                                    triple_divisibility_check)
-from hesskit.orbit_checks import hyperbolic_q, isotropic_l
+from hesskit.orbit_checks import hyperbolic_q
 
 X1 = _linear(Fraction(1), Fraction(0))
 X2 = _linear(Fraction(0), Fraction(1))
@@ -166,7 +166,7 @@ def x0_valuation(f):
 
 class TestExclusionGates:
     def test_special_point_valuations(self):
-        q, l = hyperbolic_q(2), isotropic_l(2)
+        q, l = hyperbolic_q(2), Form.variable(3, 0)
         assert x0_valuation(hess(q ** 2)) == 0
         assert x0_valuation(hess(q ** 2 * l)) == 3
         assert x0_valuation(hess(q ** 2 * l * l)) == 6

@@ -9,9 +9,8 @@ from hesskit.errors import VerificationError
 from hesskit.forms import Form
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.orbit_checks import (closed_form_constant, hyperbolic_q,
-                                  isotropic_l, power_product,
-                                  verify_closed_form, verify_pair,
-                                  pair_kinds_for_point)
+                                  power_product, verify_closed_form,
+                                  verify_pair)
 
 # Spot values computed once by expanding the Hessians directly; they pin the
 # sign and scaling conventions.
@@ -57,7 +56,7 @@ class TestClosedForms:
 
     def test_power_product_layout(self):
         f = power_product(2, 2, 1)
-        q, l = hyperbolic_q(2), isotropic_l(2)
+        q, l = hyperbolic_q(2), Form.variable(3, 0)
         assert f == q * q * l
 
 
@@ -81,7 +80,7 @@ class TestPerturbationPairs:
 
     def test_even_first_order_term_read_off_directly(self):
         """The eps-part at the even k=2, m=1 pair is exactly -72 q**2 l**2."""
-        q, l = hyperbolic_q(2), isotropic_l(2)
+        q, l = hyperbolic_q(2), Form.variable(3, 0)
         base = q ** 2
         h0 = hess(base)
         h1 = adjugate_trace(adjugate_second_partials(base), q * l ** 2)
@@ -120,12 +119,6 @@ class TestPerturbationPairs:
         rep = verify_pair("even", 2, 7, 3)
         assert rep.condition_value == 0
         assert rep.matches
-
-    def test_point_kind_mapping(self):
-        assert pair_kinds_for_point("qk") == "even"
-        assert pair_kinds_for_point("qkl") == "odd"
-        assert pair_kinds_for_point("qk1l2") == "even2"
-        assert pair_kinds_for_point("nope") is None
 
 
 class TestValidation:

@@ -55,3 +55,14 @@ def test_every_module_level_import_is_used():
         unused += [f"{name}:{line} {ident}" for ident, line in bound.items()
                    if ident not in used]
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    """Imports sit at module level, where the dependency graph is visible."""
+    found = [f"{name}:{inner.lineno}"
+             for name, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert sorted(set(found)) == []
