@@ -1,18 +1,24 @@
 """Exact linear algebra over the rationals, plus a mod-p fast path.
 
-Every routine works on integer matrices.  ``clear_denominators`` scales each
+Every exact routine works on dense integer matrices.  ``clear_denominators``
+is the one step from a dense input to integers: it checks that the rows have
+one length and that every entry is an int or a ``Fraction``, then scales each
 row by the lcm of its denominators, which keeps the rank, the row space and
-the solutions of A X = B; on an integer matrix it only copies.  One
-fraction-free Gauss-Jordan routine (``_echelon``, Bareiss's integer-preserving
-elimination carried through to the reduced form) then gives the exact rank,
-solutions, inverse and nullspace; every division in it is exact.
+the solutions of A X = B.  One fraction-free Gauss-Jordan routine
+(``_echelon``, Bareiss's integer-preserving elimination carried through to
+the reduced form) then gives the exact rank, solutions, inverse and
+nullspace; every division in it is exact.
 
-The mod-p path reduces the same integer matrix modulo a large prime and
-eliminates with vectorized int64 arithmetic; since reduction can only lower
-rank, a full-column-rank result mod p is already a proof of full column rank
-over the rationals.  Any other modular answer is advisory and must be
-confirmed by the exact path.  ``rank_with_certificate`` clears once and hands
-the same integer matrix to every probe prime and to the exact fallback.
+The rank path works on ``IntColumns``, a sparse integer matrix stored as one
+``{row: value}`` dict per column.  Callers that build their matrix column by
+column (the differential matrices) hand it over as is; a dense rational
+input is cleared once and turned into the same columns.  Each probe prime
+scatters the residues into a zeroed int64 array and eliminates with
+vectorized arithmetic; since reduction can only lower rank, a
+full-column-rank result mod p is already a proof of full column rank over
+the rationals.  Any other modular answer is advisory and must be confirmed
+by the exact path, the only place where the columns become a dense Python
+matrix.
 
 Pivoting is deterministic throughout: first row with a nonzero entry in the
 leftmost unfinished column.  No randomness, no floats.
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,16 +41,100 @@ IntMatrix = List[List[int]]
 PROBE_PRIMES = (2147483647, 2147483629)
 
 
+def _is_probe_prime(p) -> bool:
+    """True for an int (not a bool) that is a prime below 2**31.
+
+    Miller-Rabin with the bases 2, 3, 5, 7 has no strong pseudoprime below
+    3 215 031 751 (Pomerance, Selfridge & Wagstaff, Math. Comp. 35, 1980),
+    so on this range the test is exact.
+    """
+    if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p < 1 << 31:
+        return False
+    for a in (2, 3, 5, 7):
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_probe_primes(primes: Sequence) -> None:
+    for p in primes:
+        if not _is_probe_prime(p):
+            raise ValueError(f"probe {p!r} is not a prime below 2**31")
+
+
 def clear_denominators(rows: Sequence[Sequence]) -> IntMatrix:
     """Scale each row by the lcm of its denominators; rank is unchanged.
 
-    Entries are ints or Fractions; the result is a new integer matrix.
+    Entries must be ints or Fractions (``TypeError`` otherwise) and all rows
+    one length (``ValueError`` otherwise); the result is a new integer matrix.
     """
+    width = len(rows[0]) if rows else 0
     out: IntMatrix = []
     for row in rows:
+        if len(row) != width:
+            raise ValueError("ragged matrix: rows have different lengths")
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"matrix entry {x!r} is not an int or a Fraction")
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+class IntColumns:
+    """Sparse integer matrix: ``nrows`` and one ``{row: value}`` dict per
+    column, zeros not stored.  Treated as immutable once built."""
+
+    __slots__ = ("nrows", "columns")
+
+    def __init__(self, nrows: int, columns: Sequence[Dict[int, int]]):
+        self.nrows = nrows
+        self.columns = list(columns)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence]) -> "IntColumns":
+        """Clear a dense rational matrix once and store its columns."""
+        m = clear_denominators(rows)
+        columns: List[Dict[int, int]] = [{} for _ in range(len(m[0]) if m else 0)]
+        for i, row in enumerate(m):
+            for col, x in zip(columns, row):
+                if x:
+                    col[i] = x
+        return cls(len(m), columns)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.columns)
+
+    def residues(self, p: int) -> np.ndarray:
+        """The matrix mod p as a fresh int64 array, entries in [0, p)."""
+        a = np.zeros((self.nrows, len(self.columns)), dtype=np.int64)
+        for j, col in enumerate(self.columns):
+            if col:
+                a[list(col), j] = [x % p for x in col.values()]
+        return a
+
+    def dense(self) -> IntMatrix:
+        """A fresh dense row-major integer copy."""
+        out = [[0] * len(self.columns) for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
 
 def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int]:
@@ -82,23 +172,28 @@ def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int]:
     return pivots, den
 
 
-def rank_bareiss(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free elimination; entries ints or Fractions."""
-    m = clear_denominators(rows)
-    return len(_echelon(m, len(m[0]) if m else 0)[0])
+def rank_bareiss(matrix: Union[IntColumns, Sequence[Sequence]]) -> int:
+    """Exact rank via fraction-free elimination.
+
+    ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions.
+    """
+    if isinstance(matrix, IntColumns):
+        m, ncols = matrix.dense(), matrix.ncols
+    else:
+        m = clear_denominators(matrix)
+        ncols = len(m[0]) if m else 0
+    return len(_echelon(m, ncols)[0])
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> int:
+def rank_mod_p(m: IntColumns, p: int) -> int:
     """Rank of the integer matrix ``m`` over GF(p), vectorized.
 
-    Always a lower bound for the rational rank.  Requires p < 2**31 so that
-    products of residues stay inside int64.
+    Always a lower bound for the rational rank.  ``p`` must be a prime below
+    2**31, so that products of residues stay inside int64 and every nonzero
+    residue has an inverse.
     """
-    if p >= 1 << 31:
-        raise ValueError("prime too large for the int64 elimination path")
-    if not m:
-        return 0
-    a = np.array([[x % p for x in row] for row in m], dtype=np.int64)
+    _check_probe_primes((p,))
+    a = m.residues(p)
     nrows, ncols = a.shape
     rank = 0
     row = 0
@@ -122,22 +217,24 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     return rank
 
 
-def rank_with_certificate(rows: Sequence[Sequence],
+def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],
                           primes: Sequence[int] = PROBE_PRIMES,
                           force_exact: bool = False) -> Tuple[int, str, List[int]]:
     """Rank plus a record of how it was certified.
 
-    Returns (rank, method, primes_used).  When every probe prime reports full
-    column rank the answer is already exact ("modular-full-rank"); otherwise
-    the Bareiss path decides and the modular answers are checked against it.
-    A disagreement between a probe prime and the exact rank is tolerated only
-    downward (an unlucky prime can drop rank, never raise it).
+    ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions; every
+    probe must be a prime below 2**31.  Returns (rank, method, primes_used).
+    When every probe prime reports full column rank the answer is already
+    exact ("modular-full-rank"); otherwise the Bareiss path decides and the
+    modular answers are checked against it.  A disagreement between a probe
+    prime and the exact rank is tolerated only downward (an unlucky prime
+    can drop rank, never raise it).
     """
-    m = clear_denominators(rows)
-    ncols = len(m[0]) if m else 0
+    _check_probe_primes(primes)
+    m = matrix if isinstance(matrix, IntColumns) else IntColumns.from_rows(matrix)
     mod_ranks = [rank_mod_p(m, p) for p in primes]
-    if not force_exact and mod_ranks and all(r == ncols for r in mod_ranks):
-        return ncols, "modular-full-rank", list(primes)
+    if not force_exact and mod_ranks and all(r == m.ncols for r in mod_ranks):
+        return m.ncols, "modular-full-rank", list(primes)
     exact = rank_bareiss(m)
     for p, rp in zip(primes, mod_ranks):
         if rp > exact:

@@ -24,13 +24,18 @@ from typing import Tuple
 from .curves import even_a, even_b, odd_c
 from .errors import VerificationError
 from .forms import Form
-from .harmonic import QuadraticForm
 from .hessians import (adjugate_second_partials, adjugate_trace, hess,
                        hess_from_adjugate)
 
 
 def hyperbolic_q(r: int) -> Form:
-    return QuadraticForm.canonical_hyperbolic(r).polynomial()
+    """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables."""
+    if r < 1:
+        raise ValueError("need at least two variables")
+    terms = {(1, 1) + (0,) * (r - 1): 1}
+    for i in range(2, r + 1):
+        terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
+    return Form.from_coeffs(r + 1, 2, terms)
 
 
 def power_product(r: int, k: int, h: int) -> Form:

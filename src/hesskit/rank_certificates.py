@@ -15,9 +15,11 @@ that on demand.
 
 Each column is an image form's integer numerators, that is the rational
 column times its own positive denominator, which keeps the rank and the zero
-pattern.  The matrices handed to ``linalg.rank_with_certificate`` are thus
-integer from the start: one clearing (a copy) per rank and no ``Fraction``
-on the rank path.
+pattern.  ``DifferentialMatrix`` indexes the target monomials once and keeps
+every column as a sparse ``{row: numerator}`` dict, so the matrices handed to
+``linalg.rank_with_certificate`` are ``IntColumns`` from the start: no
+clearing, no ``Fraction`` and no dense matrix on the rank path unless the
+exact fallback runs.
 
 Injectivity at the special points q**k, q**k l, q**(k-1) l**2 is conditional
 on an integer condition having no root in a finite m-range; the certificate
@@ -28,14 +30,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
-from .forms import Form, dim_sym, monomials_of_degree
+from .forms import Exponent, Form, dim_sym, monomials_of_degree
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, adjugate_trace, hess
 from .errors import VerificationError
-from .linalg import rank_with_certificate
+from .linalg import IntColumns, rank_with_certificate
 from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 
 
@@ -96,25 +98,43 @@ class SpecialPoint:
 # ---------------------------------------------------------------------------
 
 
+def _indexed(numerators: Mapping[Exponent, int],
+             row_of: Mapping[Exponent, int]) -> Dict[int, int]:
+    """A form's numerators as a sparse column keyed by row index."""
+    return {row_of[e]: v for e, v in numerators.items()}
+
+
 @dataclass
 class DifferentialMatrix:
     nvars: int
     degree: int
-    row_monomials: List[Tuple[int, ...]]
-    col_monomials: List[Tuple[int, ...]]
-    columns: List[Mapping[Tuple[int, ...], int]]  # image numerators
-    hess_column: Mapping[Tuple[int, ...], int]
+    row_monomials: List[Exponent]
+    col_monomials: List[Exponent]
+    columns: List[Dict[int, int]]  # image numerators, keyed by row index
+    hess_column: Dict[int, int]
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_monomials), len(self.col_monomials))
 
-    def rows_for(self, selected: Sequence[int], with_hess: bool) -> List[List[int]]:
-        """Dense row-major integer matrix over the selected columns."""
+    def with_hess(self, selected: Iterable[int],
+                  mults: Sequence[int] = ()) -> IntColumns:
+        """The selected columns followed by the Hessian column.
+
+        With ``mults``, the j-th selected column first gains ``mults[j]``
+        times the Hessian column: a column operation, done as a sparse add.
+        """
         cols = [self.columns[j] for j in selected]
-        if with_hess:
-            cols = cols + [self.hess_column]
-        return [[c.get(mono, 0) for c in cols] for mono in self.row_monomials]
+        for j, c in enumerate(mults):
+            col = cols[j] = dict(cols[j])
+            for i, h in self.hess_column.items():
+                v = col.get(i, 0) + c * h
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+        cols.append(self.hess_column)
+        return IntColumns(len(self.row_monomials), cols)
 
 
 def differential_matrix(f: Form) -> DifferentialMatrix:
@@ -128,12 +148,13 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     adj = adjugate_second_partials(f)
     col_monos = monomials_of_degree(n, d)
     row_monos = monomials_of_degree(n, target_degree)
-    columns = [adjugate_trace(adj, Form.monomial(mono)).numerators
+    row_of = {mono: i for i, mono in enumerate(row_monos)}
+    columns = [_indexed(adjugate_trace(adj, Form.monomial(mono)).numerators, row_of)
                for mono in col_monos]
     return DifferentialMatrix(
         nvars=n, degree=d,
         row_monomials=row_monos, col_monomials=col_monos,
-        columns=columns, hess_column=H.numerators,
+        columns=columns, hess_column=_indexed(H.numerators, row_of),
     )
 
 
@@ -198,8 +219,8 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
     domain_dim = dim_sym(n, d) - 1
     lead = _largest_coefficient_monomial(f)
     selected = [j for j, mono in enumerate(M.col_monomials) if mono != lead]
-    rows = M.rows_for(selected, with_hess=True)
-    rank, method, primes = rank_with_certificate(rows, force_exact=force_exact)
+    matrix = M.with_hess(selected)
+    rank, method, primes = rank_with_certificate(matrix, force_exact=force_exact)
     projective_rank = rank - 1
 
     complement_checked = False
@@ -207,17 +228,11 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
         others = [e for e in f.numerators if e != lead]
         drop = rng.choice(others) if others else lead
         sel2 = [j for j, mono in enumerate(M.col_monomials) if mono != drop]
-        rows2 = M.rows_for(sel2, with_hess=True)
-        hcol = len(sel2)
         # column_j += c_j * hess column: a column operation, so the span of
         # [M'' | hess] and hence the rank must not change.
-        mults = [1 + rng.randrange(3) for _ in range(hcol)]
-        for row in rows2:
-            h = row[hcol]
-            if h:
-                for j in range(hcol):
-                    row[j] += h * mults[j]
-        rank2, _, _ = rank_with_certificate(rows2, force_exact=force_exact)
+        mults = [1 + rng.randrange(3) for _ in sel2]
+        rank2, _, _ = rank_with_certificate(M.with_hess(sel2, mults),
+                                            force_exact=force_exact)
         if rank2 != rank:
             raise VerificationError("complement choice changed the quotient rank")
         complement_checked = True
@@ -226,7 +241,7 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
         point=label or "form",
         r=n - 1, d=d,
         domain_dim=domain_dim,
-        matrix_shape=(len(rows), len(rows[0]) if rows else 0),
+        matrix_shape=(matrix.nrows, matrix.ncols),
         rank=projective_rank,
         injective=projective_rank == domain_dim,
         method=method,
@@ -366,16 +381,17 @@ def pijk_injectivity(i: int, k: int, r: int,
     qform = QuadraticForm.canonical_hyperbolic(r)
     basis = harmonic_basis(i, qform)
     lk = Form.monomial((k,) + (0,) * r)
-    target_monos = monomials_of_degree(r + 1, i + k)
-    cols = [harmonic_decompose(h * lk, qform)[0].numerators for h in basis]
-    rows = [[c.get(mono, 0) for c in cols] for mono in target_monos]
-    rank, method, primes = rank_with_certificate(rows, force_exact=force_exact)
+    row_of = {mono: j for j, mono in enumerate(monomials_of_degree(r + 1, i + k))}
+    matrix = IntColumns(len(row_of), [
+        _indexed(harmonic_decompose(h * lk, qform)[0].numerators, row_of)
+        for h in basis])
+    rank, method, primes = rank_with_certificate(matrix, force_exact=force_exact)
     dim = dim_harmonic(r + 1, i)
     return RankReport(
         point=f"P(i={i},k={k})",
         r=r, d=i,
         domain_dim=dim,
-        matrix_shape=(len(rows), len(cols)),
+        matrix_shape=(matrix.nrows, matrix.ncols),
         rank=rank,
         injective=rank == dim,
         method=method,

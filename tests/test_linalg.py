@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hesskit import linalg
 from hesskit.errors import VerificationError
-from hesskit.linalg import (PROBE_PRIMES, invert, nullspace, rank_bareiss,
-                            rank_with_certificate, solve_exact)
+from hesskit.linalg import (PROBE_PRIMES, IntColumns, invert, nullspace,
+                            rank_bareiss, rank_with_certificate, solve_exact)
 
 
 @st.composite
@@ -25,6 +25,24 @@ def matrices(draw, max_dim=5, bound=9, sparse=False, square=False):
         st.lists(entry, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
     return [[Fraction(x) for x in row] for row in data]
+
+
+@st.composite
+def int_columns(draw, max_dim=6):
+    """Sparse integer matrices as ``IntColumns``: zero columns and all-zero
+    rows are common, and entries run from small negatives to beyond 2**63."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    entry = st.one_of(st.integers(-9, 9), st.integers(2 ** 63, 2 ** 70),
+                      st.integers(-2 ** 70, -2 ** 63)).filter(bool)
+    columns = [draw(st.dictionaries(st.integers(0, nrows - 1), entry,
+                                    max_size=3)) if nrows else {}
+               for _ in range(ncols)]
+    return IntColumns(nrows, columns)
+
+
+def sympy_of(m):
+    return sympy.Matrix(m.nrows, m.ncols, [x for row in m.dense() for x in row])
 
 
 def fractions_of(sympy_matrix):
@@ -69,6 +87,97 @@ class TestRank:
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(VerificationError, match="exceeds exact rank 1"):
             rank_with_certificate(m, force_exact=True)
+
+
+ONE = IntColumns(1, [{0: 1}])
+
+
+class TestProbePrimes:
+    # 2147483659 is the least prime above 2**31
+    @pytest.mark.parametrize("probe", [4, 1, 0, -7, 2147483659, True, 2.0])
+    def test_non_prime_probe_is_refused(self, probe):
+        with pytest.raises(ValueError, match="not a prime below 2\\*\\*31"):
+            rank_with_certificate([[2, 1], [2, 1]], primes=(probe,))
+        with pytest.raises(ValueError, match="not a prime below 2\\*\\*31"):
+            linalg.rank_mod_p(ONE, probe)
+
+    def test_composite_probe_cannot_claim_full_rank(self):
+        # mod 4, 2 has no inverse: the elimination would count two pivots
+        with pytest.raises(ValueError):
+            rank_with_certificate([[2, 1], [2, 1]], primes=(4,))
+        assert rank_with_certificate([[2, 1], [2, 1]]) == (
+            1, "bareiss", list(PROBE_PRIMES))
+
+    def test_default_primes_pass(self):
+        for p in PROBE_PRIMES:
+            assert linalg.rank_mod_p(ONE, p) == 1
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751])
+    def test_strong_pseudoprimes_are_refused(self, n):
+        # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+        with pytest.raises(ValueError):
+            linalg.rank_mod_p(ONE, n)
+
+    @settings(max_examples=200)
+    @given(n=st.one_of(st.integers(-10, 10 ** 4),
+                       st.integers(2 ** 31 - 10 ** 6, 2 ** 31 + 100)))
+    def test_primality_matches_sympy(self, n):
+        if sympy.isprime(n) and n < 2 ** 31:
+            assert linalg.rank_mod_p(ONE, n) == 1
+        else:
+            with pytest.raises(ValueError):
+                linalg.rank_mod_p(ONE, n)
+
+
+RAGGED = ([[1], [2, 3]], [[1, 2], [3]])
+RANK_ROUTES = (rank_bareiss, rank_with_certificate, nullspace)
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("route", RANK_ROUTES)
+    @pytest.mark.parametrize("rows", RAGGED)
+    def test_ragged_rows_are_refused(self, route, rows):
+        with pytest.raises(ValueError, match="ragged"):
+            route(rows)
+
+    @pytest.mark.parametrize("route", RANK_ROUTES)
+    @pytest.mark.parametrize("entry", [1.5, "1", None])
+    def test_inexact_entry_is_refused(self, route, entry):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            route([[entry, 2]])
+
+
+class TestIntColumns:
+    """The sparse rank path against the dense copy, rank_bareiss and sympy."""
+
+    @settings(max_examples=150)
+    @given(m=int_columns(), p=st.sampled_from(PROBE_PRIMES + (2, 3, 7)))
+    def test_residues_match_the_dense_copy(self, m, p):
+        dense = m.dense()
+        assert len(dense) == m.nrows
+        assert all(len(row) == m.ncols for row in dense)
+        assert m.residues(p).tolist() == [[x % p for x in row] for row in dense]
+
+    @settings(max_examples=150)
+    @given(m=int_columns())
+    def test_rank_matches_bareiss_and_sympy(self, m):
+        rank = sympy_of(m).rank()
+        assert rank_bareiss(m) == rank_bareiss(m.dense()) == rank
+        got, method, primes = rank_with_certificate(m)
+        assert got == rank and primes == list(PROBE_PRIMES)
+        if method == "modular-full-rank":
+            assert rank == m.ncols
+        else:
+            assert method == "bareiss"
+        assert rank_with_certificate(m, force_exact=True) == (
+            rank, "bareiss", list(PROBE_PRIMES))
+        # small primes drop rank often; the exact path must still decide
+        assert rank_with_certificate(m, primes=(2, 3))[0] == rank
+
+    def test_dense_input_becomes_the_same_columns(self):
+        m = IntColumns.from_rows([[Fraction(1, 2), 0], [0, 0], [3, Fraction(-1, 3)]])
+        assert (m.nrows, m.columns) == (3, [{0: 1, 2: 9}, {2: -1}])
+        assert m.dense() == [[1, 0], [0, 0], [9, -1]]
 
 
 class TestDetSolve:

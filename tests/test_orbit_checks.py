@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hesskit import orbit_checks
 from hesskit.errors import VerificationError
 from hesskit.forms import Form
+from hesskit.harmonic import QuadraticForm
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.orbit_checks import (closed_form_constant, hyperbolic_q,
                                   power_product, verify_closed_form,
@@ -53,6 +54,15 @@ class TestClosedForms:
         """hess(q**2) = -48 q**3 for three variables, checked literally."""
         q = hyperbolic_q(2)
         assert hess(q ** 2) == Fraction(-48) * q ** 3
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_hyperbolic_q_is_the_canonical_quadric(self, r):
+        expected = QuadraticForm.canonical_hyperbolic(r).polynomial()
+        assert hyperbolic_q(r) == expected
+
+    def test_hyperbolic_q_needs_two_variables(self):
+        with pytest.raises(ValueError):
+            hyperbolic_q(0)
 
     def test_power_product_layout(self):
         f = power_product(2, 2, 1)

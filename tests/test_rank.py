@@ -3,10 +3,11 @@ import random
 import pytest
 import sympy
 
-from hesskit import rank_certificates
+from hesskit import linalg, rank_certificates
 from hesskit.errors import VerificationError
 from hesskit.forms import Form, dim_sym
-from hesskit.rank_certificates import (SpecialPoint, block_structure_check,
+from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
+                                       block_structure_check,
                                        differential_matrix, pijk_injectivity,
                                        precondition_report,
                                        projective_injectivity,
@@ -73,6 +74,27 @@ class TestSpecialPointRanks:
         assert a.method == "modular-full-rank"
         assert b.method == "bareiss"
 
+    @pytest.mark.parametrize("kind,k", sorted(INJECTIVE_POINTS))
+    def test_exact_route_matches_modular_route(self, kind, k):
+        f = SpecialPoint(kind, k).form(2)
+        mod = projective_injectivity(f, rng=random.Random(7))
+        exact = projective_injectivity(f, rng=random.Random(7), force_exact=True)
+        assert mod.method == "modular-full-rank" and exact.method == "bareiss"
+        assert (mod.rank, mod.matrix_shape) == (exact.rank, exact.matrix_shape)
+        assert mod.complement_checked and exact.complement_checked
+
+    def test_modular_route_needs_no_dense_matrix(self, monkeypatch):
+        f = SpecialPoint("qkl", 3).form(2)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("dense route taken")
+
+        monkeypatch.setattr(linalg, "clear_denominators", refuse)
+        monkeypatch.setattr(linalg, "_echelon", refuse)
+        rep = projective_injectivity(f, rng=random.Random(7))
+        assert rep.injective and rep.method == "modular-full-rank"
+        assert rep.complement_checked
+
     def test_invalid_points_rejected(self):
         with pytest.raises(ValueError):
             SpecialPoint("qq", 2)
@@ -80,8 +102,23 @@ class TestSpecialPointRanks:
             SpecialPoint("qk1l2", 1)
 
 
+SPARSE_CUBICS = (
+    {(2, 0, 1): 2, (0, 3, 0): -3, (0, 0, 3): 1},
+    {(3, 0, 0): -2, (0, 2, 1): 3, (0, 1, 2): 1},
+)
+
+
 class TestSparseCubics:
     """Sparse ternary cubics whose matrices once broke the rank path."""
+
+    @pytest.mark.parametrize("coeffs", SPARSE_CUBICS)
+    def test_exact_route_matches_modular_route(self, coeffs):
+        f = Form.from_coeffs(3, 3, coeffs)
+        mod = projective_injectivity(f, rng=random.Random(70))
+        exact = projective_injectivity(f, rng=random.Random(70), force_exact=True)
+        assert exact.method == "bareiss"
+        assert (mod.rank, mod.matrix_shape) == (exact.rank, exact.matrix_shape)
+        assert mod.complement_checked and exact.complement_checked
 
     def test_zero_pivot_rows_keep_their_rank(self):
         # 2*x0^2*x2 - 3*x1^3 + x2^3; its matrix has rows that are zero in a
@@ -89,7 +126,7 @@ class TestSparseCubics:
         f = Form.from_coeffs(3, 3, {(2, 0, 1): 2, (0, 3, 0): -3, (0, 0, 3): 1})
         rep = projective_injectivity(f)
         M = differential_matrix(f)
-        full = M.rows_for(range(len(M.col_monomials)), with_hess=True)
+        full = M.with_hess(range(len(M.col_monomials))).dense()
         assert rep.rank == sympy.Matrix(full).rank() - 1 == 6
         assert rep.method == "bareiss"
 
@@ -100,6 +137,20 @@ class TestSparseCubics:
         rep = projective_injectivity(f, rng=random.Random(70))
         assert rep.complement_checked
         assert rep.rank == projective_injectivity(f).rank
+
+    def test_complement_matrix_is_a_column_operation(self):
+        M = differential_matrix(Form.from_coeffs(3, 3, SPARSE_CUBICS[1]))
+        selected = range(1, len(M.col_monomials))
+        mults = [1 + j % 3 for j in selected]
+        shifted = M.with_hess(selected, mults)
+        plain = M.with_hess(selected).dense()
+        assert shifted.dense() == [
+            [x + c * row[-1] for x, c in zip(row, mults)] + [row[-1]]
+            for row in plain]
+        assert all(all(col.values()) for col in shifted.columns)
+        # an entry that cancels is dropped, not stored as 0
+        tiny = DifferentialMatrix(1, 1, [(0,), (1,)], [(1,)], [{0: -2, 1: 1}], {0: 1})
+        assert tiny.with_hess([0], [2]).columns == [{1: 1}, {0: 1}]
 
     def test_complement_rank_change_is_a_verification_error(self, monkeypatch):
         real = rank_certificates.rank_with_certificate
@@ -149,6 +200,7 @@ class TestMultiplicationProjection:
                                             (2, 2, 3, 9)])
     def test_frozen_ranks(self, i, k, r, rank):
         rep = pijk_injectivity(i, k, r)
+        assert pijk_injectivity(i, k, r, force_exact=True).rank == rank
         assert rep.rank == rank
         assert rep.injective
         assert rep.domain_dim == rank
