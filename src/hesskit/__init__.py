@@ -15,7 +15,7 @@ from .errors import VerificationError
 from .forms import Form, dim_sym, monomials_of_degree, random_form
 from .linalg import rank_with_certificate
 from .hessians import (TParameterForm, h3, h12, hess, hess_t,
-                       hessian_expansion, lowest_t_order)
+                       hess_t_leading, hessian_expansion, lowest_t_order)
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
 from .orbit_checks import (closed_form_constant, verify_closed_form,
@@ -35,8 +35,8 @@ __all__ = [
     "__version__", "VerificationError",
     "Form", "dim_sym", "monomials_of_degree", "random_form",
     "rank_with_certificate",
-    "TParameterForm", "h3", "h12", "hess", "hess_t", "hessian_expansion",
-    "lowest_t_order",
+    "TParameterForm", "h3", "h12", "hess", "hess_t", "hess_t_leading",
+    "hessian_expansion", "lowest_t_order",
     "QuadraticForm", "bombieri_weyl", "dim_harmonic", "harmonic_basis",
     "harmonic_decompose", "recompose",
     "closed_form_constant", "verify_closed_form", "verify_pair",

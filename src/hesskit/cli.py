@@ -178,6 +178,8 @@ def _cmd_verify_prop(args, parser) -> int:
         _emit(rep.to_json_dict())
         return EXIT_OK if rep.matches else EXIT_VERIFICATION
 
+    if args.h != 0:
+        parser.error(f"--h does not apply to id {args.id}")
     kind = {"2.8": "even", "2.15": "odd", "2.16": "even2"}[args.id]
     m_lo = 1 if kind == "even" else 0
     if kind == "even2" and k < 2:
@@ -210,6 +212,8 @@ def _point_for(parser, kind: str, d: int) -> SpecialPoint:
 
 
 def _cmd_rank(args, parser) -> int:
+    if args.r < 1:
+        parser.error("need --r >= 1")
     point = _point_for(parser, args.point, args.d)
     rng = random.Random(args.seed)
     try:
@@ -280,6 +284,10 @@ def _cmd_certify(args, parser) -> int:
 
 
 def _cmd_suite(args, parser) -> int:
+    if args.bound < 10:
+        parser.error("--bound is too small to be meaningful")
+    if args.jobs < 1:
+        parser.error("need --jobs >= 1")
     try:
         check_fixtures()
     except FixtureError as exc:

@@ -7,16 +7,26 @@ read off Jacobi's formula as trace(adj(D2 f) * D2 g):
 applies it to each direction; ``hess_from_adjugate`` reads Hess f itself off
 the same adjugate.
 
-For three variables the polarized operators h12 and h3 are provided.  A
-family depending polynomially on a parameter t is a ``TParameterForm``; the
-families form a ring that contains the zero family, so ``hess_t`` runs the
-same determinant expansion over them, and ``hessian_expansion`` is the
-independent polarization route that cross-checks it.
+For three variables the polarized operators h12 and h3 are provided; h3 is
+(1/3) * trace(A * M(B, C)) with M the polarized (mixed) adjugate, at most
+27 form products a call.  ``hess`` keeps its Laplace expansion, so
+h3(f, f, f) == hess(f) compares two routes.
+
+A family depending polynomially on a parameter t is a ``TParameterForm``;
+the families form a ring that contains the zero family, so ``hess_t`` runs
+the same determinant expansion over them.  ``hess_t_leading`` runs it with
+products taken modulo t**N, enough to read the lowest t-order of the family
+Hessian, which is all a limit needs.  ``hessian_expansion`` is the
+independent polarization route that cross-checks ``hess_t``; its sums run
+over multisets of slots, since h12 and h3 are symmetric.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import Form
@@ -26,11 +36,11 @@ from .forms import Form
 # ---------------------------------------------------------------------------
 
 
-def _det_by_expansion(mat):
+def _det_by_expansion(mat, mul=operator.mul):
     """Determinant by first-row Laplace expansion with column-mask memo.
 
-    Entries only need +, -, * (commutative).  Intended for the small matrices
-    that show up here (at most 5x5).
+    Entries only need +, - and the commutative product ``mul``.  Intended
+    for the small matrices that show up here (at most 5x5).
     """
     n = len(mat)
     memo: Dict[int, object] = {}
@@ -47,7 +57,7 @@ def _det_by_expansion(mat):
         while m:
             low = m & (-m)
             col = low.bit_length() - 1
-            term = mat[row][col] * rec(row + 1, mask & ~low)
+            term = mul(mat[row][col], rec(row + 1, mask & ~low))
             if acc is None:
                 acc = term if sign > 0 else -term
             else:
@@ -156,26 +166,48 @@ def h12(f: Form, g: Optional[Form] = None) -> Form:
     return (f11 * g22 - (f12 * g12).scale(2) + f22 * g11).scale(Fraction(1, 2))
 
 
-_PERM3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
 def h3(f: Form, g: Form, h: Form) -> Form:
     """Full polarization of the ternary Hessian determinant.
 
-    Symmetric trilinear, normalized so that h3(f, f, f) == hess(f): six
-    determinants whose rows are drawn from the three Hessian matrices, divided
-    by 6.
+    Symmetric trilinear, normalized so that h3(f, f, f) == hess(f).  With
+    A, B, C the second-partial matrices of f, g, h it is computed as
+    (1/3) * trace(A * M(B, C)), where M(B, C) = (adj(B + C) - adj B - adj C)/2
+    is the polarized adjugate.  Jacobi's formula gives h3(f, g, g) =
+    (1/3) * trace(A * adj B); both sides are symmetric bilinear in (g, h)
+    and agree for g = h, so they agree everywhere.  Twice
+    M has three diagonal entries of three products and three off-diagonal
+    entries of four, so one call takes 21 + 6 products.  When two arguments
+    are the same object they fill the (g, h) slots, and then M = adj B
+    takes two products per entry, 12 + 6 in all.
     """
     _require_ternary(f, g, h)
     if not (f.degree == g.degree == h.degree):
         raise ValueError("h3 arguments must have equal degree")
-    mats = (f.second_partials(), g.second_partials(), h.second_partials())
-    total = None
-    for perm in _PERM3:
-        rows = [mats[perm[row]][row] for row in range(3)]
-        d = _det_by_expansion(rows)
-        total = d if total is None else total + d
-    return total.scale(Fraction(1, 6))
+    if f is g:
+        f, h = h, f
+    elif f is h:
+        f, g = g, f
+    a, b, c = f.second_partials(), g.second_partials(), h.second_partials()
+
+    def crossed(x: Tuple[int, int], y: Tuple[int, int]) -> Form:
+        """B[x] C[y] + C[x] B[y]."""
+        if g is h:
+            return (b[x[0]][x[1]] * b[y[0]][y[1]]).scale(2)
+        return b[x[0]][x[1]] * c[y[0]][y[1]] + c[x[0]][x[1]] * b[y[0]][y[1]]
+
+    # cofactor (i, j) of a symmetric 3 x 3 matrix X is
+    # X[p][q] X[r][s] - X[p][s] X[r][q], with (p, r) and (q, s) the two
+    # indices after i and after j in cyclic order
+    diagonal = off_diagonal = Form.zero(3, 3 * max(f.degree - 2, 0))
+    for i in range(3):
+        p, r = (i + 1) % 3, (i + 2) % 3
+        mixed = crossed((p, p), (r, r)) - (b[p][r] * c[p][r]).scale(2)
+        diagonal = diagonal + a[i][i] * mixed
+        for j in range(i + 1, 3):
+            q, s = (j + 1) % 3, (j + 2) % 3
+            mixed = crossed((p, q), (r, s)) - crossed((p, s), (r, q))
+            off_diagonal = off_diagonal + a[i][j] * mixed
+    return (diagonal + off_diagonal.scale(2)).scale(Fraction(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +279,72 @@ class TParameterForm:
         return self + (-other)
 
     def __mul__(self, other: "TParameterForm") -> "TParameterForm":
+        return self.times(other)
+
+    def times(self, other: "TParameterForm",
+              below: Optional[int] = None) -> "TParameterForm":
+        """The product, taken modulo t**below when ``below`` is given.
+
+        Slot products of t-exponent >= below are never formed.  Reduction
+        modulo t**below is a ring homomorphism, so a determinant expanded
+        with this product is the determinant modulo t**below.
+        """
         self._check_compatible(other)
         acc: Dict[int, Form] = {}
         for a1, f1 in self.slots.items():
             for a2, f2 in other.slots.items():
                 key = a1 + a2
+                if below is not None and key >= below:
+                    continue
                 prod = f1 * f2
                 acc[key] = acc[key] + prod if key in acc else prod
         return TParameterForm._make(self.nvars, self.degree + other.degree, acc)
 
 
-def hess_t(family: TParameterForm) -> TParameterForm:
-    """Exact Hessian of a t-parameter family, as a family again.
+def _hessian_cells(family: TParameterForm) -> List[List[TParameterForm]]:
+    """The matrix of second partials of a family, one family per cell.
 
-    The determinant runs over cells that are families themselves: cell (i, j)
-    holds d_i d_j of every slot, and is the zero family of degree d - 2 when
-    all of them vanish.  A family of cones gives the zero family.
+    Cell (i, j) holds d_i d_j of every slot, and is the zero family of degree
+    d - 2 when all of them vanish.
     """
     n = family.nvars
     partials = {a: form.second_partials() for a, form in family.slots.items()}
     cell_degree = max(family.degree - 2, 0)
-    mat = [[TParameterForm._make(n, cell_degree, {a: m[i][j] for a, m in partials.items()})
-            for j in range(n)] for i in range(n)]
-    return _det_by_expansion(mat)
+    return [[TParameterForm._make(n, cell_degree, {a: m[i][j] for a, m in partials.items()})
+             for j in range(n)] for i in range(n)]
+
+
+def hess_t(family: TParameterForm) -> TParameterForm:
+    """Exact Hessian of a t-parameter family, as a family again.
+
+    The determinant runs over cells that are families themselves.  A family
+    of cones gives the zero family.
+    """
+    return _det_by_expansion(_hessian_cells(family))
+
+
+def hess_t_leading(family: TParameterForm) -> TParameterForm:
+    """hess_t(family) modulo t**N, for an N that keeps its lowest slot.
+
+    The determinant is expanded with products modulo t**N, starting at
+    N = 2*a + 1 for the smallest nonzero slot exponent a and doubling N
+    while the result is zero.  A nonzero result is hess_t(family) modulo
+    t**N, so its lowest slot is exactly the lowest slot of hess_t(family).
+    Once N exceeds nvars times the largest slot exponent no product is
+    dropped, so a zero result there means hess_t(family) is zero.  The
+    start suits families whose t**0 slot has a second-partial matrix of
+    rank at most one, such as x0**d: every term of their Hessian then takes
+    at least two factors from the other slots.
+    """
+    cells = _hessian_cells(family)
+    exponents = [a for a in family.slots if a]
+    full = family.nvars * max(exponents, default=0) + 1
+    below = min(2 * min(exponents, default=0) + 1, full)
+    while True:
+        H = _det_by_expansion(cells, partial(TParameterForm.times, below=below))
+        if below == full or not H.is_zero():
+            return H
+        below = min(2 * below, full)
 
 
 def lowest_t_order(family: TParameterForm) -> Tuple[int, Form]:
@@ -283,14 +358,16 @@ def lowest_t_order(family: TParameterForm) -> Tuple[int, Form]:
 def hessian_expansion(family: TParameterForm) -> TParameterForm:
     """Hessian of x0**d + sum_i t**a_i f_i via the polarized operators.
 
-    Requires three variables, a t**0 slot equal to exactly x0**d, and uses
-    ordered pair/triple sums:
+    Requires three variables and a t**0 slot equal to exactly x0**d:
 
         hess = d(d-1) x0**(d-2) * sum_{i,j} t**(a_i+a_j) h12(f_i, f_j)
              + sum_{i,j,k} t**(a_i+a_j+a_k) h3(f_i, f_j, f_k)
 
-    Returns the zero family when the result vanishes identically.  This is
-    the slow dual route used to cross-check hess_t.
+    h12 and h3 are symmetric, so each sum runs over multisets of slots,
+    weighted by the number of orderings of the multiset (1, 2 for pairs;
+    1, 3, 6 for triples).  Returns the zero family when the result vanishes
+    identically.  This is the dual route used to cross-check hess_t: it
+    never expands a determinant over families.
     """
     if family.nvars != 3:
         raise ValueError("expansion route is defined for three variables only")
@@ -300,17 +377,19 @@ def hessian_expansion(family: TParameterForm) -> TParameterForm:
     if lead is None or lead != expected:
         raise ValueError("expansion route expects the t**0 slot to be exactly x0**d")
     rest = [(a, f) for a, f in family.sorted_slots() if a != 0]
+
+    def polarization_sum(op, arity: int) -> Dict[int, Form]:
+        acc: Dict[int, Form] = {}
+        for group in combinations_with_replacement(rest, arity):
+            exps = tuple(a for a, _ in group)
+            form = op(*(f for _, f in group)).scale(len(set(permutations(exps))))
+            key = sum(exps)
+            acc[key] = acc[key] + form if key in acc else form
+        return acc
+
     scale = Form.monomial((d - 2, 0, 0), d * (d - 1))
-    acc: Dict[int, Form] = {}
-
-    def put(a: int, form: Form) -> None:
+    acc = polarization_sum(h3, 3)
+    for a, form in polarization_sum(h12, 2).items():
+        form = scale * form
         acc[a] = acc[a] + form if a in acc else form
-
-    for ai, fi in rest:
-        for aj, fj in rest:
-            put(ai + aj, scale * h12(fi, fj))
-    for ai, fi in rest:
-        for aj, fj in rest:
-            for ak, fk in rest:
-                put(ai + aj + ak, h3(fi, fj, fk))
     return TParameterForm._make(3, 3 * (d - 2), acc)

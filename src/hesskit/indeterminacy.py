@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import VerificationError
 from .forms import Form, monomials_of_degree
-from .hessians import TParameterForm, h3, h12, hess, hess_t, lowest_t_order
+from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
+                       lowest_t_order)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,9 @@ class LimitReport:
 def limit_divisibility_check(family: TParameterForm) -> LimitReport:
     """Lowest-order coefficient of hess along the family, x0-divisibility.
 
-    The family must start at x0**d (slot at t-order zero).  A family whose
+    The family must start at x0**d (slot at t-order zero).  Only the lowest
+    t-order of the family Hessian is needed, so it is read off
+    ``hess_t_leading``, the Hessian modulo a power of t.  A family whose
     Hessian vanishes identically in t has no limit to test.
     """
     slots = family.slots
@@ -423,7 +426,7 @@ def limit_divisibility_check(family: TParameterForm) -> LimitReport:
         raise ValueError("family must have x0**d as its order-zero slot")
     if d < 4:
         raise ValueError("need degree >= 4")
-    H = hess_t(family)
+    H = hess_t_leading(family)
     if H.is_zero():
         return LimitReport(d, "inconclusive-limit", None, d - 3)
     order, lead = lowest_t_order(H)

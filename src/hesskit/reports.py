@@ -561,10 +561,12 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
               force_exact: bool = False) -> SuiteResult:
     """Run the registered verifications and merge their reports.
 
-    ``name_filter`` keeps entries whose name contains the string; ``jobs``
-    > 1 distributes entries over processes.  Reports are merged in
-    registration order whatever the completion order.
+    ``name_filter`` keeps entries whose name contains the string.  ``jobs``
+    must be at least 1; more than one distributes entries over processes.
+    Reports are merged in registration order whatever the completion order.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     digest = check_fixtures()
     ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
     selected = [(name, fn) for name, fn in REGISTRY

@@ -45,6 +45,13 @@ class TestVerifyProp:
                   "--m", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("pid", ["2.8", "2.15", "2.16"])
+    def test_h_rejected_for_pair_ids(self, pid):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prop", "--id", pid, "--r", "2", "--k", "2",
+                  "--h", "1"])
+        assert exc.value.code == 2
+
     def test_double_line_needs_two_quadric_factors(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "prop", "--id", "2.16", "--r", "2", "--k", "1"])
@@ -66,6 +73,12 @@ class TestRank:
     def test_parity_mismatch(self):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--point", "qk", "--d", "5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_r_is_a_usage_error(self, r):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--point", "qk", "--d", "4", "--r", r])
         assert exc.value.code == 2
 
     def test_failed_verification_exits_one(self, capsys, monkeypatch):
@@ -199,6 +212,32 @@ class TestSuiteAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "scan", "--condition", "odd"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--bound", "0"], ["--bound", "-3"], ["--bound", "9"],
+        ["--jobs", "0"], ["--jobs", "-2"]])
+    def test_meaningless_bound_or_jobs_is_a_usage_error(self, flags, monkeypatch):
+        monkeypatch.setattr(hesskit.cli, "run_suite",
+                            raising(AssertionError("suite must not run")))
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--filter", "closed-forms"] + flags)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("line", ["bound = 0", "jobs = 0"])
+    def test_meaningless_config_value_is_a_usage_error(self, line, tmp_path,
+                                                        monkeypatch):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setattr(hesskit.cli, "run_suite",
+                            raising(AssertionError("suite must not run")))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "suite", "--filter", "closed-forms"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_run_suite_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            hesskit.reports.run_suite(name_filter="closed-forms", jobs=jobs)
 
     def test_corrupted_fixture_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hesskit.reports, "EXPECTED_FIXTURE_DIGEST",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from hesskit.forms import Form
-from hesskit.hessians import (TParameterForm, adjugate_second_partials,
-                              adjugate_trace, h3, h12, hess,
-                              hess_from_adjugate, hess_t, hessian_expansion,
-                              lowest_t_order)
+from hesskit.forms import Form, random_form
+from hesskit.hessians import (TParameterForm, _det_by_expansion,
+                              adjugate_second_partials, adjugate_trace, h3,
+                              h12, hess, hess_from_adjugate, hess_t,
+                              hessian_expansion, lowest_t_order)
 from hesskit.indeterminacy import sample_family
 
 from conftest import SYMS, forms, to_sympy
@@ -48,6 +49,53 @@ def at_t(family: TParameterForm, t0: Fraction) -> Form:
     for a, form in family.slots.items():
         total = total + (t0 ** a) * form
     return total
+
+
+def laplace_h3(f: Form, g: Form, h: Form) -> Form:
+    """Reference h3: six 3 x 3 Laplace determinants whose rows are drawn
+    from the three Hessian matrices, divided by 6."""
+    mats = (f.second_partials(), g.second_partials(), h.second_partials())
+    total = Form.zero(3, 3 * max(f.degree - 2, 0))
+    for perm in itertools.permutations(range(3)):
+        total = total + _det_by_expansion([mats[perm[row]][row] for row in range(3)])
+    return total.scale(Fraction(1, 6))
+
+
+def ordered_expansion(family: TParameterForm) -> TParameterForm:
+    """Reference hessian_expansion: sums over all ordered pairs and triples
+    of the slots after x0**d."""
+    d = family.degree
+    rest = [(a, f) for a, f in family.sorted_slots() if a != 0]
+    scale = Form.monomial((d - 2, 0, 0), d * (d - 1))
+    acc = {}
+    for group in itertools.product(rest, repeat=2):
+        key = sum(a for a, _ in group)
+        form = scale * h12(*(f for _, f in group))
+        acc[key] = acc[key] + form if key in acc else form
+    for group in itertools.product(rest, repeat=3):
+        key = sum(a for a, _ in group)
+        form = laplace_h3(*(f for _, f in group))
+        acc[key] = acc[key] + form if key in acc else form
+    return TParameterForm({0: Form.zero(3, 3 * (d - 2)), **acc})
+
+
+def sympy_h3(f: Form, g: Form, h: Form):
+    """The s*t*u coefficient of Hess(s f + t g + u h), divided by 6."""
+    s, t, u = sympy.symbols("_s _t _u")
+    expr = s * to_sympy(f) + t * to_sympy(g) + u * to_sympy(h)
+    poly = sympy.Poly(sympy_hessian(expr, 3), s, t, u)
+    return sympy.expand(poly.coeff_monomial(s * t * u) / 6)
+
+
+@st.composite
+def h3_arguments(draw, min_degree=2, max_degree=5, coeff_bound=6):
+    """Three ternary forms of one degree, with repeats and zero forms."""
+    d = draw(st.integers(min_degree, max_degree))
+    pool = [draw(forms(min_degree=d, max_degree=d, coeff_bound=coeff_bound))
+            for _ in range(3)]
+    pool.append(Form.zero(3, d))
+    return [pool[i] for i in draw(st.lists(st.integers(0, 3), min_size=3,
+                                           max_size=3))]
 
 
 Q2 = Form.from_coeffs(3, 2, {(1, 1, 0): 1, (0, 0, 2): 1})  # x0 x1 + x2**2
@@ -139,6 +187,59 @@ class TestPolarizations:
         assert h1 == Fraction(3) * h3(f, f, g)
 
 
+class TestMixedAdjugateH3:
+    """h3 by the polarized adjugate against the six-Laplace route and sympy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(args=h3_arguments())
+    def test_matches_the_laplace_route(self, args):
+        assert h3(*args) == laplace_h3(*args)
+
+    @settings(max_examples=12, deadline=None)
+    @given(args=h3_arguments(max_degree=4, coeff_bound=4))
+    def test_matches_sympy(self, args):
+        assert to_sympy(h3(*args)) == sympy_h3(*args)
+
+    @settings(max_examples=20, deadline=None)
+    @given(args=h3_arguments())
+    def test_equal_but_distinct_objects_agree_with_repeats(self, args):
+        f, g, _ = args
+        copy = Form.from_coeffs(3, f.degree, dict(f.terms))
+        assert copy is not f
+        assert h3(f, f, g) == h3(f, copy, g) == h3(g, f, copy)
+        assert h3(f, f, f) == h3(f, copy, f) == hess(f)
+
+    def test_zero_argument_gives_zero(self):
+        f = Form.from_coeffs(3, 3, {(3, 0, 0): 1, (0, 2, 1): -2, (1, 1, 1): 5})
+        zero = Form.zero(3, 3)
+        for args in ((zero, f, f), (f, zero, f), (f, f, zero), (zero,) * 3):
+            assert h3(*args).is_zero()
+
+    def test_product_count(self, monkeypatch):
+        """Guard: distinct dense quartics take at most 30 Form products (the
+        six-Laplace route took 54), a repeated argument at most 18."""
+        rng = random.Random(7)
+        f, g, h = (random_form(3, 4, rng, coeff_bound=9) for _ in range(3))
+        assert all(q.num_terms() >= 12 for q in (f, g, h))
+        calls = []
+        original = Form.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Form, "__mul__", counting)
+        value = h3(f, g, h)
+        distinct = len(calls)
+        calls.clear()
+        repeated = h3(f, g, f)
+        monkeypatch.undo()
+        assert distinct <= 30
+        assert len(calls) <= 18
+        assert value == laplace_h3(f, g, h)
+        assert repeated == laplace_h3(f, g, f)
+
+
 class TestParameterFamilies:
     FAMILY = TParameterForm({
         0: Form.monomial((4, 0, 0)),
@@ -180,6 +281,39 @@ class TestParameterFamilies:
         assert H.slots == hessian_expansion(fam).slots
         for t0 in (Fraction(1), Fraction(-2), Fraction(1, 3)):
             assert at_t(H, t0) == hess(at_t(fam, t0))
+
+
+class TestMultisetExpansion:
+    """hessian_expansion over multisets against the ordered-sum route."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(d=st.integers(3, 5), slots=st.integers(1, 4), seed=st.integers(0, 10 ** 6))
+    def test_matches_the_ordered_sums(self, d, slots, seed):
+        fam = sample_family(d, random.Random(seed), max_slots=slots,
+                            max_exponent=5)
+        assert hessian_expansion(fam).slots == ordered_expansion(fam).slots
+
+    def test_cone_family_gives_zero_on_both_routes(self):
+        fam = TParameterForm({0: Form.monomial((5, 0, 0)),
+                              1: Form.from_coeffs(3, 5, {(0, 5, 0): 2}),
+                              2: Form.from_coeffs(3, 5, {(2, 3, 0): -1})})
+        assert hessian_expansion(fam).is_zero()
+        assert ordered_expansion(fam).is_zero()
+        assert hess_t(fam).is_zero()
+
+
+class TestTruncatedProduct:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), below=st.integers(0, 12))
+    def test_drops_exactly_the_slots_at_or_above_the_bound(self, seed, below):
+        rng = random.Random(seed)
+        p = sample_family(3, rng, max_slots=3, max_exponent=5)
+        q = sample_family(3, rng, max_slots=3, max_exponent=5)
+        full = p * q
+        cut = p.times(q, below=below)
+        assert cut.slots == {a: f for a, f in full.slots.items() if a < below}
+        assert (cut.nvars, cut.degree) == (full.nvars, full.degree)
+        assert p.times(q).slots == full.slots
 
 
 class TestZeroFamily:

@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hesskit.hessians
 from hesskit.forms import Form
-from hesskit.hessians import TParameterForm, hess
+from hesskit.hessians import (TParameterForm, hess, hess_t, hess_t_leading,
+                              lowest_t_order)
 from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
                                    exclusion_gate, f_divisible_by_x0,
                                    limit_divisibility_check,
@@ -158,6 +162,85 @@ class TestLimits:
         fam = TParameterForm({0: Form.monomial((3, 0, 0))})
         with pytest.raises(ValueError):
             limit_divisibility_check(fam)
+
+
+def assert_leading_matches_full(fam):
+    """hess_t_leading agrees with hess_t below its top slot, so its lowest
+    slot is the lowest slot of hess_t, or both are zero."""
+    lead, full = hess_t_leading(fam), hess_t(fam)
+    if full.is_zero():
+        assert lead.is_zero()
+        return
+    assert lowest_t_order(lead) == lowest_t_order(full)
+    top = max(lead.slots)
+    assert lead.slots == {a: f for a, f in full.slots.items() if a <= top}
+
+
+def truncation_bounds(monkeypatch, fam):
+    """The moduli t**N that hess_t_leading tries on ``fam``, in order."""
+    seen = []
+    det = hesskit.hessians._det_by_expansion
+
+    def spy(mat, mul):
+        seen.append(mul.keywords["below"])
+        return det(mat, mul)
+
+    monkeypatch.setattr(hesskit.hessians, "_det_by_expansion", spy)
+    result = hess_t_leading(fam)
+    monkeypatch.undo()
+    return seen, result
+
+
+class TestTruncatedLimitHessian:
+    """The lowest-order Hessian modulo t**N against the full hess_t."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(4, 7), slots=st.integers(1, 3),
+           seed=st.integers(0, 10 ** 6))
+    def test_sampled_families(self, d, slots, seed):
+        fam = sample_family(d, random.Random(seed), max_slots=slots,
+                            max_exponent=4)
+        assert_leading_matches_full(fam)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_FAMILIES))
+    def test_named_families(self, name):
+        assert_leading_matches_full(NAMED_FAMILIES[name]())
+
+    def test_cleared_family(self):
+        fam = sample_family(6, random.Random(11))
+        cleared = TParameterForm({3 * a: f for a, f in fam.slots.items()})
+        assert_leading_matches_full(cleared)
+        assert (lowest_t_order(hess_t_leading(cleared))[0]
+                == 3 * lowest_t_order(hess_t_leading(fam))[0])
+        assert (limit_divisibility_check(cleared).status
+                == limit_divisibility_check(fam).status)
+
+    def test_cone_family_is_inconclusive_after_the_full_modulus(self, monkeypatch):
+        cone = TParameterForm({0: Form.monomial((4, 0, 0)),
+                               1: Form.from_coeffs(3, 4, {(0, 4, 0): 1})})
+        seen, lead = truncation_bounds(monkeypatch, cone)
+        assert seen == [3, 4]
+        assert lead.is_zero() and hess_t(cone).is_zero()
+        rep = limit_divisibility_check(cone)
+        assert rep.status == "inconclusive-limit" and rep.lowest_order is None
+
+    def test_zero_first_truncation_doubles_the_modulus(self, monkeypatch):
+        # h12(x1**4) = 0, so the t**2 term vanishes; the t**3 term is
+        # 12 x0**2 * 2 h12(x1**4, g) = 144 x0**2 x1**2 * g22, nonzero here
+        g = Form.from_coeffs(3, 4, {(0, 2, 2): 1, (1, 0, 3): -2, (2, 1, 1): 3})
+        fam = TParameterForm({0: Form.monomial((4, 0, 0)),
+                              1: Form.monomial((0, 4, 0)), 2: g})
+        seen, lead = truncation_bounds(monkeypatch, fam)
+        assert seen == [3, 6]
+        assert lowest_t_order(lead)[0] == 3
+        assert_leading_matches_full(fam)
+        rep = limit_divisibility_check(fam)
+        assert rep.lowest_order == 3 and rep.status == "divisible"
+
+    def test_base_slot_alone(self, monkeypatch):
+        seen, lead = truncation_bounds(
+            monkeypatch, TParameterForm({0: Form.monomial((5, 0, 0))}))
+        assert seen == [1] and lead.is_zero()
 
 
 def x0_valuation(f):
