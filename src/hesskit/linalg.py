@@ -13,12 +13,14 @@ The rank path works on ``IntColumns``, a sparse integer matrix stored as one
 ``{row: value}`` dict per column.  Callers that build their matrix column by
 column (the differential matrices) hand it over as is; a dense rational
 input is cleared once and turned into the same columns.  Each probe prime
-scatters the residues into a zeroed int64 array and eliminates with
-vectorized arithmetic; since reduction can only lower rank, a
-full-column-rank result mod p is already a proof of full column rank over
-the rationals.  Any other modular answer is advisory and must be confirmed
-by the exact path, the only place where the columns become a dense Python
-matrix.
+reduces the columns mod p and first peels off singleton columns and rows,
+each one pivot that needs no fill-in (the structured first step of
+LaMacchia & Odlyzko, CRYPTO '90); only the surviving block is scattered
+into a zeroed int64 array and eliminated with vectorized arithmetic.  Since
+reduction can only lower rank, a full-column-rank result mod p is already a
+proof of full column rank over the rationals.  Any other modular answer is
+advisory and must be confirmed by the exact path, the only place where the
+columns become a dense Python matrix.
 
 Pivoting is deterministic throughout: first row with a nonzero entry in the
 leftmost unfinished column.  No randomness, no floats.
@@ -120,14 +122,6 @@ class IntColumns:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def residues(self, p: int) -> np.ndarray:
-        """The matrix mod p as a fresh int64 array, entries in [0, p)."""
-        a = np.zeros((self.nrows, len(self.columns)), dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            if col:
-                a[list(col), j] = [x % p for x in col.values()]
-        return a
-
     def dense(self) -> IntMatrix:
         """A fresh dense row-major integer copy."""
         out = [[0] * len(self.columns) for _ in range(self.nrows)]
@@ -185,17 +179,80 @@ def rank_bareiss(matrix: Union[IntColumns, Sequence[Sequence]]) -> int:
     return len(_echelon(m, ncols)[0])
 
 
+def _residues(columns: Sequence[Dict[int, int]], p: int) -> List[Dict[int, int]]:
+    """Fresh columns reduced mod p, entries that vanish dropped."""
+    return [{i: r for i, x in col.items() if (r := x % p)} for col in columns]
+
+
+def _peel(cols: List[Optional[Dict[int, int]]]) -> Tuple[int, List[Dict[int, int]]]:
+    """Peel singleton columns and rows off a matrix over GF(p), in place.
+
+    ``cols`` holds nonzero residues only; a removed column becomes None.  A
+    column with one nonzero, at row i, and a row with one nonzero, in column
+    j, each give rank(A) = 1 + rank(A without that row and column): a column
+    (row) operation clears the rest of the pivot's row (column) without
+    fill-in.  Empty columns are dropped.  Peeling repeats until no singleton
+    is left.  Returns the number of pivots peeled and the surviving columns.
+    """
+    rows: Dict[int, set] = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    todo_cols = [j for j, col in enumerate(cols) if len(col) <= 1]
+    todo_rows = [i for i, js in rows.items() if len(js) == 1]
+    rank = 0
+    while todo_cols or todo_rows:
+        if todo_cols:
+            j = todo_cols.pop()
+            col = cols[j]
+            if col is None or len(col) > 1:
+                continue
+            cols[j] = None
+            if not col:
+                continue
+            (i,) = col
+            for k in rows.pop(i):
+                if k != j:
+                    other = cols[k]
+                    del other[i]
+                    if len(other) <= 1:
+                        todo_cols.append(k)
+        else:
+            i = todo_rows.pop()
+            js = rows.get(i)
+            if js is None or len(js) != 1:
+                continue
+            (j,) = js
+            del rows[i]
+            for k in cols[j]:
+                if k != i:
+                    left = rows[k]
+                    left.discard(j)
+                    if len(left) == 1:
+                        todo_rows.append(k)
+                    elif not left:
+                        del rows[k]
+            cols[j] = None
+        rank += 1
+    return rank, [col for col in cols if col]
+
+
 def rank_mod_p(m: IntColumns, p: int) -> int:
-    """Rank of the integer matrix ``m`` over GF(p), vectorized.
+    """Rank of the integer matrix ``m`` over GF(p).
 
     Always a lower bound for the rational rank.  ``p`` must be a prime below
     2**31, so that products of residues stay inside int64 and every nonzero
-    residue has an inverse.
+    residue has an inverse.  Singleton rows and columns of the residues are
+    peeled off first (``_peel``); only the surviving block is scattered into
+    a zeroed int64 array and eliminated with vectorized arithmetic.
     """
     _check_probe_primes((p,))
-    a = m.residues(p)
+    rank, cols = _peel(_residues(m.columns, p))
+    row_of = {i: t for t, i in enumerate({i for col in cols for i in col})}
+    a = np.zeros((len(row_of), len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        a[[row_of[i] for i in col], j] = list(col.values())
     nrows, ncols = a.shape
-    rank = 0
     row = 0
     for col in range(ncols):
         if row >= nrows:
@@ -213,8 +270,7 @@ def rank_mod_p(m: IntColumns, p: int) -> int:
         if mask.any():
             a[row + 1:][mask] = (a[row + 1:][mask] - below[mask, None] * a[row][None, :]) % p
         row += 1
-        rank += 1
-    return rank
+    return rank + row
 
 
 def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],

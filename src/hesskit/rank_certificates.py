@@ -19,7 +19,10 @@ pattern.  ``DifferentialMatrix`` indexes the target monomials once and keeps
 every column as a sparse ``{row: numerator}`` dict, so the matrices handed to
 ``linalg.rank_with_certificate`` are ``IntColumns`` from the start: no
 clearing, no ``Fraction`` and no dense matrix on the rank path unless the
-exact fallback runs.
+exact fallback runs.  The column of a monomial direction x**e needs no form
+of its own: d_i d_j x**e is one monomial, so the column is a weighted sum
+of the adjugate entries of D2 f shifted by e - i - j, read off integer
+tables built once per f.
 
 Injectivity at the special points q**k, q**k l, q**(k-1) l**2 is conditional
 on an integer condition having no root in a finite m-range; the certificate
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
@@ -46,6 +51,10 @@ from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SpecialPoint:
     """A distinguished orbit point, encoded by its (q-power, l-power)."""
@@ -56,6 +65,8 @@ class SpecialPoint:
     def __post_init__(self):
         if self.kind not in ("qk", "qkl", "qk1l2"):
             raise ValueError(f"unknown special point kind {self.kind!r}")
+        if not _is_int(self.k):
+            raise ValueError(f"k must be an int, got {self.k!r}")
         kmin = 2 if self.kind == "qk1l2" else 1
         if self.k < kmin:
             raise ValueError(f"{self.kind} needs k >= {kmin}")
@@ -137,6 +148,55 @@ class DifferentialMatrix:
         return IntColumns(len(self.row_monomials), cols)
 
 
+def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponent],
+                     row_monomials: Sequence[Exponent]) -> List[Dict[int, int]]:
+    """The numerators of ``adjugate_trace(adj, x**e)`` for each direction e,
+    keyed by row index, without building a form per direction.
+
+    d_i d_j x**e is the single monomial e_i (e_j - [i = j]) x**(e - i - j),
+    so the image of x**e is the sum over i <= j of that weight (doubled off
+    the diagonal) times adj[i][j] shifted by e - i - j.  The entries are
+    brought to one denominator D once; a column is then a shifted sum of
+    integer tables under packed monomial keys (digits base target degree + 1,
+    as in ``Form.__mul__``; packing is linear, so a shift is one addition),
+    reduced by gcd(D, *column) as ``Form._make`` would reduce the image.
+    """
+    n = len(directions[0])
+    base = sum(row_monomials[0]) + 1
+    weights = [base ** (n - 1 - i) for i in range(n)]
+
+    def key(e: Exponent) -> int:
+        return sum(map(mul, e, weights))
+
+    row_of_key = {key(e): i for i, e in enumerate(row_monomials)}
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    lcds = [lcm(*(c.denominator for c in adj[i][j].terms.values()))
+            for i, j in pairs]
+    den = lcm(*lcds)
+    tables = []
+    for (i, j), entry_den in zip(pairs, lcds):
+        scale = (den // entry_den) * (2 if i != j else 1)
+        table = [(key(e), c * scale) for e, c in adj[i][j].numerators.items()]
+        if table:
+            tables.append((i, j, weights[i] + weights[j], table))
+
+    columns = []
+    for e in directions:
+        ke = key(e)
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for i, j, drop, table in tables:
+            w = e[i] * (e[j] - (i == j))
+            if w:
+                shift = ke - drop
+                for k, c in table:
+                    k += shift
+                    acc[k] = get(k, 0) + w * c
+        g = gcd(den, *acc.values())
+        columns.append({row_of_key[k]: v // g for k, v in acc.items() if v})
+    return columns
+
+
 def differential_matrix(f: Form) -> DifferentialMatrix:
     """Matrix of the Hessian differential at f over monomial bases, with
     each column scaled to integers by its own positive denominator."""
@@ -144,17 +204,14 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     if H.is_zero():
         raise ValueError("differential is not certified at a vanishing Hessian")
     n, d = f.nvars, f.degree
-    target_degree = n * (d - 2)
-    adj = adjugate_second_partials(f)
     col_monos = monomials_of_degree(n, d)
-    row_monos = monomials_of_degree(n, target_degree)
+    row_monos = monomials_of_degree(n, n * (d - 2))
     row_of = {mono: i for i, mono in enumerate(row_monos)}
-    columns = [_indexed(adjugate_trace(adj, Form.monomial(mono)).numerators, row_of)
-               for mono in col_monos]
     return DifferentialMatrix(
         nvars=n, degree=d,
         row_monomials=row_monos, col_monomials=col_monos,
-        columns=columns, hess_column=_indexed(H.numerators, row_of),
+        columns=_monomial_images(adjugate_second_partials(f), col_monos, row_monos),
+        hess_column=_indexed(H.numerators, row_of),
     )
 
 
@@ -374,6 +431,8 @@ def block_structure_check(k: int, r: int) -> BlockReport:
 def pijk_injectivity(i: int, k: int, r: int,
                      force_exact: bool = False) -> RankReport:
     """The map h -> top harmonic summand of h * l**k is injective on H_i."""
+    if not all(map(_is_int, (i, k, r))):
+        raise ValueError(f"i, k and r must be ints, got {(i, k, r)!r}")
     if i < 0 or k < 0:
         raise ValueError("need i, k >= 0")
     if k == 0:

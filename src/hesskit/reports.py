@@ -563,10 +563,15 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
 
     ``name_filter`` keeps entries whose name contains the string.  ``jobs``
     must be at least 1; more than one distributes entries over processes.
-    Reports are merged in registration order whatever the completion order.
+    ``bound`` must be an int of at least 10, as on the command line: below
+    that the curve-family check fails for want of range, a failure that
+    says nothing about the curves.  Reports are merged in registration
+    order whatever the completion order.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 10:
+        raise ValueError(f"bound must be an int of at least 10, got {bound!r}")
     digest = check_fixtures()
     ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
     selected = [(name, fn) for name, fn in REGISTRY

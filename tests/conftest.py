@@ -36,13 +36,18 @@ RATIONAL = (1, 2, 3, 4, 6, 35)
 
 @st.composite
 def forms(draw, nvars=3, min_degree=1, max_degree=4, coeff_bound=6,
-          denominators=(1,)):
+          denominators=(1,), sparse=False):
     """Forms with coefficients c/q, c in [-coeff_bound, coeff_bound] and q
-    drawn from ``denominators``; the default draws integer forms only."""
+    drawn from ``denominators``; the default draws integer forms only.
+    ``sparse`` zeroes about three coefficients in four."""
     d = draw(st.integers(min_degree, max_degree))
     monos = monomials_of_degree(nvars, d)
     coeffs = draw(st.lists(st.integers(-coeff_bound, coeff_bound),
                            min_size=len(monos), max_size=len(monos)))
+    if sparse:
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(monos),
+                             max_size=len(monos)))
+        coeffs = [c if k == 0 else 0 for c, k in zip(coeffs, keep)]
     if all(c == 0 for c in coeffs):
         coeffs = list(coeffs)
         coeffs[0] = 1

@@ -239,6 +239,13 @@ class TestSuiteAndConfig:
         with pytest.raises(ValueError, match="jobs"):
             hesskit.reports.run_suite(name_filter="closed-forms", jobs=jobs)
 
+    @pytest.mark.parametrize("bound", [0, 9, -3, True, 10.0])
+    def test_run_suite_rejects_a_meaningless_bound(self, bound, monkeypatch):
+        monkeypatch.setattr(hesskit.reports, "_run_one",
+                            raising(AssertionError("suite must not run")))
+        with pytest.raises(ValueError, match="bound"):
+            hesskit.reports.run_suite(name_filter="curve-families", bound=bound)
+
     def test_corrupted_fixture_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hesskit.reports, "EXPECTED_FIXTURE_DIGEST",
                             "0" * 64)

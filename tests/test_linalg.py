@@ -4,6 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from hesskit import linalg
 from hesskit.errors import VerificationError
@@ -39,6 +41,72 @@ def int_columns(draw, max_dim=6):
                                     max_size=3)) if nrows else {}
                for _ in range(ncols)]
     return IntColumns(nrows, columns)
+
+
+@st.composite
+def peelable(draw, p):
+    """``IntColumns`` built to exercise singleton peeling mod p: a random
+    core about two thirds full, a chain of two-entry columns whose singleton
+    rows appear only one removal at a time, forced singleton columns and
+    rows, empty rows and columns, and entries that are multiples of p; rows
+    and columns shuffled.
+    """
+    entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p),
+                      st.integers(2 ** 63, 2 ** 70)).filter(bool)
+    nrows = draw(st.integers(0, 6))
+    cell = st.one_of(st.just(0), entry, entry)
+    columns = [{i: x for i, x in enumerate(draw(st.lists(
+                   cell, min_size=nrows, max_size=nrows))) if x}
+               for _ in range(draw(st.integers(0, 6)))]
+    links = draw(st.integers(0, 4))
+    if links:
+        # row nrows + t meets columns t - 1 and t of the chain only
+        chain = [nrows + t for t in range(links + 1)]
+        columns += [{chain[t]: draw(entry), chain[t + 1]: draw(entry)}
+                    for t in range(links)]
+        if columns[:-links] and draw(st.booleans()):
+            # tie the chain's far end into the core
+            j = draw(st.integers(0, len(columns) - links - 1))
+            columns[j] = {**columns[j], chain[-1]: draw(entry)}
+        nrows += links + 1
+    for _ in range(draw(st.integers(0, 2))):
+        columns.append({draw(st.integers(0, nrows)): draw(entry)})
+        nrows += 1
+    for _ in range(draw(st.integers(0, 2)) if columns else 0):
+        j = draw(st.integers(0, len(columns) - 1))
+        columns[j] = {**columns[j], nrows: draw(entry)}
+        nrows += 1
+    nrows += draw(st.integers(0, 2))
+    columns += [{}] * draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(nrows)))
+    columns = [{perm[i]: x for i, x in col.items()}
+               for col in draw(st.permutations(columns))]
+    return IntColumns(nrows, columns)
+
+
+def dense_rank_mod_p(m, p):
+    """Gaussian elimination over GF(p) on every residue: no peeling."""
+    rows = [[x % p for x in row] for row in m.dense()]
+    rank = 0
+    for c in range(m.ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def sympy_rank_mod_p(m, p):
+    if not m.nrows or not m.ncols:
+        return 0
+    return DomainMatrix([[GF(p)(x) for x in row] for row in m.dense()],
+                        (m.nrows, m.ncols), GF(p)).rank()
 
 
 def sympy_of(m):
@@ -156,7 +224,10 @@ class TestIntColumns:
         dense = m.dense()
         assert len(dense) == m.nrows
         assert all(len(row) == m.ncols for row in dense)
-        assert m.residues(p).tolist() == [[x % p for x in row] for row in dense]
+        residues = linalg._residues(m.columns, p)
+        assert all(0 < x < p for col in residues for x in col.values())
+        assert IntColumns(m.nrows, residues).dense() == [
+            [x % p for x in row] for row in dense]
 
     @settings(max_examples=150)
     @given(m=int_columns())
@@ -173,6 +244,36 @@ class TestIntColumns:
             rank, "bareiss", list(PROBE_PRIMES))
         # small primes drop rank often; the exact path must still decide
         assert rank_with_certificate(m, primes=(2, 3))[0] == rank
+
+    @pytest.mark.parametrize("p", (2, 3) + PROBE_PRIMES)
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_peeled_rank_matches_unpeeled_elimination(self, p, data):
+        m = data.draw(peelable(p))
+        before = [dict(col) for col in m.columns]
+        rank = linalg.rank_mod_p(m, p)
+        assert rank == dense_rank_mod_p(m, p)
+        if p < 5:
+            assert rank == sympy_rank_mod_p(m, p)
+        assert m.columns == before
+
+    def test_singleton_only_modulo_p(self):
+        # mod 3 the first column is x at row 1 alone; peeling it empties the
+        # second column, so no elimination is left.  Mod 5 neither column nor
+        # row is a singleton and the 2 x 2 block has determinant 0.
+        m = IntColumns(2, [{0: 3, 1: 1}, {0: 6, 1: 2}])
+        assert linalg._peel(linalg._residues(m.columns, 3)) == (1, [])
+        assert linalg._peel(linalg._residues(m.columns, 5)) == (
+            0, [{0: 3, 1: 1}, {0: 1, 1: 2}])
+        for p in (3, 5) + PROBE_PRIMES:
+            assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p) == 1
+
+    def test_chain_of_singletons_peels_completely(self):
+        # rows 0 and 3 are the only singletons at first; each removal
+        # exposes the next row
+        m = IntColumns(4, [{0: 1, 1: 2}, {1: 3, 2: 4}, {2: 5, 3: 6}])
+        assert linalg._peel(linalg._residues(m.columns, 7)) == (3, [])
+        assert linalg.rank_mod_p(m, 7) == 3
 
     def test_dense_input_becomes_the_same_columns(self):
         m = IntColumns.from_rows([[Fraction(1, 2), 0], [0, 0], [3, Fraction(-1, 3)]])

@@ -2,10 +2,15 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import RATIONAL, forms
 from hesskit import linalg, rank_certificates
 from hesskit.errors import VerificationError
-from hesskit.forms import Form, dim_sym
+from hesskit.forms import Form, dim_sym, monomials_of_degree
+from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
                                        block_structure_check,
                                        differential_matrix, pijk_injectivity,
@@ -100,6 +105,118 @@ class TestSpecialPointRanks:
             SpecialPoint("qq", 2)
         with pytest.raises(ValueError):
             SpecialPoint("qk1l2", 1)
+        for k in (True, 2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="k must be an int"):
+                SpecialPoint("qk", k)
+        for args in ((2, True, 2), (True, 2, 2), (2, 2, True), (2.0, 2, 2),
+                     (2, 2.5, 2), (2, 2, "2")):
+            with pytest.raises(ValueError, match="must be ints"):
+                pijk_injectivity(*args)
+
+
+# certify(d).rank for d = 17..20: (point, matrix shape, rank), computed once
+# and frozen; each was settled by full rank modulo both probe primes.
+CERTIFY_DEEP = {
+    17: ("q^8*l", [1081, 171], 170),
+    18: ("q^8*l^2", [1225, 190], 189),
+    19: ("q^9*l", [1378, 210], 209),
+    20: ("q^9*l^2", [1540, 231], 230),
+}
+
+
+class TestCertifyDeepRanks:
+    @pytest.mark.parametrize("d", sorted(CERTIFY_DEEP))
+    def test_frozen_rank_reports(self, d):
+        point, shape, rank = CERTIFY_DEEP[d]
+        rep = certify(d).rank
+        assert (rep["point"], rep["matrix_shape"], rep["rank"]) == (point, shape, rank)
+        assert rep["method"] == "modular-full-rank"
+        assert rep["probe_primes"] == [2147483647, 2147483629]
+        assert rep["injective"] and rep["claim"] == "injective"
+
+
+def form_route_matrix(f):
+    """The differential's columns and Hessian column through ``Form``
+    arithmetic: one ``adjugate_trace`` per monomial direction."""
+    n, d = f.nvars, f.degree
+    row_of = {e: i for i, e in enumerate(monomials_of_degree(n, n * (d - 2)))}
+
+    def column(g):
+        return {row_of[e]: v for e, v in g.numerators.items()}
+
+    adj = adjugate_second_partials(f)
+    columns = [column(adjugate_trace(adj, Form.monomial(e)))
+               for e in monomials_of_degree(n, d)]
+    return columns, column(hess(f))
+
+
+def assert_matches_form_route(f):
+    columns, hess_column = form_route_matrix(f)
+    if not hess_column:
+        with pytest.raises(ValueError, match="vanishing Hessian"):
+            differential_matrix(f)
+        return
+    M = differential_matrix(f)
+    assert M.columns == columns
+    assert M.hess_column == hess_column
+
+
+CERTIFY_DEEP_POINTS = [("qkl", 8), ("qk1l2", 9), ("qkl", 9), ("qk1l2", 10)]
+
+
+class TestMonomialShiftColumns:
+    """``differential_matrix`` against the Form route, dict for dict: the
+    mod-p outcome depends on the exact integers, not only on the rank."""
+
+    @pytest.mark.parametrize("nvars,examples", [(2, 60), (3, 60), (4, 12)])
+    def test_random_forms(self, nvars, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            f = data.draw(forms(
+                nvars=nvars, min_degree=2, max_degree=6,
+                denominators=data.draw(st.sampled_from([(1,), RATIONAL])),
+                sparse=data.draw(st.booleans())))
+            assert_matches_form_route(f)
+
+        check()
+
+    @pytest.mark.parametrize("kind,k", sorted(INJECTIVE_POINTS) + CERTIFY_DEEP_POINTS)
+    def test_special_points(self, kind, k):
+        assert_matches_form_route(SpecialPoint(kind, k).form(2))
+
+    def test_shared_denominator_is_reduced(self):
+        # every coefficient over 6: the image columns must come out reduced
+        f = Form.from_coeffs(3, 3, {(3, 0, 0): "1/6", (1, 1, 1): "5/6",
+                                    (0, 1, 2): "-1/6", (0, 0, 3): "7/6"})
+        assert_matches_form_route(f)
+
+    def test_products_do_not_grow_with_directions(self, monkeypatch):
+        """Only hess and the adjugate multiply forms: the same count at 15
+        directions (d = 4) as at 91 (d = 12)."""
+        calls = []
+        original = Form.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Form, "__mul__", counting)
+        counts = []
+        for d in (4, 12):
+            rng = random.Random(d)
+            f = Form.from_coeffs(3, d, {e: rng.randint(1, 9)
+                                        for e in monomials_of_degree(3, d)})
+            calls.clear()
+            hess(f)
+            adjugate_second_partials(f)
+            kernels = len(calls)
+            calls.clear()
+            differential_matrix(f)
+            counts.append((len(calls), kernels))
+        monkeypatch.undo()
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1]
 
 
 SPARSE_CUBICS = (
