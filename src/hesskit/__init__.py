@@ -11,7 +11,7 @@ shortcut full-rank confirmations, never replace exact answers.
 """
 
 from ._version import __version__
-from .errors import VerificationError
+from .errors import InputError, VerificationError
 from .forms import Form, dim_sym, monomials_of_degree, random_form
 from .linalg import rank_with_certificate
 from .hessians import (TParameterForm, h3, h12, hess, hess_t,
@@ -32,7 +32,7 @@ from .reports import Certificate, SuiteResult, canonical_json, certify, \
     run_suite
 
 __all__ = [
-    "__version__", "VerificationError",
+    "__version__", "InputError", "VerificationError",
     "Form", "dim_sym", "monomials_of_degree", "random_form",
     "rank_with_certificate",
     "TParameterForm", "h3", "h12", "hess", "hess_t", "hess_t_leading",

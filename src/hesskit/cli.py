@@ -3,8 +3,11 @@
 Every verb prints one JSON document to stdout and keeps human-oriented
 status lines on stderr, so piping stdout always yields clean JSON.  Exit
 codes: 0 when everything the verb claims was verified, 1 on a verification
-failure, 2 on usage errors, 3 on fixture problems.  A config file holds
-``key = value`` lines for the shared knobs; explicit flags win over it.
+failure, 2 on usage errors, 3 on fixture problems.  Argument values are
+checked by the library alone: an ``InputError`` it raises becomes a usage
+error with the library's message.  The front end only checks which flags go
+together.  A config file holds ``key = value`` lines for the shared knobs;
+explicit flags win over it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from typing import Dict, List, Optional
 from ._version import __version__
 from .curves import CONDITIONS, CURVE_ONE, CURVE_TWO, condition_matches_curve, \
     scan_condition, verify_family
-from .errors import VerificationError
+from .errors import InputError, VerificationError
 from .indeterminacy import NAMED_FAMILIES, limit_divisibility_check, \
     sample_family
-from .orbit_checks import verify_closed_form, verify_pair
+from .orbit_checks import pair_m_range, verify_closed_form, verify_pair
 from .rank_certificates import SpecialPoint, verify_special_point_rank
-from .reports import FixtureError, canonical_json, certify, check_fixtures, \
-    run_suite
+from .reports import FixtureError, canonical_json, certify, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -167,11 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify_prop(args, parser) -> int:
     r, k = args.r, args.k
-    if r < 1 or k < 1:
-        parser.error("need --r >= 1 and --k >= 1")
     if args.id == "2.7":
-        if args.h < 0:
-            parser.error("need --h >= 0")
         if args.m is not None:
             parser.error("--m does not apply to id 2.7")
         rep = verify_closed_form(r, k, args.h)
@@ -181,40 +179,19 @@ def _cmd_verify_prop(args, parser) -> int:
     if args.h != 0:
         parser.error(f"--h does not apply to id {args.id}")
     kind = {"2.8": "even", "2.15": "odd", "2.16": "even2"}[args.id]
-    m_lo = 1 if kind == "even" else 0
-    if kind == "even2" and k < 2:
-        parser.error("id 2.16 needs --k >= 2")
     if args.m is not None:
-        if not m_lo <= args.m <= k:
-            parser.error(f"--m must lie in [{m_lo}, {k}]")
         rep = verify_pair(kind, r, k, args.m)
         _emit(rep.to_json_dict())
         return EXIT_OK if rep.matches else EXIT_VERIFICATION
-    reports = [verify_pair(kind, r, k, m) for m in range(m_lo, k + 1)]
+    reports = [verify_pair(kind, r, k, m) for m in pair_m_range(kind, r, k)]
     ok = all(rep.matches for rep in reports)
     _emit({"id": args.id, "kind": kind, "r": r, "k": k, "passed": ok,
            "reports": [rep.to_json_dict() for rep in reports]})
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _point_for(parser, kind: str, d: int) -> SpecialPoint:
-    if kind == "qk":
-        if d % 2 or d < 2:
-            parser.error("--point qk needs an even --d >= 2")
-        return SpecialPoint("qk", d // 2)
-    if kind == "qkl":
-        if d % 2 == 0 or d < 3:
-            parser.error("--point qkl needs an odd --d >= 3")
-        return SpecialPoint("qkl", (d - 1) // 2)
-    if d % 2 or d < 4:
-        parser.error("--point qk1l2 needs an even --d >= 4")
-    return SpecialPoint("qk1l2", d // 2)
-
-
 def _cmd_rank(args, parser) -> int:
-    if args.r < 1:
-        parser.error("need --r >= 1")
-    point = _point_for(parser, args.point, args.d)
+    point = SpecialPoint.at_degree(args.point, args.d)
     rng = random.Random(args.seed)
     try:
         rep = verify_special_point_rank(point, r=args.r, rng=rng,
@@ -228,8 +205,6 @@ def _cmd_rank(args, parser) -> int:
 
 
 def _cmd_scan(args, parser) -> int:
-    if args.kmin < 0 or args.kmax < args.kmin:
-        parser.error("need 0 <= --kmin <= --kmax")
     rep = scan_condition(args.condition, args.r, args.kmin, args.kmax)
     doc = rep.to_json_dict()
     exit_code = EXIT_OK
@@ -246,8 +221,6 @@ def _cmd_scan(args, parser) -> int:
 
 
 def _cmd_curves_verify(args, parser) -> int:
-    if args.bound < 10:
-        parser.error("--bound is too small to be meaningful")
     rep = verify_family(args.family, bound=args.bound)
     _emit(rep.to_json_dict())
     return EXIT_OK if rep.passed() else EXIT_VERIFICATION
@@ -265,10 +238,7 @@ def _cmd_limit(args, parser) -> int:
         family = make()
         source = {"fixture": args.fixture}
     else:
-        if args.d < 4:
-            parser.error("need --d >= 4")
-        rng = random.Random(args.seed)
-        family = sample_family(args.d, rng)
+        family = sample_family(args.d, random.Random(args.seed))
         source = {"random_degree": args.d, "seed": args.seed}
     rep = limit_divisibility_check(family)
     _emit(dict(rep.to_json_dict(), source=source))
@@ -276,23 +246,12 @@ def _cmd_limit(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
-    if args.d < 4:
-        parser.error("certificates start at --d 4")
     cert = certify(args.d, force_exact=args.force_exact)
     _emit(cert.to_json_dict())
     return EXIT_OK if cert.ok else EXIT_VERIFICATION
 
 
 def _cmd_suite(args, parser) -> int:
-    if args.bound < 10:
-        parser.error("--bound is too small to be meaningful")
-    if args.jobs < 1:
-        parser.error("need --jobs >= 1")
-    try:
-        check_fixtures()
-    except FixtureError as exc:
-        _log(str(exc))
-        return EXIT_FIXTURE
     result = run_suite(name_filter=args.filter, jobs=args.jobs,
                        seed=args.seed, bound=args.bound,
                        force_exact=args.force_exact)
@@ -332,6 +291,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FixtureError as exc:
         _log(str(exc))
         return EXIT_FIXTURE
+    except InputError as exc:
+        parser.error(str(exc))
     parser.error(f"unknown command {args.command!r}")
     return EXIT_USAGE
 

@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import InputError, require_int
 from .forms import Form
 
 Point = Tuple[Fraction, Fraction]
@@ -94,7 +95,10 @@ class ScanReport:
 def scan_condition(condition: str, r: int, kmin: int, kmax: int) -> ScanReport:
     """List every (k, m) in range where the condition vanishes."""
     if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}")
+        raise InputError(f"unknown condition {condition!r}")
+    require_int("r", r, 1)
+    require_int("kmin", kmin, 0)
+    require_int("kmax", kmax, kmin)
     fn, m_min = CONDITIONS[condition]
     violations: List[Tuple[int, int]] = []
     for k in range(kmin, kmax + 1):
@@ -198,11 +202,11 @@ class QuadraticInY:
         from small offsets, so memory stays flat and nothing can overflow;
         the survivors get the exact test of ``_ys_at``.
 
-        Raises ValueError unless ``bound`` is a non-negative int, and when a
-        whole vertical line x = const lies on the curve (an infinite set).
+        Raises InputError unless ``bound`` is a non-negative int, and
+        ValueError when a whole vertical line x = const lies on the curve (an
+        infinite set).
         """
-        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-            raise ValueError(f"bound must be a non-negative int, got {bound!r}")
+        require_int("bound", bound, 0)
         tables = self._sieve_tables()
         offsets = np.arange(_CHUNK, dtype=np.int32)
         found: List[IntPoint] = []
@@ -496,6 +500,7 @@ def fiber_recover(family: int, a, b) -> FiberReport:
     Family 2: x is linear in (a, b) once a != 0; a == 0 forces y = 0, a line
     contracted onto (0, 9).
     """
+    require_int("family", family, 1)
     a, b = Fraction(a), Fraction(b)
     if family == 1:
         qa = 3 + 6 * a - Fraction(16, 3) * a * a + 8 * b
@@ -525,7 +530,7 @@ def fiber_recover(family: int, a, b) -> FiberReport:
         x = 3 * (9 - Fraction(3, 2) * a - b) / (a * a)
         return FiberReport(2, (a, b), "linear", ((x, -a * x / 6),))
 
-    raise ValueError("family must be 1 or 2")
+    raise InputError(f"family must be 1 or 2, got {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +590,12 @@ def verify_family(family: int, bound: int) -> FamilyReport:
     point back through rho1, keep the integer candidates, land on the curve.
     Both routes must produce the same set.  The completeness of the
     S-integral lists themselves is an external input; everything else here is
-    verified exactly.  Raises ValueError unless ``bound`` is a non-negative
-    int.
+    verified exactly.  Raises InputError unless ``family`` is 1 or 2 and
+    ``bound`` is an int of at least 10: below that the search box misses
+    points, a failure that says nothing about the curves.
     """
+    require_int("family", family, 1)
+    require_int("bound", bound, 10)
     if family == 1:
         wcurve, xcurve, u = W1, X1, 64
         reps = W1_SINTEGRAL_X_Y
@@ -601,7 +609,7 @@ def verify_family(family: int, bound: int) -> FamilyReport:
         curve = CURVE_TWO
         expected = OMEGA2
     else:
-        raise ValueError("family must be 1 or 2")
+        raise InputError(f"family must be 1 or 2, got {family!r}")
 
     pts = signed_points(reps)
     w_ok = all(wcurve.on_curve(x, y) for x, y in pts)

@@ -33,11 +33,15 @@ from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
+from .errors import require_int
+
 Exponent = Tuple[int, ...]
 
 
 def dim_sym(nvars: int, degree: int) -> int:
     """Dimension of the space of degree-``degree`` forms in ``nvars`` variables."""
+    require_int("nvars", nvars, 1)
+    require_int("degree", degree)
     if degree < 0:
         return 0
     return comb(degree + nvars - 1, nvars - 1)
@@ -49,6 +53,8 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
     Canonical order is descending lexicographic, x0 most significant, so the
     first entry is (degree, 0, ..., 0) and the last is (0, ..., 0, degree).
     """
+    require_int("nvars", nvars, 1)
+    require_int("degree", degree, 0)
     out: List[Exponent] = []
 
     def rec(prefix: List[int], remaining: int, slots: int) -> None:
@@ -58,8 +64,6 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
         for e in range(remaining, -1, -1):
             rec(prefix + [e], remaining - e, slots - 1)
 
-    if nvars <= 0:
-        raise ValueError("nvars must be positive")
     rec([], degree, nvars)
     return out
 
@@ -389,8 +393,9 @@ def random_form(nvars: int, degree: int, rng, coeff_bound: int = 9,
     so a fixed seed pins the exact polynomial.  ``density`` < 1 zeroes a
     matching fraction of monomials (but never all of them).
     """
-    terms: Dict[Exponent, Fraction] = {}
+    require_int("coeff_bound", coeff_bound, 1)
     monos = monomials_of_degree(nvars, degree)
+    terms: Dict[Exponent, Fraction] = {}
     for e in monos:
         if density < 1.0 and rng.random() > density:
             continue

@@ -21,6 +21,7 @@ from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
+from .errors import require_int
 from .forms import Form, dim_sym, monomials_of_degree
 
 _ONE_HALF = Fraction(1, 2)
@@ -62,15 +63,15 @@ class QuadraticForm:
     @staticmethod
     def identity(r: int) -> "QuadraticForm":
         """Sum of squares x0**2 + ... + xr**2."""
+        require_int("r", r, 0)
         n = r + 1
         return QuadraticForm([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def canonical_hyperbolic(r: int) -> "QuadraticForm":
         """The quadric x0*x1 + x2**2 + ... + xr**2 with isotropic x0."""
+        require_int("r", r, 1)
         n = r + 1
-        if n < 2:
-            raise ValueError("need at least two variables")
         gram = [[Fraction(0)] * n for _ in range(n)]
         gram[0][1] = gram[1][0] = _ONE_HALF
         for i in range(2, n):
@@ -164,6 +165,7 @@ def recompose(slots: Sequence[Form], q: QuadraticForm) -> Form:
 
 def dim_harmonic(nvars: int, degree: int) -> int:
     """Dimension of the harmonic subspace of degree-``degree`` forms."""
+    require_int("degree", degree, 0)
     return dim_sym(nvars, degree) - dim_sym(nvars, degree - 2)
 
 
@@ -173,6 +175,7 @@ def harmonic_basis(degree: int, q: QuadraticForm) -> List[Form]:
     Computed as an exact nullspace of the Laplacian matrix on the monomial
     basis; order follows the canonical monomial order of the free columns.
     """
+    require_int("degree", degree, 0)
     nvars = q.nvars
     monos = monomials_of_degree(nvars, degree)
     if degree <= 1:

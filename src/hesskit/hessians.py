@@ -43,6 +43,8 @@ def _det_by_expansion(mat, mul=operator.mul):
     for the small matrices that show up here (at most 5x5).
     """
     n = len(mat)
+    if not n:
+        raise ValueError("the empty matrix has no entries to expand")
     memo: Dict[int, object] = {}
 
     def rec(row: int, mask: int):
@@ -87,7 +89,8 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
     """Adjugate of the matrix of second partials of f.
 
     adj[i][j] is (-1)**(i+j) times the (j,i) minor; since the matrix is
-    symmetric the adjugate is symmetric too.
+    symmetric the adjugate is symmetric too.  The adjugate of a 1x1 matrix
+    is the constant 1.
     """
     mat = f.second_partials()
     n = f.nvars
@@ -95,7 +98,7 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
     for i in range(n):
         for j in range(i, n):
             minor = [[mat[a][b] for b in range(n) if b != i] for a in range(n) if a != j]
-            entry = _det_by_expansion(minor)
+            entry = _det_by_expansion(minor) if minor else Form.monomial((0,))
             if (i + j) % 2:
                 entry = -entry
             adj[i][j] = entry

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import VerificationError
+from .errors import InputError, VerificationError, require_int
 from .forms import Form, monomials_of_degree
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
@@ -48,8 +48,7 @@ class ConeNormalForm:
     cs: Tuple[Fraction, ...]  # c_2 ... c_d
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("need degree >= 3")
+        require_int("d", self.d, 3)
         if len(self.cs) != self.d - 1:
             raise ValueError("need exactly d-1 coefficients c_2..c_d")
         for g in (self.l, self.m):
@@ -303,6 +302,7 @@ def sample_gated_pair(d: int, rng: random.Random) -> Tuple[Form, Form, str]:
     Branch "shared-direction": x2-free cone f and a full normal form g with
     m = x1; all mixed h12 pairings vanish term by term.
     """
+    require_int("d", d, 4)
     branch = rng.choice(["f11-zero", "directional-g", "shared-direction"])
     x0 = Form.variable(3, 0)
     if branch == "f11-zero":
@@ -352,6 +352,7 @@ def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, s
     Branch "c-zero": f = x0**d + c1 x0**(d-1) u with arbitrary direction,
     shared-direction normal form g, h with no x2**2 part.
     """
+    require_int("d", d, 4)
     branch = rng.choice(["g11-zero", "b-zero-h22", "c-zero"])
     x0 = Form.variable(3, 0)
     if branch == "g11-zero":
@@ -423,9 +424,9 @@ def limit_divisibility_check(family: TParameterForm) -> LimitReport:
     base = slots.get(0)
     x0d = Form.monomial((d, 0, 0))
     if base != x0d:
-        raise ValueError("family must have x0**d as its order-zero slot")
+        raise InputError("family must have x0**d as its order-zero slot")
     if d < 4:
-        raise ValueError("need degree >= 4")
+        raise InputError(f"family degree must be >= 4, got {d}")
     H = hess_t_leading(family)
     if H.is_zero():
         return LimitReport(d, "inconclusive-limit", None, d - 3)
@@ -437,6 +438,7 @@ def limit_divisibility_check(family: TParameterForm) -> LimitReport:
 def sample_family(d: int, rng: random.Random, max_slots: int = 3,
                   max_exponent: int = 4) -> TParameterForm:
     """Random truncated family x0**d + sum of t-weighted random forms."""
+    require_int("d", d, 0)
     x0d = Form.monomial((d, 0, 0))
     slots: Dict[int, Form] = {0: x0d}
     nslots = rng.randint(1, max_slots)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .curves import even_a, even_b, odd_c
-from .errors import VerificationError
+from .errors import InputError, VerificationError, require_int
 from .forms import Form
 from .hessians import (adjugate_second_partials, adjugate_trace, hess,
                        hess_from_adjugate)
@@ -49,6 +49,9 @@ def power_product(r: int, k: int, h: int) -> Form:
 
 
 def closed_form_constant(r: int, k: int, h: int) -> Fraction:
+    require_int("r", r, 1)
+    require_int("k", k, 0)
+    require_int("h", h, 0)
     if k == 0:
         return Fraction(0)
     return Fraction(-(2 ** (r - 1)) * k ** r * (k + h) * (2 * k + h - 1))
@@ -78,11 +81,8 @@ class ClosedFormReport:
 
 def verify_closed_form(r: int, k: int, h: int) -> ClosedFormReport:
     """Expand hess(q**k l**h) and compare with the predicted monomial in q, l."""
-    if r < 1:
-        raise ValueError("need at least two variables")
-    f = power_product(r, k, h)
-    actual = hess(f)
     c = closed_form_constant(r, k, h)
+    actual = hess(power_product(r, k, h))
     qp = (r + 1) * (k - 1) if k else 0
     lp = (r + 1) * h if k else 0
     if c == 0:
@@ -123,12 +123,26 @@ def _predicted_constants(kind: str, r: int, k: int, m: int) -> Tuple[Fraction, F
     return c0, c1
 
 
+_M_MIN = {"even": 1, "odd": 0, "even2": 0}
+
+
+def pair_m_range(kind: str, r: int, k: int) -> range:
+    """The valid m of a pair kind at (r, k), after refusing a bad kind, r or k."""
+    if kind not in _M_MIN:
+        raise InputError(f"unknown pair kind {kind!r}")
+    require_int("r", r, 1)
+    require_int("k", k, 2 if kind == "even2" else 1)
+    return range(_M_MIN[kind], k + 1)
+
+
 def _pair_data(kind: str, r: int, k: int, m: int):
     """Base form, direction form, predicted (q, l) powers, extraction slots."""
+    ms = pair_m_range(kind, r, k)
+    require_int("m", m, ms.start)
+    if m > k:
+        raise InputError(f"m must lie in [{ms.start}, {k}], got {m!r}")
     s = (r + 1) * (k - 1)
     if kind == "even":
-        if not 1 <= m <= k:
-            raise ValueError("need 1 <= m <= k")
         base = (k, 0)
         direction = (k - m, 2 * m)
         base_img = (s, 0)
@@ -136,19 +150,13 @@ def _pair_data(kind: str, r: int, k: int, m: int):
         mono0 = (s, s)
         mono1 = (s + m, s - m)
     elif kind == "odd":
-        if not 0 <= m <= k:
-            raise ValueError("need 0 <= m <= k")
         base = (k, 1)
         direction = (k - m, 2 * m + 1)
         base_img = (s, r + 1)
         eps_img = (s - m, 2 * m + r + 1)
         mono0 = ((r + 1) * k, s)
         mono1 = ((r + 1) * k + m, s - m)
-    elif kind == "even2":
-        if k < 2:
-            raise ValueError("need k >= 2")
-        if not 0 <= m <= k:
-            raise ValueError("need 0 <= m <= k")
+    else:
         t = (r + 1) * (k - 2)
         base = (k - 1, 2)
         direction = (k - m, 2 * m)
@@ -156,8 +164,6 @@ def _pair_data(kind: str, r: int, k: int, m: int):
         eps_img = (t + 1 - m, 2 * m + 2 * r)
         mono0 = ((r + 1) * k, t)
         mono1 = ((r + 1) * k + m - 1, t + 1 - m)
-    else:
-        raise ValueError(f"unknown pair kind {kind!r}")
     return base, direction, base_img, eps_img, mono0, mono1
 
 
@@ -214,8 +220,6 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
     component must vanish identically; this covers the boundary values of m
     where the predicted q-power would otherwise be negative.
     """
-    if r < 1 or k < 1:
-        raise ValueError("need r >= 1 and k >= 1")
     (bk, bh), (dk, dh), base_img, eps_img, mono0, mono1 = _pair_data(kind, r, k, m)
     c0, c1 = _predicted_constants(kind, r, k, m)
 

@@ -41,7 +41,7 @@ from . import curves
 from .forms import Exponent, Form, dim_sym, monomials_of_degree
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, adjugate_trace, hess
-from .errors import VerificationError
+from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
 from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 
@@ -51,8 +51,9 @@ from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 # ---------------------------------------------------------------------------
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# the least k of each kind, and the least degree 2k (2k + 1 for qkl) it gives
+_K_MIN = {"qk": 1, "qkl": 1, "qk1l2": 2}
+_D_MIN = {"qk": 2, "qkl": 3, "qk1l2": 4}
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,19 @@ class SpecialPoint:
     k: int
 
     def __post_init__(self):
-        if self.kind not in ("qk", "qkl", "qk1l2"):
-            raise ValueError(f"unknown special point kind {self.kind!r}")
-        if not _is_int(self.k):
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        kmin = 2 if self.kind == "qk1l2" else 1
-        if self.k < kmin:
-            raise ValueError(f"{self.kind} needs k >= {kmin}")
+        if self.kind not in _K_MIN:
+            raise InputError(f"unknown special point kind {self.kind!r}")
+        require_int("k", self.k, _K_MIN[self.kind])
+
+    @staticmethod
+    def at_degree(kind: str, d: int) -> "SpecialPoint":
+        """The point of the given kind whose form has degree d."""
+        require_int("d", d, _D_MIN.get(kind))
+        point = SpecialPoint(kind, d // 2)
+        if point.degree != d:
+            raise InputError(f"{kind} needs an {'odd' if kind == 'qkl' else 'even'}"
+                             f" degree, got {d}")
+        return point
 
     @property
     def degree(self) -> int:
@@ -92,6 +99,7 @@ class SpecialPoint:
         return (1, self.k) if self.kind == "qk" else (0, self.k)
 
     def form(self, r: int) -> Form:
+        require_int("r", r, 1)
         qp, lp = self.powers
         return power_product(r, qp, lp)
 
@@ -117,8 +125,6 @@ def _indexed(numerators: Mapping[Exponent, int],
 
 @dataclass
 class DifferentialMatrix:
-    nvars: int
-    degree: int
     row_monomials: List[Exponent]
     col_monomials: List[Exponent]
     columns: List[Dict[int, int]]  # image numerators, keyed by row index
@@ -208,7 +214,6 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     row_monos = monomials_of_degree(n, n * (d - 2))
     row_of = {mono: i for i, mono in enumerate(row_monos)}
     return DifferentialMatrix(
-        nvars=n, degree=d,
         row_monomials=row_monos, col_monomials=col_monos,
         columns=_monomial_images(adjugate_second_partials(f), col_monos, row_monos),
         hess_column=_indexed(H.numerators, row_of),
@@ -330,6 +335,7 @@ def verify_special_point_rank(point: SpecialPoint, r: int,
     When it is violated the rank is still computed and reported, but the
     claim field records that no injectivity statement is made either way.
     """
+    require_int("r", r, 1)
     pre = precondition_report(point, r)
     f = point.form(r)
     report = projective_injectivity(f, label=point.label(), rng=rng,
@@ -383,8 +389,8 @@ def block_structure_check(k: int, r: int) -> BlockReport:
     perturbation family at m = i; at i = 0 the direction is q**k itself and
     the scalar is (r+1) times the Hessian constant.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    require_int("k", k, 1)
+    require_int("r", r, 1)
     qform = QuadraticForm.canonical_hyperbolic(r)
     f = power_product(r, k, 0)
     adj = adjugate_second_partials(f)
@@ -431,12 +437,9 @@ def block_structure_check(k: int, r: int) -> BlockReport:
 def pijk_injectivity(i: int, k: int, r: int,
                      force_exact: bool = False) -> RankReport:
     """The map h -> top harmonic summand of h * l**k is injective on H_i."""
-    if not all(map(_is_int, (i, k, r))):
-        raise ValueError(f"i, k and r must be ints, got {(i, k, r)!r}")
-    if i < 0 or k < 0:
-        raise ValueError("need i, k >= 0")
-    if k == 0:
-        raise ValueError("k = 0 is the identity map; nothing to certify")
+    require_int("i", i, 0)
+    require_int("k", k, 1)  # k = 0 is the identity map: nothing to certify
+    require_int("r", r, 1)
     qform = QuadraticForm.canonical_hyperbolic(r)
     basis = harmonic_basis(i, qform)
     lk = Form.monomial((k,) + (0,) * r)

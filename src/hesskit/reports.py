@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
-from .errors import VerificationError
+from .errors import VerificationError, require_int
 from .forms import Form, random_form
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
@@ -133,8 +133,7 @@ _SCOPE_NOTE = ("certified degrees are 4 and every degree from 6 on; even "
 
 def certify(d: int, force_exact: bool = False) -> Certificate:
     """Assemble the full verification certificate for one degree."""
-    if d < 4:
-        raise ValueError("certificates start at degree 4")
+    require_int("d", d, 4)
     if d == 5:
         gates = exclusion_gate(5)
         return Certificate(
@@ -146,21 +145,18 @@ def certify(d: int, force_exact: bool = False) -> Certificate:
                     "point, so no exclusion gate is available"),
             notes=[_SCOPE_NOTE])
 
-    if d % 2 == 0:
-        k = d // 2
-        if k <= 6:
-            branch, condition, gate_key = BRANCH_EVEN_A, "evenA", "hyperbolic-power"
-            point = SpecialPoint("qk", k)
-            trusted: List[str] = []
-        else:
-            branch, condition, gate_key = BRANCH_EVEN_B, "evenB", "quadric-double-line"
-            point = SpecialPoint("qk1l2", k)
-            trusted = [_TRUST_NOTE.format(curve="curve-two")]
+    trusted: List[str] = []
+    if d % 2:
+        kind, branch, condition, gate_key = "qkl", BRANCH_ODD, "odd", "quadric-line"
+        trusted.append(_TRUST_NOTE.format(curve="curve-one"))
+    elif d <= 12:
+        kind, branch, condition, gate_key = "qk", BRANCH_EVEN_A, "evenA", "hyperbolic-power"
     else:
-        k = (d - 1) // 2
-        branch, condition, gate_key = BRANCH_ODD, "odd", "quadric-line"
-        point = SpecialPoint("qkl", k)
-        trusted = [_TRUST_NOTE.format(curve="curve-one")]
+        kind, branch, condition = "qk1l2", BRANCH_EVEN_B, "evenB"
+        gate_key = "quadric-double-line"
+        trusted.append(_TRUST_NOTE.format(curve="curve-two"))
+    point = SpecialPoint.at_degree(kind, d)
+    k = point.k
 
     scan = scan_condition(condition, 2, 2, max(2, k))
     at_k = [v for v in scan.violations if v[0] == k]
@@ -525,7 +521,6 @@ def _run_one(args: Tuple[str, dict]) -> Tuple[str, dict, float]:
 class SuiteResult:
     seed: int
     bound: int
-    jobs: int
     name_filter: Optional[str]
     fixture_sha256: str
     entries: Dict[str, dict]
@@ -568,10 +563,8 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
     says nothing about the curves.  Reports are merged in registration
     order whatever the completion order.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 10:
-        raise ValueError(f"bound must be an int of at least 10, got {bound!r}")
+    require_int("jobs", jobs, 1)
+    require_int("bound", bound, 10)
     digest = check_fixtures()
     ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
     selected = [(name, fn) for name, fn in REGISTRY
@@ -590,6 +583,5 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
             entries[got] = report
             timings[got] = took
     ordered = {name: entries[name] for name, _ in selected}
-    return SuiteResult(seed=seed, bound=bound, jobs=jobs,
-                       name_filter=name_filter, fixture_sha256=digest,
-                       entries=ordered, timings=timings)
+    return SuiteResult(seed=seed, bound=bound, name_filter=name_filter,
+                       fixture_sha256=digest, entries=ordered, timings=timings)

@@ -52,6 +52,12 @@ class TestVerifyProp:
                   "--h", "1"])
         assert exc.value.code == 2
 
+    def test_empty_m_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prop", "--id", "2.8", "--r", "2", "--k", "0"])
+        assert exc.value.code == 2
+        assert "k must be an int >= 1, got 0" in capsys.readouterr().err
+
     def test_double_line_needs_two_quadric_factors(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "prop", "--id", "2.16", "--r", "2", "--k", "1"])
@@ -217,7 +223,7 @@ class TestSuiteAndConfig:
         ["--bound", "0"], ["--bound", "-3"], ["--bound", "9"],
         ["--jobs", "0"], ["--jobs", "-2"]])
     def test_meaningless_bound_or_jobs_is_a_usage_error(self, flags, monkeypatch):
-        monkeypatch.setattr(hesskit.cli, "run_suite",
+        monkeypatch.setattr(hesskit.reports, "_run_one",
                             raising(AssertionError("suite must not run")))
         with pytest.raises(SystemExit) as exc:
             main(["suite", "--filter", "closed-forms"] + flags)
@@ -228,7 +234,7 @@ class TestSuiteAndConfig:
                                                         monkeypatch):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(line + "\n")
-        monkeypatch.setattr(hesskit.cli, "run_suite",
+        monkeypatch.setattr(hesskit.reports, "_run_one",
                             raising(AssertionError("suite must not run")))
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "suite", "--filter", "closed-forms"])

@@ -15,7 +15,7 @@ from hesskit.hessians import (TParameterForm, _det_by_expansion,
                               hessian_expansion, lowest_t_order)
 from hesskit.indeterminacy import sample_family
 
-from conftest import SYMS, forms, to_sympy
+from conftest import RATIONAL, SYMS, forms, to_sympy
 
 
 def sympy_hessian(expr, nvars: int):
@@ -150,6 +150,17 @@ class TestFirstOrderJet:
         f = data.draw(forms(nvars=nvars, min_degree=1,
                             max_degree=4 if nvars < 4 else 3, coeff_bound=4))
         assert hess_from_adjugate(f, adjugate_second_partials(f)) == hess(f)
+
+    @settings(max_examples=15, deadline=None)
+    @given(f=forms(nvars=1, min_degree=2, max_degree=6, denominators=RATIONAL))
+    def test_univariate_adjugate_is_the_constant_one(self, f):
+        adj = adjugate_second_partials(f)
+        assert adj == [[Form.monomial((0,))]]
+        assert hess_from_adjugate(f, adj) == hess(f)
+
+    def test_empty_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            _det_by_expansion([])
 
 
 class TestPolarizations:

@@ -1,0 +1,107 @@
+"""Every public entry refuses a bad integer argument with ``InputError``."""
+
+import random
+
+import pytest
+
+from hesskit import (ConeNormalForm, Form, QuadraticForm, SpecialPoint,
+                     block_structure_check, certify, closed_form_constant,
+                     dim_harmonic, dim_sym, fiber_recover, harmonic_basis,
+                     monomials_of_degree, pijk_injectivity, random_form,
+                     run_suite, sample_gated_pair, sample_gated_triple,
+                     scan_condition, verify_closed_form, verify_family,
+                     verify_pair, verify_special_point_rank)
+from hesskit.errors import InputError
+
+X1, X2 = Form.variable(3, 1), Form.variable(3, 2)
+
+# (entry, callable, valid keyword arguments, {argument: least valid value}).
+# The entry names follow hesskit.__all__, "Class.method" for a method, so the
+# coverage guard in test_source.py can check that no int parameter of the
+# API is missing here.  A least value of None means any int is valid.
+ENTRIES = [
+    ("monomials_of_degree", monomials_of_degree, dict(nvars=2, degree=2),
+     dict(nvars=1, degree=0)),
+    ("dim_sym", dim_sym, dict(nvars=2, degree=2), dict(nvars=1, degree=None)),
+    ("dim_harmonic", dim_harmonic, dict(nvars=3, degree=2),
+     dict(nvars=1, degree=0)),
+    ("random_form", random_form,
+     dict(nvars=2, degree=2, rng=random.Random(0), coeff_bound=9),
+     dict(nvars=1, degree=0, coeff_bound=1)),
+    ("harmonic_basis", harmonic_basis,
+     dict(degree=2, q=QuadraticForm.canonical_hyperbolic(2)), dict(degree=0)),
+    ("QuadraticForm.identity", QuadraticForm.identity, dict(r=2), dict(r=0)),
+    ("QuadraticForm.canonical_hyperbolic", QuadraticForm.canonical_hyperbolic,
+     dict(r=2), dict(r=1)),
+    ("closed_form_constant", closed_form_constant, dict(r=2, k=2, h=1),
+     dict(r=1, k=0, h=0)),
+    ("verify_closed_form", verify_closed_form, dict(r=2, k=2, h=1),
+     dict(r=1, k=0, h=0)),
+    ("verify_pair", verify_pair, dict(kind="even", r=2, k=2, m=1),
+     dict(r=1, k=1, m=1)),
+    ("verify_pair", verify_pair, dict(kind="odd", r=2, k=2, m=0), dict(m=0)),
+    ("verify_pair", verify_pair, dict(kind="even2", r=2, k=2, m=0), dict(k=2)),
+    ("SpecialPoint", SpecialPoint, dict(kind="qk", k=2), dict(k=1)),
+    ("SpecialPoint", SpecialPoint, dict(kind="qk1l2", k=2), dict(k=2)),
+    ("SpecialPoint.form", SpecialPoint("qk", 2).form, dict(r=2), dict(r=1)),
+    ("SpecialPoint.at_degree", SpecialPoint.at_degree, dict(kind="qk", d=4),
+     dict(d=2)),
+    ("SpecialPoint.at_degree", SpecialPoint.at_degree, dict(kind="qkl", d=5),
+     dict(d=3)),
+    ("SpecialPoint.at_degree", SpecialPoint.at_degree,
+     dict(kind="qk1l2", d=6), dict(d=4)),
+    ("verify_special_point_rank", verify_special_point_rank,
+     dict(point=SpecialPoint("qk", 2), r=2), dict(r=1)),
+    ("block_structure_check", block_structure_check, dict(k=2, r=2),
+     dict(k=1, r=1)),
+    ("pijk_injectivity", pijk_injectivity, dict(i=1, k=1, r=2),
+     dict(i=0, k=1, r=1)),
+    ("scan_condition", scan_condition,
+     dict(condition="evenA", r=2, kmin=2, kmax=5), dict(r=1, kmin=0, kmax=2)),
+    ("verify_family", verify_family, dict(family=1, bound=100),
+     dict(family=1, bound=10)),
+    ("fiber_recover", fiber_recover, dict(family=1, a=0, b=0), dict(family=1)),
+    ("ConeNormalForm", ConeNormalForm, dict(d=4, l=X2, m=X1, cs=(1, 1, 1)),
+     dict(d=3)),
+    ("sample_gated_pair", sample_gated_pair, dict(d=4, rng=random.Random(0)),
+     dict(d=4)),
+    ("sample_gated_triple", sample_gated_triple,
+     dict(d=4, rng=random.Random(0)), dict(d=4)),
+    ("certify", certify, dict(d=4), dict(d=4)),
+    ("run_suite", run_suite,
+     dict(name_filter="closed-forms", jobs=1, bound=10 ** 6),
+     dict(jobs=1, bound=10)),
+]
+
+CASES = [pytest.param(fn, kwargs, arg, least,
+                      id="-".join(filter(None, [name, arg, kwargs.get("kind")])))
+         for name, fn, kwargs, leasts in ENTRIES
+         for arg, least in leasts.items()]
+
+
+@pytest.mark.parametrize("fn,kwargs,arg,least", CASES)
+def test_bad_int_argument_is_an_input_error(fn, kwargs, arg, least):
+    bad = [True, 2.0, "2", None] + ([] if least is None else [least - 1])
+    for value in bad:
+        with pytest.raises(InputError, match=f"^{arg} must be an int"):
+            fn(**dict(kwargs, **{arg: value}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_special_point_rank(SpecialPoint("qk", 2), True),
+    lambda: scan_condition("evenA", 2, 5, 2),
+    lambda: closed_form_constant(-3, 10 ** 20, 0),
+    lambda: monomials_of_degree(1, -1),
+    lambda: block_structure_check(2, True),
+    lambda: certify(6.0),
+    lambda: verify_pair("even", 2, 2, 3),
+    lambda: verify_pair("sideways", 2, 2, 1),
+    lambda: verify_family(3, 100),
+    lambda: fiber_recover(3, 0, 0),
+    lambda: SpecialPoint("qq", 2),
+], ids=["bool-r", "empty-window", "negative-r", "negative-degree",
+        "bool-block-r", "float-degree", "m-above-k", "unknown-kind",
+        "family-3", "fiber-family-3", "unknown-point"])
+def test_inputs_once_accepted_are_refused(call):
+    with pytest.raises(InputError):
+        call()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import RATIONAL, forms
 from hesskit import linalg, rank_certificates
-from hesskit.errors import VerificationError
+from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, monomials_of_degree
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.reports import certify
@@ -100,6 +100,23 @@ class TestSpecialPointRanks:
         assert rep.injective and rep.method == "modular-full-rank"
         assert rep.complement_checked
 
+    @pytest.mark.parametrize("kind,d,k", [("qk", 2, 1), ("qk", 8, 4),
+                                          ("qkl", 3, 1), ("qkl", 9, 4),
+                                          ("qk1l2", 4, 2), ("qk1l2", 8, 4)])
+    def test_point_at_degree(self, kind, d, k):
+        point = SpecialPoint.at_degree(kind, d)
+        assert point == SpecialPoint(kind, k) and point.degree == d
+
+    @pytest.mark.parametrize("kind,d", [("qk", 5), ("qkl", 4), ("qk1l2", 7)])
+    def test_point_at_degree_refuses_the_wrong_parity(self, kind, d):
+        with pytest.raises(InputError, match="degree, got"):
+            SpecialPoint.at_degree(kind, d)
+
+    def test_univariate_form_is_injective(self):
+        rep = projective_injectivity(Form.monomial((4,)))
+        assert rep.rank == rep.domain_dim == 0
+        assert rep.injective
+
     def test_invalid_points_rejected(self):
         with pytest.raises(ValueError):
             SpecialPoint("qq", 2)
@@ -110,7 +127,7 @@ class TestSpecialPointRanks:
                 SpecialPoint("qk", k)
         for args in ((2, True, 2), (True, 2, 2), (2, 2, True), (2.0, 2, 2),
                      (2, 2.5, 2), (2, 2, "2")):
-            with pytest.raises(ValueError, match="must be ints"):
+            with pytest.raises(ValueError, match="must be an int >="):
                 pijk_injectivity(*args)
 
 
@@ -266,7 +283,7 @@ class TestSparseCubics:
             for row in plain]
         assert all(all(col.values()) for col in shifted.columns)
         # an entry that cancels is dropped, not stored as 0
-        tiny = DifferentialMatrix(1, 1, [(0,), (1,)], [(1,)], [{0: -2, 1: 1}], {0: 1})
+        tiny = DifferentialMatrix([(0,), (1,)], [(1,)], [{0: -2, 1: 1}], {0: 1})
         assert tiny.with_hess([0], [2]).columns == [{1: 1}, {0: 1}]
 
     def test_complement_rank_change_is_a_verification_error(self, monkeypatch):

@@ -1,9 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import hesskit
+from test_inputs import ENTRIES
 
 
 def test_library_has_no_assert_statement():
@@ -66,3 +68,46 @@ def test_no_import_inside_a_function():
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert sorted(set(found)) == []
+
+
+# Public names whose int parameters are left out of the validation table.
+EXEMPT_NAMES = {
+    # the hot arithmetic type: its constructor and methods check their own
+    # arguments, and a check per call there would cost every product
+    "Form",
+    # report records: the library fills them from arguments already checked
+    "Certificate", "SuiteResult",
+}
+# any int is a valid seed
+EXEMPT_PARAMETERS = {"seed"}
+
+
+def _int_parameters():
+    """(entry, parameter) for every int-annotated parameter of the API."""
+    found = set()
+    for name in hesskit.__all__:
+        obj = getattr(hesskit, name)
+        if name in EXEMPT_NAMES or inspect.isclass(obj) and issubclass(
+                obj, Exception):
+            continue
+        entries = [(name, obj)] if callable(obj) else []
+        if inspect.isclass(obj):
+            entries += [(f"{name}.{attr}", getattr(obj, attr))
+                        for attr in vars(obj) if not attr.startswith("_")
+                        and inspect.isfunction(getattr(obj, attr))]
+        for entry, fn in entries:
+            for param in inspect.signature(fn).parameters.values():
+                if (param.annotation in (int, "int")
+                        and param.name not in EXEMPT_PARAMETERS):
+                    found.add((entry, param.name))
+    return found
+
+
+def test_every_int_parameter_of_the_api_is_in_the_validation_table():
+    """A new public entry must not skip ``require_int``: each of its int
+    parameters needs a row in ``test_inputs.ENTRIES``."""
+    found = _int_parameters()
+    assert {("certify", "d"), ("SpecialPoint", "k"),
+            ("QuadraticForm.identity", "r")} <= found
+    table = {(name, arg) for name, _, _, leasts in ENTRIES for arg in leasts}
+    assert sorted(found - table) == []
