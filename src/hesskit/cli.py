@@ -23,7 +23,8 @@ from .curves import CONDITIONS, CURVE_ONE, CURVE_TWO, condition_matches_curve, \
 from .errors import InputError, VerificationError
 from .indeterminacy import NAMED_FAMILIES, limit_divisibility_check, \
     sample_family
-from .orbit_checks import pair_m_range, verify_closed_form, verify_pair
+from .orbit_checks import SPECIAL_POINTS, pair_m_range, verify_closed_form, \
+    verify_pair
 from .rank_certificates import SpecialPoint, verify_special_point_rank
 from .reports import FixtureError, canonical_json, certify, run_suite
 
@@ -33,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 
 CONFIG_KEYS = ("seed", "bound", "jobs", "kmin", "kmax", "force_exact")
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
 
 
 def load_config(path: str) -> Dict[str, str]:
@@ -68,7 +71,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if name in config:
             try:
                 setattr(args, name, cast(config[name]))
-            except ValueError:
+            except (KeyError, ValueError):
                 parser.error(f"config key {name} has a bad value "
                              f"{config[name]!r}")
         elif hasattr(args, name):
@@ -79,7 +82,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     fill("jobs", int, 1)
     fill("kmin", int, 2)
     fill("kmax", int, 20)
-    fill("force_exact", lambda s: s.lower() in ("1", "true", "yes"), False)
+    fill("force_exact", lambda s: _BOOLEANS[s.lower()], False)
 
 
 def _emit(doc: dict) -> None:
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="power of the linear factor (id 2.7 only)")
 
     p_rank = sub.add_parser("rank", help="injectivity certificate at a special point")
-    p_rank.add_argument("--point", required=True, choices=("qk", "qkl", "qk1l2"))
+    p_rank.add_argument("--point", required=True, choices=tuple(SPECIAL_POINTS))
     p_rank.add_argument("--d", type=int, required=True, help="degree of the form")
     p_rank.add_argument("--r", type=int, default=2)
     p_rank.add_argument("--seed", type=int, default=None)

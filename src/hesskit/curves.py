@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, require_int
-from .forms import Form
+from .forms import Form, _coerce
 
 Point = Tuple[Fraction, Fraction]
 IntPoint = Tuple[int, int]
@@ -501,7 +501,7 @@ def fiber_recover(family: int, a, b) -> FiberReport:
     contracted onto (0, 9).
     """
     require_int("family", family, 1)
-    a, b = Fraction(a), Fraction(b)
+    a, b = _coerce(a), _coerce(b)
     if family == 1:
         qa = 3 + 6 * a - Fraction(16, 3) * a * a + 8 * b
         qb = 11 * a + Fraction(3, 2) - Fraction(16, 3) * a * a + 4 * b

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import require_int
-from .forms import Form, dim_sym, monomials_of_degree
+from .forms import Form, _coerce, dim_sym, monomials_of_degree
 
 _ONE_HALF = Fraction(1, 2)
 
@@ -34,7 +34,7 @@ class QuadraticForm:
 
     def __init__(self, gram: Sequence[Sequence]):
         n = len(gram)
-        g = [[Fraction(x) for x in row] for row in gram]
+        g = [[_coerce(x) for x in row] for row in gram]
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
         for i in range(n):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
-from .forms import Form, monomials_of_degree
+from .forms import Form, _coerce, monomials_of_degree
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
 
@@ -49,6 +49,7 @@ class ConeNormalForm:
 
     def __post_init__(self):
         require_int("d", self.d, 3)
+        object.__setattr__(self, "cs", tuple(map(_coerce, self.cs)))
         if len(self.cs) != self.d - 1:
             raise ValueError("need exactly d-1 coefficients c_2..c_d")
         for g in (self.l, self.m):
@@ -64,7 +65,7 @@ class ConeNormalForm:
         mp = self.m
         for i, c in enumerate(self.cs, start=2):
             if c:
-                f = f + Fraction(c) * (x0 ** (d - i)) * (mp ** i)
+                f = f + c * (x0 ** (d - i)) * (mp ** i)
         return f
 
     def degenerate(self) -> bool:
@@ -425,8 +426,7 @@ def limit_divisibility_check(family: TParameterForm) -> LimitReport:
     x0d = Form.monomial((d, 0, 0))
     if base != x0d:
         raise InputError("family must have x0**d as its order-zero slot")
-    if d < 4:
-        raise InputError(f"family degree must be >= 4, got {d}")
+    require_int("d", d, 4)
     H = hess_t_leading(family)
     if H.is_zero():
         return LimitReport(d, "inconclusive-limit", None, d - 3)

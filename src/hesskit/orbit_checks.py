@@ -13,15 +13,21 @@ the first-row cofactor sum over the same adjugate, and both jet components
 are compared against predicted closed forms.  The scalar in front of each
 component is also re-extracted from a single monomial coefficient, which pins
 the normalization independently of the full-form comparison.
+
+``SPECIAL_POINTS`` is the one table of the special points q**k, q**k l and
+q**(k-1) l**2, one ``PointKind`` row of strings and ints each.  Of a pair's
+data only the direction and the eps-image powers are written per kind; its
+base is the row's point, and the base image, the extraction monomials and
+c0 follow from the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from .curves import even_a, even_b, odd_c
+from .curves import CONDITIONS, even_a, even_b, odd_c
 from .errors import InputError, VerificationError, require_int
 from .forms import Form
 from .hessians import (adjugate_second_partials, adjugate_trace, hess,
@@ -93,9 +99,30 @@ def verify_closed_form(r: int, k: int, h: int) -> ClosedFormReport:
 
 
 # ---------------------------------------------------------------------------
-# perturbation pairs
+# the special points and their perturbation pairs
 # ---------------------------------------------------------------------------
-#
+
+
+class PointKind(NamedTuple):
+    """A row of ``SPECIAL_POINTS``: the point q**(k - q_shift) * l**l_power."""
+
+    pair: str  # the perturbation pair kind taken at the point
+    condition: str  # a key of curves.CONDITIONS, which holds the least m
+    q_shift: int
+    l_power: int
+    k_min: int
+
+    def powers(self, k: int) -> Tuple[int, int]:
+        return (k - self.q_shift, self.l_power)
+
+
+SPECIAL_POINTS = {
+    "qk": PointKind("even", "evenA", 0, 0, 1),
+    "qkl": PointKind("odd", "odd", 0, 1, 1),
+    "qk1l2": PointKind("even2", "evenB", 1, 2, 2),
+}
+_PAIR_ROWS = {row.pair: row for row in SPECIAL_POINTS.values()}
+
 # kind "even":  base q**k,        direction q**(k-m) l**(2m),    1 <= m <= k
 # kind "odd":   base q**k l,      direction q**(k-m) l**(2m+1),  0 <= m <= k
 # kind "even2": base q**(k-1) l**2, direction q**(k-m) l**(2m),  0 <= m <= k
@@ -109,62 +136,39 @@ def _predicted_constants(kind: str, r: int, k: int, m: int) -> Tuple[Fraction, F
     # expansion from the two-block matrix and confirmed by the jet expansion;
     # with this factor c1 degenerates to (r+1) c0 at m = 0 as scaling demands.
     if kind == "even":
-        c0 = Fraction(2 ** (r - 1) * k ** (r + 1) * (1 - 2 * k))
         c1 = Fraction(2 ** (r - 1) * k ** r * (2 * k - 1) * even_a(r, k, m))
     elif kind == "odd":
-        c0 = Fraction(-(2 ** r) * k ** (r + 1) * (k + 1))
         c1 = Fraction(2 ** r * k ** r * odd_c(r, k, m))
     elif kind == "even2":
-        c0 = Fraction(-(2 ** (r - 1)) * (k - 1) ** r * (k + 1) * (2 * k - 1))
         c1 = Fraction(2 ** (r - 1) * (k - 1) ** (r - 1) * (2 * k - 1)
                       * even_b(r, k, m))
     else:
-        raise ValueError(f"unknown pair kind {kind!r}")
-    return c0, c1
-
-
-_M_MIN = {"even": 1, "odd": 0, "even2": 0}
+        raise InputError(f"unknown pair kind {kind!r}")
+    return closed_form_constant(r, *_PAIR_ROWS[kind].powers(k)), c1
 
 
 def pair_m_range(kind: str, r: int, k: int) -> range:
     """The valid m of a pair kind at (r, k), after refusing a bad kind, r or k."""
-    if kind not in _M_MIN:
+    row = _PAIR_ROWS.get(kind)
+    if row is None:
         raise InputError(f"unknown pair kind {kind!r}")
     require_int("r", r, 1)
-    require_int("k", k, 2 if kind == "even2" else 1)
-    return range(_M_MIN[kind], k + 1)
+    require_int("k", k, row.k_min)
+    return range(CONDITIONS[row.condition][1], k + 1)
 
 
 def _pair_data(kind: str, r: int, k: int, m: int):
-    """Base form, direction form, predicted (q, l) powers, extraction slots."""
+    """Direction (q, l) powers and predicted (q, l) powers of the eps-part."""
     ms = pair_m_range(kind, r, k)
     require_int("m", m, ms.start)
     if m > k:
         raise InputError(f"m must lie in [{ms.start}, {k}], got {m!r}")
     s = (r + 1) * (k - 1)
     if kind == "even":
-        base = (k, 0)
-        direction = (k - m, 2 * m)
-        base_img = (s, 0)
-        eps_img = (s - m, 2 * m)
-        mono0 = (s, s)
-        mono1 = (s + m, s - m)
-    elif kind == "odd":
-        base = (k, 1)
-        direction = (k - m, 2 * m + 1)
-        base_img = (s, r + 1)
-        eps_img = (s - m, 2 * m + r + 1)
-        mono0 = ((r + 1) * k, s)
-        mono1 = ((r + 1) * k + m, s - m)
-    else:
-        t = (r + 1) * (k - 2)
-        base = (k - 1, 2)
-        direction = (k - m, 2 * m)
-        base_img = (t, 2 * (r + 1))
-        eps_img = (t + 1 - m, 2 * m + 2 * r)
-        mono0 = ((r + 1) * k, t)
-        mono1 = ((r + 1) * k + m - 1, t + 1 - m)
-    return base, direction, base_img, eps_img, mono0, mono1
+        return (k - m, 2 * m), (s - m, 2 * m)
+    if kind == "odd":
+        return (k - m, 2 * m + 1), (s - m, 2 * m + r + 1)
+    return (k - m, 2 * m), (s - r - m, 2 * m + 2 * r)
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,12 @@ class PairReport:
         }
 
 
-def _coefficient_at(form: Form, e0: int, e1: int) -> Fraction:
-    if e0 < 0 or e1 < 0:
+def _coefficient_at(form: Form, img: Tuple[int, int]) -> Fraction:
+    """The coefficient of x0**(a+b) x1**a, which is one in q**a l**b."""
+    a, b = img
+    if a < 0 or b < 0:
         return Fraction(0)
-    exps = (e0, e1) + (0,) * (form.nvars - 2)
+    exps = (a + b, a) + (0,) * (form.nvars - 2)
     return form.terms.get(exps, Fraction(0))
 
 
@@ -220,8 +226,11 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
     component must vanish identically; this covers the boundary values of m
     where the predicted q-power would otherwise be negative.
     """
-    (bk, bh), (dk, dh), base_img, eps_img, mono0, mono1 = _pair_data(kind, r, k, m)
+    (dk, dh), eps_img = _pair_data(kind, r, k, m)
     c0, c1 = _predicted_constants(kind, r, k, m)
+    row = _PAIR_ROWS[kind]
+    bk, bh = row.powers(k)
+    base_img = ((r + 1) * (bk - 1), (r + 1) * bh)
 
     base = power_product(r, bk, bh)
     direction = power_product(r, dk, dh)
@@ -242,14 +251,12 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
     base_ok = h0 == predicted(c0, base_img, h0)
     eps_ok = h1 == predicted(c1, eps_img, h1)
 
-    cond = {"even": even_a, "odd": odd_c, "even2": even_b}[kind](r, k, m)
-
     return PairReport(
         kind=kind, r=r, k=k, m=m,
         c0=c0, c1=c1,
-        c0_extracted=_coefficient_at(h0, *mono0),
-        c1_extracted=_coefficient_at(h1, *mono1),
+        c0_extracted=_coefficient_at(h0, base_img),
+        c1_extracted=_coefficient_at(h1, eps_img),
         base_matches=base_ok,
         eps_matches=eps_ok,
-        condition_value=cond,
+        condition_value=CONDITIONS[row.condition][0](r, k, m),
     )

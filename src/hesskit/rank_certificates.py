@@ -26,7 +26,9 @@ tables built once per f.
 
 Injectivity at the special points q**k, q**k l, q**(k-1) l**2 is conditional
 on an integer condition having no root in a finite m-range; the certificate
-evaluates the condition first and claims nothing when it fails.
+evaluates the condition first and claims nothing when it fails.  A
+``SpecialPoint`` is a kind and a k; its least k, powers, degree, condition
+and m-range are all read off the one table ``orbit_checks.SPECIAL_POINTS``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_deco
 from .hessians import adjugate_second_partials, adjugate_trace, hess
 from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
-from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
+from .orbit_checks import (SPECIAL_POINTS, _predicted_constants, hyperbolic_q,
+                           pair_m_range, power_product)
 
 
 # ---------------------------------------------------------------------------
@@ -51,57 +54,46 @@ from .orbit_checks import _predicted_constants, hyperbolic_q, power_product
 # ---------------------------------------------------------------------------
 
 
-# the least k of each kind, and the least degree 2k (2k + 1 for qkl) it gives
-_K_MIN = {"qk": 1, "qkl": 1, "qk1l2": 2}
-_D_MIN = {"qk": 2, "qkl": 3, "qk1l2": 4}
-
-
 @dataclass(frozen=True)
 class SpecialPoint:
-    """A distinguished orbit point, encoded by its (q-power, l-power)."""
+    """A distinguished orbit point: a kind of ``SPECIAL_POINTS`` and its k."""
 
     kind: str  # qk | qkl | qk1l2
     k: int
 
     def __post_init__(self):
-        if self.kind not in _K_MIN:
+        if self.kind not in SPECIAL_POINTS:
             raise InputError(f"unknown special point kind {self.kind!r}")
-        require_int("k", self.k, _K_MIN[self.kind])
+        require_int("k", self.k, SPECIAL_POINTS[self.kind].k_min)
 
     @staticmethod
     def at_degree(kind: str, d: int) -> "SpecialPoint":
         """The point of the given kind whose form has degree d."""
-        require_int("d", d, _D_MIN.get(kind))
-        point = SpecialPoint(kind, d // 2)
+        row = SPECIAL_POINTS.get(kind)  # the constructor refuses an unknown kind
+        least = SpecialPoint(kind, row.k_min if row else 0)
+        require_int("d", d, least.degree)
+        point = SpecialPoint(kind, least.k + (d - least.degree) // 2)
         if point.degree != d:
-            raise InputError(f"{kind} needs an {'odd' if kind == 'qkl' else 'even'}"
-                             f" degree, got {d}")
+            parity = "odd" if least.degree % 2 else "even"
+            raise InputError(f"{kind} needs an {parity} degree, got {d}")
         return point
 
     @property
     def degree(self) -> int:
-        return 2 * self.k + (1 if self.kind == "qkl" else 0)
+        qp, lp = self.powers
+        return 2 * qp + lp
 
     @property
     def powers(self) -> Tuple[int, int]:
-        if self.kind == "qk":
-            return (self.k, 0)
-        if self.kind == "qkl":
-            return (self.k, 1)
-        return (self.k - 1, 2)
+        return SPECIAL_POINTS[self.kind].powers(self.k)
 
     @property
     def condition(self) -> str:
-        return {"qk": "evenA", "qkl": "odd", "qk1l2": "evenB"}[self.kind]
-
-    @property
-    def condition_m_range(self) -> Tuple[int, int]:
-        return (1, self.k) if self.kind == "qk" else (0, self.k)
+        return SPECIAL_POINTS[self.kind].condition
 
     def form(self, r: int) -> Form:
         require_int("r", r, 1)
-        qp, lp = self.powers
-        return power_product(r, qp, lp)
+        return power_product(r, *self.powers)
 
     def label(self) -> str:
         qp, lp = self.powers
@@ -313,13 +305,13 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
 
 
 def precondition_report(point: SpecialPoint, r: int) -> dict:
-    lo, hi = point.condition_m_range
+    ms = pair_m_range(SPECIAL_POINTS[point.kind].pair, r, point.k)
     fn = curves.CONDITIONS[point.condition][0]
-    violations = [m for m in range(lo, hi + 1) if fn(r, point.k, m) == 0]
+    violations = [m for m in ms if fn(r, point.k, m) == 0]
     return {
         "condition": point.condition,
         "k": point.k,
-        "m_range": [lo, hi],
+        "m_range": [ms.start, point.k],
         "violations": violations,
         "holds": not violations,
     }

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
-from .errors import VerificationError, require_int
+from .errors import InputError, VerificationError, require_int
 from .forms import Form, random_form
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
@@ -44,8 +44,8 @@ from .indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
                             pair_divisibility_check, sample_family,
                             sample_gated_pair, sample_gated_triple,
                             triple_divisibility_check)
-from .orbit_checks import (_predicted_constants, verify_closed_form,
-                           verify_pair)
+from .orbit_checks import (SPECIAL_POINTS, _predicted_constants,
+                           pair_m_range, verify_closed_form, verify_pair)
 from .rank_certificates import (SpecialPoint, block_structure_check,
                                 pijk_injectivity, verify_special_point_rank)
 
@@ -147,18 +147,17 @@ def certify(d: int, force_exact: bool = False) -> Certificate:
 
     trusted: List[str] = []
     if d % 2:
-        kind, branch, condition, gate_key = "qkl", BRANCH_ODD, "odd", "quadric-line"
+        kind, branch, gate_key = "qkl", BRANCH_ODD, "quadric-line"
         trusted.append(_TRUST_NOTE.format(curve="curve-one"))
     elif d <= 12:
-        kind, branch, condition, gate_key = "qk", BRANCH_EVEN_A, "evenA", "hyperbolic-power"
+        kind, branch, gate_key = "qk", BRANCH_EVEN_A, "hyperbolic-power"
     else:
-        kind, branch, condition = "qk1l2", BRANCH_EVEN_B, "evenB"
-        gate_key = "quadric-double-line"
+        kind, branch, gate_key = "qk1l2", BRANCH_EVEN_B, "quadric-double-line"
         trusted.append(_TRUST_NOTE.format(curve="curve-two"))
     point = SpecialPoint.at_degree(kind, d)
     k = point.k
 
-    scan = scan_condition(condition, 2, 2, max(2, k))
+    scan = scan_condition(point.condition, 2, 2, max(2, k))
     at_k = [v for v in scan.violations if v[0] == k]
     scan_ok = not at_k
 
@@ -219,20 +218,12 @@ def _entry_pair_expansions(ctx: dict) -> dict:
     count = 0
     for r in (2, 3):
         for k in range(1, 5):
-            for m in range(1, k + 1):
-                count += 1
-                rep = verify_pair("even", r, k, m)
-                if not rep.matches:
-                    failures.append(rep.to_json_dict())
-            for m in range(0, k + 1):
-                count += 1
-                rep = verify_pair("odd", r, k, m)
-                if not rep.matches:
-                    failures.append(rep.to_json_dict())
-            if k >= 2:
-                for m in range(0, k + 1):
+            for row in SPECIAL_POINTS.values():
+                if k < row.k_min:
+                    continue
+                for m in pair_m_range(row.pair, r, k):
                     count += 1
-                    rep = verify_pair("even2", r, k, m)
+                    rep = verify_pair(row.pair, r, k, m)
                     if not rep.matches:
                         failures.append(rep.to_json_dict())
     scaling_ok = True
@@ -556,7 +547,8 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
               force_exact: bool = False) -> SuiteResult:
     """Run the registered verifications and merge their reports.
 
-    ``name_filter`` keeps entries whose name contains the string.  ``jobs``
+    ``name_filter`` keeps entries whose name contains the string; one that
+    keeps none raises ``InputError``, naming the known entries.  ``jobs``
     must be at least 1; more than one distributes entries over processes.
     ``bound`` must be an int of at least 10, as on the command line: below
     that the curve-family check fails for want of range, a failure that
@@ -565,10 +557,13 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
     """
     require_int("jobs", jobs, 1)
     require_int("bound", bound, 10)
-    digest = check_fixtures()
-    ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
     selected = [(name, fn) for name, fn in REGISTRY
                 if not name_filter or name_filter in name]
+    if not selected:
+        raise InputError(f"no suite entry matches {name_filter!r}; known: "
+                         + ", ".join(name for name, _ in REGISTRY))
+    digest = check_fixtures()
+    ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
     entries: Dict[str, dict] = {}
     timings: Dict[str, float] = {}
     if jobs > 1 and len(selected) > 1:

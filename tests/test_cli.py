@@ -151,6 +151,13 @@ class TestCurvesAndLimits:
         assert code == 0
         assert doc["status"] != "not-divisible"
 
+    @pytest.mark.parametrize("d", ["3", "-2"])
+    def test_low_random_degree_is_one_usage_error(self, d, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "--d", d])
+        assert exc.value.code == 2
+        assert "d must be an int >= " in capsys.readouterr().err
+
     def test_fixture_and_degree_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             main(["limit", "--fixture", "quartic-powers", "--d", "5"])
@@ -229,7 +236,9 @@ class TestSuiteAndConfig:
             main(["suite", "--filter", "closed-forms"] + flags)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("line", ["bound = 0", "jobs = 0"])
+    @pytest.mark.parametrize("line", [
+        "bound = 0", "jobs = 0", "force_exact = ture", "force_exact = on",
+        "force_exact = 2", "force_exact ="])
     def test_meaningless_config_value_is_a_usage_error(self, line, tmp_path,
                                                         monkeypatch):
         cfg = tmp_path / "suite.cfg"
@@ -239,6 +248,35 @@ class TestSuiteAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "suite", "--filter", "closed-forms"])
         assert exc.value.code == 2
+
+    def test_unmatched_filter_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(hesskit.reports, "_run_one",
+                            raising(AssertionError("suite must not run")))
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--filter", "closed-froms"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no suite entry matches 'closed-froms'" in captured.err
+        assert "closed-forms" in captured.err
+
+    @pytest.mark.parametrize("value,exact", [
+        ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("NO", False), ("0", False)])
+    def test_boolean_config_values_in_any_case(self, value, exact, tmp_path,
+                                               monkeypatch):
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(f"force_exact = {value}\n")
+        seen = {}
+
+        def fake_certify(d, force_exact):
+            seen["force_exact"] = force_exact
+            raise AssertionError("stop")
+
+        monkeypatch.setattr(hesskit.cli, "certify", fake_certify)
+        with pytest.raises(AssertionError, match="stop"):
+            main(["--config", str(cfg), "certify", "--d", "4"])
+        assert seen["force_exact"] is exact
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_run_suite_rejects_fewer_than_one_job(self, jobs):

@@ -1,6 +1,7 @@
 """Every public entry refuses a bad integer argument with ``InputError``."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -99,9 +100,30 @@ def test_bad_int_argument_is_an_input_error(fn, kwargs, arg, least):
     lambda: verify_family(3, 100),
     lambda: fiber_recover(3, 0, 0),
     lambda: SpecialPoint("qq", 2),
+    lambda: run_suite(name_filter="closed-froms"),
 ], ids=["bool-r", "empty-window", "negative-r", "negative-degree",
         "bool-block-r", "float-degree", "m-above-k", "unknown-kind",
-        "family-3", "fiber-family-3", "unknown-point"])
+        "family-3", "fiber-family-3", "unknown-point", "empty-filter"])
 def test_inputs_once_accepted_are_refused(call):
     with pytest.raises(InputError):
         call()
+
+
+# Exact inputs take an int, a Fraction or a numeric string, as Form does; a
+# float would enter as its binary expansion, 0.1 as 3602879701896397/2**55.
+@pytest.mark.parametrize("call", [
+    lambda: QuadraticForm([[0.1]]),
+    lambda: fiber_recover(2, 0.1, 0),
+    lambda: fiber_recover(2, 0, 0.1),
+    lambda: ConeNormalForm(4, X2, X1, (0.1, 1, 1)),
+], ids=["gram", "fiber-a", "fiber-b", "cone-cs"])
+def test_floats_in_exact_inputs_are_refused(call):
+    with pytest.raises(TypeError, match="must be int, Fraction or string"):
+        call()
+
+
+def test_exact_inputs_still_take_fractions_and_strings():
+    assert QuadraticForm([["1/10"]]).gram == ((Fraction(1, 10),),)
+    assert fiber_recover(2, "1/2", 0) == fiber_recover(2, Fraction(1, 2), 0)
+    cone = ConeNormalForm(4, X2, X1, ("1/2", 1, Fraction(3)))
+    assert cone.cs == (Fraction(1, 2), Fraction(1), Fraction(3))

@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesskit import orbit_checks
+from hesskit.curves import even_a, even_b, odd_c
 from hesskit.errors import VerificationError
 from hesskit.forms import Form
 from hesskit.harmonic import QuadraticForm
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
-from hesskit.orbit_checks import (closed_form_constant, hyperbolic_q,
-                                  power_product, verify_closed_form,
-                                  verify_pair)
+from hesskit.orbit_checks import (SPECIAL_POINTS, _coefficient_at,
+                                  _pair_data, _predicted_constants,
+                                  closed_form_constant, hyperbolic_q,
+                                  pair_m_range, power_product,
+                                  verify_closed_form, verify_pair)
 
 # Spot values computed once by expanding the Hessians directly; they pin the
 # sign and scaling conventions.
@@ -108,8 +111,8 @@ class TestPerturbationPairs:
         real = orbit_checks._pair_data
 
         def negative_eps_power(*args):
-            base, direction, base_img, eps_img, mono0, mono1 = real(*args)
-            return base, direction, base_img, (-1, 0), mono0, mono1
+            direction, eps_img = real(*args)
+            return direction, (-1, 0)
 
         monkeypatch.setattr(orbit_checks, "_pair_data", negative_eps_power)
         with pytest.raises(VerificationError, match="invalid power product"):
@@ -143,3 +146,74 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_pair("sideways", 2, 2, 1)
+
+
+# The pair data as once written out per kind, kept as an independent
+# statement that the table and the closed form reproduce.
+def _reference_pair_data(kind, r, k, m):
+    s = (r + 1) * (k - 1)
+    if kind == "even":
+        return ((k, 0), (k - m, 2 * m), (s, 0), (s - m, 2 * m), (s, s),
+                (s + m, s - m))
+    if kind == "odd":
+        return ((k, 1), (k - m, 2 * m + 1), (s, r + 1), (s - m, 2 * m + r + 1),
+                ((r + 1) * k, s), ((r + 1) * k + m, s - m))
+    t = (r + 1) * (k - 2)
+    return ((k - 1, 2), (k - m, 2 * m), (t, 2 * (r + 1)),
+            (t + 1 - m, 2 * m + 2 * r), ((r + 1) * k, t),
+            ((r + 1) * k + m - 1, t + 1 - m))
+
+
+def _reference_constants(kind, r, k, m):
+    if kind == "even":
+        return (Fraction(2 ** (r - 1) * k ** (r + 1) * (1 - 2 * k)),
+                Fraction(2 ** (r - 1) * k ** r * (2 * k - 1) * even_a(r, k, m)))
+    if kind == "odd":
+        return (Fraction(-(2 ** r) * k ** (r + 1) * (k + 1)),
+                Fraction(2 ** r * k ** r * odd_c(r, k, m)))
+    return (Fraction(-(2 ** (r - 1)) * (k - 1) ** r * (k + 1) * (2 * k - 1)),
+            Fraction(2 ** (r - 1) * (k - 1) ** (r - 1) * (2 * k - 1)
+                     * even_b(r, k, m)))
+
+
+class _SlotProbe:
+    """Stands in for a form: records which monomial ``_coefficient_at`` reads."""
+
+    def __init__(self, nvars):
+        self.nvars, self.terms, self.read = nvars, self, None
+
+    def get(self, exps, default):
+        self.read = exps
+        return default
+
+
+def _extraction_monomial(img, r):
+    probe = _SlotProbe(r + 1)
+    _coefficient_at(probe, img)
+    return probe.read
+
+
+def _padded(mono, r):
+    """The old extraction slot as a full exponent, or None when never read."""
+    return tuple(mono) + (0,) * (r - 1) if min(mono) >= 0 else None
+
+
+def test_pair_data_follows_from_the_table_and_the_closed_form():
+    cases = 0
+    for row in SPECIAL_POINTS.values():
+        kind = row.pair
+        for r in range(1, 6):
+            for k in range(row.k_min, 12):
+                for m in pair_m_range(kind, r, k):
+                    (base, direction, base_img, eps_img,
+                     mono0, mono1) = _reference_pair_data(kind, r, k, m)
+                    a, b = row.powers(k)
+                    assert (a, b) == base
+                    assert _pair_data(kind, r, k, m) == (direction, eps_img)
+                    assert ((r + 1) * (a - 1), (r + 1) * b) == base_img
+                    assert _extraction_monomial(base_img, r) == _padded(mono0, r)
+                    assert _extraction_monomial(eps_img, r) == _padded(mono1, r)
+                    assert _predicted_constants(kind, r, k, m) == \
+                        _reference_constants(kind, r, k, m)
+                    cases += 1
+    assert cases == 1090

@@ -10,6 +10,7 @@ from hesskit import linalg, rank_certificates
 from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, monomials_of_degree
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.orbit_checks import SPECIAL_POINTS, pair_m_range
 from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
                                        block_structure_check,
@@ -116,6 +117,29 @@ class TestSpecialPointRanks:
         rep = projective_injectivity(Form.monomial((4,)))
         assert rep.rank == rep.domain_dim == 0
         assert rep.injective
+
+    # The tables the point table replaced, per kind, as literals: least k,
+    # least degree, pair kind, least m, condition and powers at k.
+    @pytest.mark.parametrize("kind,k_min,d_min,pair,m_min,condition,powers", [
+        ("qk", 1, 2, "even", 1, "evenA", lambda k: (k, 0)),
+        ("qkl", 1, 3, "odd", 0, "odd", lambda k: (k, 1)),
+        ("qk1l2", 2, 4, "even2", 0, "evenB", lambda k: (k - 1, 2)),
+    ])
+    def test_point_table_keeps_the_per_kind_values(
+            self, kind, k_min, d_min, pair, m_min, condition, powers):
+        with pytest.raises(InputError, match=f"k must be an int >= {k_min},"):
+            SpecialPoint(kind, k_min - 1)
+        with pytest.raises(InputError, match=f"d must be an int >= {d_min},"):
+            SpecialPoint.at_degree(kind, d_min - 1)
+        assert SpecialPoint.at_degree(kind, d_min) == SpecialPoint(kind, k_min)
+        assert SPECIAL_POINTS[kind].pair == pair
+        for k in range(k_min, 12):
+            point = SpecialPoint(kind, k)
+            assert point.powers == powers(k)
+            assert point.degree == 2 * k + (kind == "qkl")
+            assert point.condition == condition
+            assert pair_m_range(pair, 2, k) == range(m_min, k + 1)
+            assert precondition_report(point, 2)["m_range"] == [m_min, k]
 
     def test_invalid_points_rejected(self):
         with pytest.raises(ValueError):
