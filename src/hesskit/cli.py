@@ -18,8 +18,8 @@ import sys
 from typing import Dict, List, Optional
 
 from ._version import __version__
-from .curves import CONDITIONS, CURVE_ONE, CURVE_TWO, condition_matches_curve, \
-    scan_condition, verify_family
+from .curves import CONDITION_FAMILIES, CONDITIONS, FAMILIES, \
+    condition_matches_curve, scan_condition, verify_family
 from .errors import InputError, VerificationError
 from .indeterminacy import NAMED_FAMILIES, limit_divisibility_check, \
     sample_family
@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves = sub.add_parser("curves", help="auxiliary curve point sets")
     c_sub = p_curves.add_subparsers(dest="curves_what", required=True)
     p_cv = c_sub.add_parser("verify", help="dual-route integer point check")
-    p_cv.add_argument("--family", type=int, required=True, choices=(1, 2))
+    p_cv.add_argument("--family", type=int, required=True,
+                      choices=tuple(FAMILIES))
     p_cv.add_argument("--bound", type=int, default=None,
                       help="brute-force search box half-width")
 
@@ -211,12 +212,13 @@ def _cmd_scan(args, parser) -> int:
     rep = scan_condition(args.condition, args.r, args.kmin, args.kmax)
     doc = rep.to_json_dict()
     exit_code = EXIT_OK
-    if args.r == 2 and args.condition in ("odd", "evenB"):
-        curve = CURVE_ONE if args.condition == "odd" else CURVE_TWO
+    row = CONDITION_FAMILIES.get(args.condition) if args.r == 2 else None
+    if row is not None:
+        m_min = CONDITIONS[args.condition][1]
         grid = [(k, m) for k in range(args.kmin, min(args.kmax, args.kmin + 30) + 1)
-                for m in range(0, k + 1)]
-        bridge = condition_matches_curve(args.condition, curve, grid)
-        doc["curve_bridge"] = {"curve": curve.name, "consistent": bridge}
+                for m in range(m_min, k + 1)]
+        bridge = condition_matches_curve(args.condition, row.curve, grid)
+        doc["curve_bridge"] = {"curve": row.curve.name, "consistent": bridge}
         if not bridge:
             exit_code = EXIT_VERIFICATION
     _emit(doc)
@@ -262,8 +264,11 @@ def _cmd_suite(args, parser) -> int:
     text = canonical_json(doc)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out file: {exc}")
     for name, took in result.timings.items():
         status = "ok" if result.entries[name].get("passed") else "FAIL"
         _log(f"{name:<24} {status:<5} {took:7.2f}s")

@@ -19,6 +19,15 @@ known finite lists, reproduced here by two independent routes:
   few survivors get the exact ``isqrt`` test, so the search stays a proof;
 * transport of finitely many S-integral points of Weierstrass models back
   through an explicit birational map.
+
+``FAMILIES`` is the one table of the two curve families, one ``CurveFamily``
+row of data each: the condition, the curve and its stored point set Omega,
+the cubic model, the Weierstrass model W and the minimal model X, the
+rescaling u, the S-integral representatives with their primes S, and the
+shear back onto the curve.  ``CONDITION_FAMILIES`` finds a row from its
+condition.  What stays hand-written is the independent mathematics the rows
+are checked against: the condition polynomials, the formulas of ``rho1``
+and ``fiber_recover``, and the comparison of W rescaled by u with X.
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import comb, isqrt, lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -219,17 +229,8 @@ class QuadraticInY:
         return sorted(found)
 
 
-CURVE_ONE = QuadraticInY("curve-one", a=(1, 2), b=(2, 1), c=(0, -3, -3))
-CURVE_TWO = QuadraticInY("curve-two", a=(0, 2), b=(3, -3), c=(0, 1, -3))
-
 def _int_pairs(rows: Sequence[Sequence[int]]) -> FrozenSet[IntPoint]:
     return frozenset((int(x), int(y)) for x, y in rows)
-
-
-OMEGA1: FrozenSet[IntPoint] = _int_pairs(
-    _FIXTURE["curve-one"]["affine_integer_points"])
-OMEGA2: FrozenSet[IntPoint] = _int_pairs(
-    _FIXTURE["curve-two"]["affine_integer_points"])
 
 
 def condition_matches_curve(condition: str, curve: QuadraticInY,
@@ -267,23 +268,8 @@ class WeierstrassCurve:
                                 self.a6 * u ** 6, label)
 
 
-W1 = WeierstrassCurve("W1", Fraction(-35, 16), Fraction(21, 16), Fraction(9, 64))
-X1 = WeierstrassCurve("X1", Fraction(-8960), Fraction(22020096),
-                      Fraction(9663676416), label="366.b1")
-W2 = WeierstrassCurve("W2", Fraction(1, 4), Fraction(-27), Fraction(81))
-X2 = WeierstrassCurve("X2", Fraction(4), Fraction(-6912), Fraction(331776),
-                      label="1002.e1")
-
-# (x, |y|) representatives; the full point lists include both signs of y.
 def _fraction_pairs(rows: Sequence[Sequence[str]]) -> Tuple[Point, ...]:
     return tuple((Fraction(x), Fraction(y)) for x, y in rows)
-
-
-W1_SINTEGRAL_X_Y: Tuple[Point, ...] = _fraction_pairs(
-    _FIXTURE["weierstrass-one"]["s_integral_representatives"])
-
-W2_INTEGRAL_X_Y: Tuple[Point, ...] = _fraction_pairs(
-    _FIXTURE["weierstrass-two"]["integral_representatives"])
 
 
 def signed_points(reps: Sequence[Tuple[Fraction, Fraction]]) -> List[Point]:
@@ -294,51 +280,87 @@ def signed_points(reps: Sequence[Tuple[Fraction, Fraction]]) -> List[Point]:
     return out
 
 
-def denominator_support(fr: Fraction) -> FrozenSet[int]:
-    """Prime factors of the denominator (denominators here are 2-3 smooth)."""
-    den = fr.denominator
-    primes = set()
-    for p in (2, 3):
+def is_s_integral(v: Fraction, primes: Iterable[int]) -> bool:
+    """The denominator of ``v`` divides out over ``primes``."""
+    den = v.denominator
+    for p in primes:
         while den % p == 0:
-            primes.add(p)
             den //= p
-    if den != 1:
-        # Fall back to trial division; not expected on the stored lists.
-        d = den
-        f = 5
-        while f * f <= d:
-            while d % f == 0:
-                primes.add(f)
-                d //= f
-            f += 2
-        if d > 1:
-            primes.add(d)
-    return frozenset(primes)
+    return den == 1
 
 
 # ---------------------------------------------------------------------------
-# the plane cubic models and the maps onto the Weierstrass curves
+# the family table
 # ---------------------------------------------------------------------------
 
-# Family 1 works on a shifted cubic model C; family 2 works on the projective
-# closure of curve-two directly.  Variables are ordered (x, y, z).
 
-C1_CUBIC = Form.from_coeffs(3, 3, {
-    (3, 0, 0): 2, (2, 1, 0): 4, (1, 2, 0): 2,
-    (2, 0, 1): -1, (1, 1, 1): 3, (0, 2, 1): 1,
-    (1, 0, 2): -1, (0, 1, 2): 2,
-})
+class CurveFamily(NamedTuple):
+    """A row of ``FAMILIES``: data only, never a function."""
 
-C2_CUBIC = Form.from_coeffs(3, 3, {
-    (1, 2, 0): 2, (1, 1, 1): -3, (0, 1, 2): 3,
-    (2, 0, 1): -3, (1, 0, 2): 1,
-})
+    condition: str  # the key of CONDITIONS whose r = 2 polynomial is ``curve``
+    curve: QuadraticInY
+    omega: FrozenSet[IntPoint]  # the stored integer points of ``curve``
+    cubic: Form  # the plane cubic model rho1 starts from, in (x, y, z)
+    weierstrass: WeierstrassCurve  # W, where rho1 lands
+    minimal: WeierstrassCurve  # X, hit from W by (u**2 x, u**3 y)
+    u: int
+    reps: Tuple[Point, ...]  # (x, |y|) of the S-integral points of W
+    primes: FrozenSet[int]  # S, the primes allowed in their denominators
+    shear: int  # s in (x, y) -> (x, s x + y), the cubic model onto ``curve``
 
 
-def shift_from_c1(x, y) -> Point:
-    """C model point -> curve-one affine point."""
-    x, y = Fraction(x), Fraction(y)
-    return (x, x + y)
+FAMILIES: Dict[int, CurveFamily] = {
+    1: CurveFamily(
+        condition="odd",
+        curve=QuadraticInY("curve-one", a=(1, 2), b=(2, 1), c=(0, -3, -3)),
+        omega=_int_pairs(_FIXTURE["curve-one"]["affine_integer_points"]),
+        cubic=Form.from_coeffs(3, 3, {
+            (3, 0, 0): 2, (2, 1, 0): 4, (1, 2, 0): 2, (2, 0, 1): -1,
+            (1, 1, 1): 3, (0, 2, 1): 1, (1, 0, 2): -1, (0, 1, 2): 2}),
+        weierstrass=WeierstrassCurve("W1", Fraction(-35, 16), Fraction(21, 16),
+                                     Fraction(9, 64)),
+        minimal=WeierstrassCurve("X1", Fraction(-8960), Fraction(22020096),
+                                 Fraction(9663676416), label="366.b1"),
+        u=64, primes=frozenset({2, 3}), shear=1,
+        reps=_fraction_pairs(
+            _FIXTURE["weierstrass-one"]["s_integral_representatives"])),
+    # family 2 works on the projective closure of curve-two directly
+    2: CurveFamily(
+        condition="evenB",
+        curve=QuadraticInY("curve-two", a=(0, 2), b=(3, -3), c=(0, 1, -3)),
+        omega=_int_pairs(_FIXTURE["curve-two"]["affine_integer_points"]),
+        cubic=Form.from_coeffs(3, 3, {
+            (1, 2, 0): 2, (1, 1, 1): -3, (0, 1, 2): 3, (2, 0, 1): -3,
+            (1, 0, 2): 1}),
+        weierstrass=WeierstrassCurve("W2", Fraction(1, 4), Fraction(-27),
+                                     Fraction(81)),
+        minimal=WeierstrassCurve("X2", Fraction(4), Fraction(-6912),
+                                 Fraction(331776), label="1002.e1"),
+        u=4, primes=frozenset(), shear=0,
+        reps=_fraction_pairs(
+            _FIXTURE["weierstrass-two"]["integral_representatives"])),
+}
+# The family whose curve a condition is, for the conditions that have one.
+CONDITION_FAMILIES: Dict[str, CurveFamily] = {
+    row.condition: row for row in FAMILIES.values()}
+
+CURVE_ONE, CURVE_TWO = FAMILIES[1].curve, FAMILIES[2].curve
+OMEGA1, OMEGA2 = FAMILIES[1].omega, FAMILIES[2].omega
+
+
+def _family(family) -> CurveFamily:
+    # require_int first: FAMILIES.get(True) would find row 1
+    require_int("family", family, 1)
+    row = FAMILIES.get(family)
+    if row is None:
+        raise InputError(f"family must be {' or '.join(map(str, FAMILIES))}, "
+                         f"got {family!r}")
+    return row
+
+
+# ---------------------------------------------------------------------------
+# the maps from the cubic models onto the Weierstrass curves
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -362,28 +384,23 @@ def rho1(family: int, x, y) -> ProjectiveImage:
     Undefined exactly where all three coordinate forms vanish; a z=0 image is
     the point at infinity of the Weierstrass model.
     """
+    _family(family)
     x, y = Fraction(x), Fraction(y)
     if family == 1:
         cx = 6 * x * y
         cy = 3 * x * x - Fraction(9, 2) * x * y - 3 * y * y + Fraction(3, 2) * x - 6 * y
         cz = -8 * x * x - 4 * x
-    elif family == 2:
+    else:
         cx = 6 * y
         cy = 12 * y * y - 9 * x - 9 * y
         cz = -x
-    else:
-        raise ValueError("family must be 1 or 2")
     return _image(cx, cy, cz)
 
 
 def rho2(family: int, x, y) -> Point:
-    """The rescaling isomorphism from the W model to the minimal model."""
-    x, y = Fraction(x), Fraction(y)
-    if family == 1:
-        return (2 ** 12 * x, 2 ** 18 * y)
-    if family == 2:
-        return (16 * x, 64 * y)
-    raise ValueError("family must be 1 or 2")
+    """The rescaling isomorphism (x, y) -> (u**2 x, u**3 y) from W onto X."""
+    u = _family(family).u
+    return (u * u * Fraction(x), u ** 3 * Fraction(y))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +517,7 @@ def fiber_recover(family: int, a, b) -> FiberReport:
     Family 2: x is linear in (a, b) once a != 0; a == 0 forces y = 0, a line
     contracted onto (0, 9).
     """
-    require_int("family", family, 1)
+    row = _family(family)
     a, b = _coerce(a), _coerce(b)
     if family == 1:
         qa = 3 + 6 * a - Fraction(16, 3) * a * a + 8 * b
@@ -511,7 +528,7 @@ def fiber_recover(family: int, a, b) -> FiberReport:
             return (x, -a * (4 * x + 2) / 3)
 
         if qa == 0 and qb == 0 and qc == 0:
-            xs = _line_meets_cubic(C1_CUBIC, Fraction(-4, 3) * a, Fraction(-2, 3) * a)
+            xs = _line_meets_cubic(row.cubic, Fraction(-4, 3) * a, Fraction(-2, 3) * a)
             return FiberReport(1, (a, b), "contracted-line", tuple(lift(x) for x in xs))
         if qa == 0:
             if qb == 0:
@@ -520,25 +537,22 @@ def fiber_recover(family: int, a, b) -> FiberReport:
         roots = _quadratic_rational_roots(qa, qb, qc)
         return FiberReport(1, (a, b), "quadratic", tuple(lift(x) for x in roots))
 
-    if family == 2:
-        if a == 0:
-            if b == 9:
-                xs = _line_meets_cubic(C2_CUBIC, Fraction(0), Fraction(0))
-                return FiberReport(2, (a, b), "contracted-line",
-                                   tuple((x, Fraction(0)) for x in xs))
-            return FiberReport(2, (a, b), "empty", ())
-        x = 3 * (9 - Fraction(3, 2) * a - b) / (a * a)
-        return FiberReport(2, (a, b), "linear", ((x, -a * x / 6),))
-
-    raise InputError(f"family must be 1 or 2, got {family!r}")
+    if a == 0:
+        if b == 9:
+            xs = _line_meets_cubic(row.cubic, Fraction(0), Fraction(0))
+            return FiberReport(2, (a, b), "contracted-line",
+                               tuple((x, Fraction(0)) for x in xs))
+        return FiberReport(2, (a, b), "empty", ())
+    x = 3 * (9 - Fraction(3, 2) * a - b) / (a * a)
+    return FiberReport(2, (a, b), "linear", ((x, -a * x / 6),))
 
 
 # ---------------------------------------------------------------------------
 # end-to-end reproduction of the integer point sets
 # ---------------------------------------------------------------------------
 
-# Integer candidate pairs recovered from the family-1 S-integral list.  All
-# six lie on the C model; shifting back recovers the curve-one set exactly.
+# Integer candidate pairs recovered from each family's S-integral list.  All
+# lie on the cubic model, and the row's shear carries them onto its omega.
 FAMILY1_INTEGER_CANDIDATES: FrozenSet[IntPoint] = _int_pairs(
     _FIXTURE["curve-one"]["family_candidates"])
 
@@ -594,32 +608,17 @@ def verify_family(family: int, bound: int) -> FamilyReport:
     ``bound`` is an int of at least 10: below that the search box misses
     points, a failure that says nothing about the curves.
     """
-    require_int("family", family, 1)
+    row = _family(family)
     require_int("bound", bound, 10)
-    if family == 1:
-        wcurve, xcurve, u = W1, X1, 64
-        reps = W1_SINTEGRAL_X_Y
-        allowed_support = frozenset({2, 3})
-        curve = CURVE_ONE
-        expected = OMEGA1
-    elif family == 2:
-        wcurve, xcurve, u = W2, X2, 4
-        reps = W2_INTEGRAL_X_Y
-        allowed_support = frozenset()
-        curve = CURVE_TWO
-        expected = OMEGA2
-    else:
-        raise InputError(f"family must be 1 or 2, got {family!r}")
+    pts = signed_points(row.reps)
+    w_ok = all(row.weierstrass.on_curve(x, y) for x, y in pts)
+    support_ok = all(is_s_integral(v, row.primes) for pt in pts for v in pt)
 
-    pts = signed_points(reps)
-    w_ok = all(wcurve.on_curve(x, y) for x, y in pts)
-    support_ok = all((denominator_support(x) | denominator_support(y)) <= allowed_support
-                     for x, y in pts)
-
-    rescaled = wcurve.rescaled(u, xcurve.name)
-    model_ok = (rescaled.a2, rescaled.a4, rescaled.a6) == (xcurve.a2, xcurve.a4, xcurve.a6)
-    family_idx = family
-    rescaled_pts_ok = all(xcurve.on_curve(*rho2(family_idx, x, y)) for x, y in pts)
+    rescaled = row.weierstrass.rescaled(row.u, row.minimal.name)
+    model_ok = ((rescaled.a2, rescaled.a4, rescaled.a6)
+                == (row.minimal.a2, row.minimal.a4, row.minimal.a6))
+    rescaled_pts_ok = all(row.minimal.on_curve(*rho2(family, x, y))
+                          for x, y in pts)
 
     cases: Dict[str, int] = {}
     integer_candidates: set = set()
@@ -628,17 +627,12 @@ def verify_family(family: int, bound: int) -> FamilyReport:
         cases[rep.case] = cases.get(rep.case, 0) + 1
         integer_candidates.update(rep.integer_candidates())
 
-    cubic = C1_CUBIC if family == 1 else C2_CUBIC
     on_cubic = {p for p in integer_candidates
-                if cubic.evaluate((Fraction(p[0]), Fraction(p[1]), Fraction(1))) == 0}
-    if family == 1:
-        recovered = {shift_from_c1(*p) for p in on_cubic}
-    else:
-        recovered = set(on_cubic)
-    recovered = {(int(a), int(b)) for a, b in recovered}
+                if row.cubic.evaluate((Fraction(p[0]), Fraction(p[1]), Fraction(1))) == 0}
+    recovered = {(x, row.shear * x + y) for x, y in on_cubic}
 
-    brute = set(curve.integral_points(bound))
-    omega_match = recovered == set(expected) == brute
+    brute = set(row.curve.integral_points(bound))
+    omega_match = recovered == row.omega == brute
 
     return FamilyReport(
         family=family,
@@ -649,7 +643,7 @@ def verify_family(family: int, bound: int) -> FamilyReport:
         fiber_cases=cases,
         integer_candidates=tuple(sorted(integer_candidates)),
         recovered_set=tuple(sorted(recovered)),
-        expected_set=tuple(sorted(expected)),
+        expected_set=tuple(sorted(row.omega)),
         brute_force_set=tuple(sorted(brute)),
         omega_match=omega_match,
     )

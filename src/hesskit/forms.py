@@ -71,7 +71,7 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
 def _coerce(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     if isinstance(c, str):
         return Fraction(c)

@@ -36,8 +36,8 @@ from .forms import Form, random_form
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
 from .hessians import TParameterForm, h3, hess, hess_t, hessian_expansion
-from .curves import (OMEGA1, OMEGA2, condition_matches_curve, CURVE_ONE,
-                     CURVE_TWO, fixture_bytes, scan_condition, verify_family)
+from .curves import (CONDITION_FAMILIES, CONDITIONS, condition_matches_curve,
+                     fixture_bytes, scan_condition, verify_family)
 from .indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
                             exclusion_gate, limit_divisibility_check,
                             multiplicity_profile, normal_form_check,
@@ -145,17 +145,16 @@ def certify(d: int, force_exact: bool = False) -> Certificate:
                     "point, so no exclusion gate is available"),
             notes=[_SCOPE_NOTE])
 
-    trusted: List[str] = []
     if d % 2:
         kind, branch, gate_key = "qkl", BRANCH_ODD, "quadric-line"
-        trusted.append(_TRUST_NOTE.format(curve="curve-one"))
     elif d <= 12:
         kind, branch, gate_key = "qk", BRANCH_EVEN_A, "hyperbolic-power"
     else:
         kind, branch, gate_key = "qk1l2", BRANCH_EVEN_B, "quadric-double-line"
-        trusted.append(_TRUST_NOTE.format(curve="curve-two"))
     point = SpecialPoint.at_degree(kind, d)
     k = point.k
+    row = CONDITION_FAMILIES.get(point.condition)
+    trusted = [_TRUST_NOTE.format(curve=row.curve.name)] if row else []
 
     scan = scan_condition(point.condition, 2, 2, max(2, k))
     at_k = [v for v in scan.violations if v[0] == k]
@@ -286,18 +285,17 @@ def _entry_condition_scans(ctx: dict) -> dict:
 
     # the r=2 conditions agree with the curve polynomials on a sample grid
     grid = [(k, m) for k in range(0, 12) for m in range(-6, 12)]
-    bridge_ok = (condition_matches_curve("odd", CURVE_ONE, grid)
-                 and condition_matches_curve("evenB", CURVE_TWO, grid))
+    bridge_ok = all(condition_matches_curve(cond, row.curve, grid)
+                    for cond, row in CONDITION_FAMILIES.items())
 
     # scan violations must be exactly the stored curve points in window
-    def window(points, kmin, kmax, m_min):
-        return sorted([list(p) for p in points
-                       if kmin <= p[0] <= kmax and m_min <= p[1] <= p[0]])
+    def matches_window(scan) -> bool:
+        m_min = CONDITIONS[scan.condition][1]
+        window = [list(p) for p in CONDITION_FAMILIES[scan.condition].omega
+                  if scan.kmin <= p[0] <= scan.kmax and m_min <= p[1] <= p[0]]
+        return sorted([list(v) for v in scan.violations]) == sorted(window)
 
-    odd_window = window(OMEGA1, 2, 100, 0)
-    b_window = window(OMEGA2, 2, 100, 0)
-    consistency = (sorted([list(v) for v in odd100.violations]) == odd_window
-                   and sorted([list(v) for v in b100.violations]) == b_window)
+    consistency = matches_window(odd100) and matches_window(b100)
 
     ok = (a6.clean and [list(v) for v in a20.violations] == expected_a20
           and odd100.clean and [list(v) for v in b100.violations] == expected_b100

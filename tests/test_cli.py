@@ -208,6 +208,18 @@ class TestSuiteAndConfig:
         assert doc["entries"]["closed-forms"]["passed"]
         assert "timings" not in doc and "jobs" not in doc["suite"]
 
+    def test_out_file_is_written_and_an_unwritable_one_is_a_usage_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--filter", "closed-forms", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        missing = tmp_path / "no-such-dir" / "suite.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--filter", "closed-forms", "--out", str(missing)])
+        assert exc.value.code == 2
+        assert f"cannot write --out file: [Errno 2] No such file or directory: " \
+            f"'{missing}'" in capsys.readouterr().err
+
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("kmax = 6\n# comment line\nseed = 1\n")

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesskit import curves
-from hesskit.curves import (CURVE_ONE, CURVE_TWO, FAMILY1_INTEGER_CANDIDATES,
-                            FAMILY2_INTEGER_CANDIDATES, OMEGA1, OMEGA2, W1,
-                            W1_SINTEGRAL_X_Y, W2, W2_INTEGRAL_X_Y, X1, X2,
-                            QuadraticInY, condition_matches_curve,
-                            denominator_support, even_a, even_b,
-                            fiber_recover, odd_c, rho1, rho2, scan_condition,
-                            shift_from_c1, signed_points, verify_family)
+from hesskit.curves import (CONDITION_FAMILIES, CURVE_ONE, CURVE_TWO,
+                            FAMILIES, FAMILY1_INTEGER_CANDIDATES,
+                            FAMILY2_INTEGER_CANDIDATES, OMEGA1, OMEGA2,
+                            QuadraticInY, condition_matches_curve, even_a,
+                            even_b, fiber_recover, is_s_integral, odd_c, rho1,
+                            rho2, scan_condition, signed_points, verify_family)
+from hesskit.errors import InputError
 
 ks = st.integers(min_value=-60, max_value=60)
+
+ONE, TWO = FAMILIES[1], FAMILIES[2]
+W1, X1, W1_SINTEGRAL_X_Y = ONE.weierstrass, ONE.minimal, ONE.reps
+W2, X2, W2_INTEGRAL_X_Y = TWO.weierstrass, TWO.minimal, TWO.reps
 
 
 class TestConditionScans:
@@ -38,13 +42,18 @@ class TestConditionScans:
         with pytest.raises(ValueError):
             scan_condition("oddA", 2, 2, 5)
 
+    # the two rows between them: each row's condition is its curve at r = 2
     @given(ks, ks)
     def test_odd_condition_is_curve_one(self, k, m):
-        assert odd_c(2, k, m) == CURVE_ONE.evaluate(k, m)
+        assert (ONE.condition, ONE.curve) == ("odd", CURVE_ONE)
+        assert CONDITION_FAMILIES["odd"] is ONE
+        assert odd_c(2, k, m) == ONE.curve.evaluate(k, m)
 
     @given(ks, ks)
     def test_even_double_line_condition_is_curve_two(self, k, m):
-        assert even_b(2, k, m) == CURVE_TWO.evaluate(k, m)
+        assert (TWO.condition, TWO.curve) == ("evenB", CURVE_TWO)
+        assert CONDITION_FAMILIES["evenB"] is TWO
+        assert even_b(2, k, m) == TWO.curve.evaluate(k, m)
 
     def test_bridge_helper_on_a_grid(self):
         grid = [(k, m) for k in range(-5, 6) for m in range(-5, 6)]
@@ -213,12 +222,17 @@ class TestWeierstrassModels:
         assert all(W2.on_curve(x, y) for x, y in signed_points(W2_INTEGRAL_X_Y))
 
     def test_denominator_support(self):
+        assert ONE.primes == {2, 3} and TWO.primes == frozenset()
         for x, y in W1_SINTEGRAL_X_Y:
-            assert denominator_support(x) | denominator_support(y) <= {2, 3}
+            assert is_s_integral(x, ONE.primes) and is_s_integral(y, ONE.primes)
         for x, y in W2_INTEGRAL_X_Y:
             assert x.denominator == 1 and y.denominator == 1
+        # 3 divides a denominator on the W1 list, and a fifth is no S-integer
+        assert not all(is_s_integral(y, {2}) for _, y in W1_SINTEGRAL_X_Y)
+        assert not is_s_integral(Fraction(1, 10), {2, 3})
 
     def test_rescaling_reaches_the_labelled_models(self):
+        assert (ONE.u, TWO.u) == (64, 4)
         r1 = W1.rescaled(64, "X1")
         assert (r1.a2, r1.a4, r1.a6) == (X1.a2, X1.a4, X1.a6)
         r2 = W2.rescaled(4, "X2")
@@ -230,6 +244,13 @@ class TestWeierstrassModels:
             assert X1.on_curve(*rho2(1, x, y))
         for x, y in signed_points(W2_INTEGRAL_X_Y):
             assert X2.on_curve(*rho2(2, x, y))
+
+    def test_rho2_is_the_hand_typed_rescaling(self):
+        # u = 64 and u = 4 give u**2, u**3 = 2**12, 2**18 and 16, 64
+        for x, y in signed_points(W1_SINTEGRAL_X_Y):
+            assert rho2(1, x, y) == (2 ** 12 * x, 2 ** 18 * y)
+        for x, y in signed_points(W2_INTEGRAL_X_Y):
+            assert rho2(2, x, y) == (16 * x, 64 * y)
 
 
 def _sympy_fiber(family, a, b):
@@ -316,11 +337,26 @@ class TestFamilyVerification:
     def test_integer_candidate_sets(self):
         assert FAMILY1_INTEGER_CANDIDATES == {(-1, 1), (-1, 2), (0, -2),
                                               (0, 0), (1, -3), (1, 0)}
-        shifted = {tuple(int(v) for v in shift_from_c1(x, y))
-                   for x, y in FAMILY1_INTEGER_CANDIDATES}
+        assert (ONE.shear, TWO.shear) == (1, 0)
+        # s = 1 shifts the family-1 candidates onto omega1, s = 0 is the identity
+        shifted = {(x, ONE.shear * x + y) for x, y in FAMILY1_INTEGER_CANDIDATES}
         assert shifted == OMEGA1
+        assert {(x, TWO.shear * x + y)
+                for x, y in FAMILY2_INTEGER_CANDIDATES} == OMEGA2
         assert FAMILY2_INTEGER_CANDIDATES == OMEGA2
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):
             verify_family(0, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: rho1(f, 1, 1),
+    lambda f: rho2(f, 1, 1),
+    lambda f: fiber_recover(f, 1, 1),
+    lambda f: verify_family(f, 100),
+], ids=["rho1", "rho2", "fiber_recover", "verify_family"])
+@pytest.mark.parametrize("family", [True, 2.0, 0, 3])
+def test_every_family_entry_refuses_the_same_way(call, family):
+    with pytest.raises(InputError, match="^family must be"):
+        call(family)

@@ -110,13 +110,19 @@ def test_inputs_once_accepted_are_refused(call):
 
 
 # Exact inputs take an int, a Fraction or a numeric string, as Form does; a
-# float would enter as its binary expansion, 0.1 as 3602879701896397/2**55.
+# float would enter as its binary expansion, 0.1 as 3602879701896397/2**55,
+# and a bool, an int subclass, is no coefficient either.
 @pytest.mark.parametrize("call", [
     lambda: QuadraticForm([[0.1]]),
     lambda: fiber_recover(2, 0.1, 0),
     lambda: fiber_recover(2, 0, 0.1),
     lambda: ConeNormalForm(4, X2, X1, (0.1, 1, 1)),
-], ids=["gram", "fiber-a", "fiber-b", "cone-cs"])
+    lambda: Form(1, 2, {(2,): True}),
+    lambda: QuadraticForm([[True]]),
+    lambda: fiber_recover(2, True, 0),
+    lambda: ConeNormalForm(4, X2, X1, (True, 1, 1)),
+], ids=["gram", "fiber-a", "fiber-b", "cone-cs", "bool-form", "bool-gram",
+        "bool-fiber-a", "bool-cone-cs"])
 def test_floats_in_exact_inputs_are_refused(call):
     with pytest.raises(TypeError, match="must be int, Fraction or string"):
         call()

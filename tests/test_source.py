@@ -70,6 +70,20 @@ def test_no_import_inside_a_function():
     assert sorted(set(found)) == []
 
 
+def test_only_curves_pairs_a_family_with_its_curve():
+    """Other modules reach a curve through ``curves.FAMILIES`` or
+    ``curves.CONDITION_FAMILIES``, never by the per-family names."""
+    names = {"CURVE_ONE", "CURVE_TWO", "OMEGA1", "OMEGA2"}
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _library_trees()
+             if name not in ("curves.py", "__init__.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and names & {alias.name for alias in node.names}
+             or isinstance(node, ast.Attribute) and node.attr in names]
+    assert found == []
+
+
 # Public names whose int parameters are left out of the validation table.
 EXEMPT_NAMES = {
     # the hot arithmetic type: its constructor and methods check their own
