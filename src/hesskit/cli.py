@@ -6,13 +6,16 @@ codes: 0 when everything the verb claims was verified, 1 on a verification
 failure, 2 on usage errors, 3 on fixture problems.  Argument values are
 checked by the library alone: an ``InputError`` it raises becomes a usage
 error with the library's message.  The front end only checks which flags go
-together.  A config file holds ``key = value`` lines for the shared knobs;
-explicit flags win over it.
+together, and that a ``suite --out`` path can be written before the suite
+runs.  A config file holds ``key = value`` lines for the shared int knobs
+(``CONFIG_KEYS``, none of which picks a rank route); explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import random
 import sys
 from typing import Dict, List, Optional
@@ -33,9 +36,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 
-CONFIG_KEYS = ("seed", "bound", "jobs", "kmin", "kmax", "force_exact")
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
+CONFIG_KEYS = ("seed", "bound", "jobs", "kmin", "kmax")
 
 
 def load_config(path: str) -> Dict[str, str]:
@@ -65,24 +66,23 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error(f"cannot read config file: {exc}")
         except ValueError as exc:
             parser.error(str(exc))
-    def fill(name: str, cast, fallback):
+    def fill(name: str, fallback: int):
         if getattr(args, name, None) is not None:
             return
         if name in config:
             try:
-                setattr(args, name, cast(config[name]))
-            except (KeyError, ValueError):
+                setattr(args, name, int(config[name]))
+            except ValueError:
                 parser.error(f"config key {name} has a bad value "
                              f"{config[name]!r}")
         elif hasattr(args, name):
             setattr(args, name, fallback)
 
-    fill("seed", int, 0)
-    fill("bound", int, 10 ** 6)
-    fill("jobs", int, 1)
-    fill("kmin", int, 2)
-    fill("kmax", int, 20)
-    fill("force_exact", lambda s: _BOOLEANS[s.lower()], False)
+    fill("seed", 0)
+    fill("bound", 10 ** 6)
+    fill("jobs", 1)
+    fill("kmin", 2)
+    fill("kmax", 20)
 
 
 def _emit(doc: dict) -> None:
@@ -123,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--d", type=int, required=True, help="degree of the form")
     p_rank.add_argument("--r", type=int, default=2)
     p_rank.add_argument("--seed", type=int, default=None)
-    p_rank.add_argument("--force-exact", dest="force_exact",
-                        action="store_const", const=True, default=None,
-                        help="skip the modular shortcut, use exact elimination")
 
     p_scan = sub.add_parser("scan", help="integer-condition vanishing scan")
     p_scan.add_argument("--condition", required=True, choices=tuple(CONDITIONS))
@@ -150,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="full certificate for one degree")
     p_cert.add_argument("--d", type=int, required=True)
-    p_cert.add_argument("--force-exact", dest="force_exact",
-                        action="store_const", const=True, default=None)
 
     p_suite = sub.add_parser("suite", help="run the registered verification battery")
     p_suite.add_argument("--filter", default=None,
@@ -161,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--bound", type=int, default=None)
     p_suite.add_argument("--out", metavar="PATH", default=None,
                          help="also write the JSON document to a file")
-    p_suite.add_argument("--force-exact", dest="force_exact",
-                         action="store_const", const=True, default=None)
     return parser
 
 
@@ -198,8 +191,7 @@ def _cmd_rank(args, parser) -> int:
     point = SpecialPoint.at_degree(args.point, args.d)
     rng = random.Random(args.seed)
     try:
-        rep = verify_special_point_rank(point, r=args.r, rng=rng,
-                                        force_exact=args.force_exact)
+        rep = verify_special_point_rank(point, r=args.r, rng=rng)
     except VerificationError as exc:
         _emit({"point": point.label(), "r": args.r, "d": args.d,
                "passed": False, "error": str(exc)})
@@ -251,15 +243,31 @@ def _cmd_limit(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
-    cert = certify(args.d, force_exact=args.force_exact)
+    cert = certify(args.d)
     _emit(cert.to_json_dict())
     return EXIT_OK if cert.ok else EXIT_VERIFICATION
 
 
+def _check_out_path(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` would meet where the file
+    system already shows it; creates and truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path) else
+            errno.ENOENT if not os.path.isdir(parent) else
+            0 if os.access(path if os.path.exists(path) else parent, os.W_OK)
+            else errno.EACCES)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_suite(args, parser) -> int:
+    if args.out:
+        try:
+            _check_out_path(args.out)
+        except OSError as exc:
+            parser.error(f"cannot write --out file: {exc}")
     result = run_suite(name_filter=args.filter, jobs=args.jobs,
-                       seed=args.seed, bound=args.bound,
-                       force_exact=args.force_exact)
+                       seed=args.seed, bound=args.bound)
     doc = result.to_json_dict()
     text = canonical_json(doc)
     sys.stdout.write(text)

@@ -551,15 +551,6 @@ def fiber_recover(family: int, a, b) -> FiberReport:
 # end-to-end reproduction of the integer point sets
 # ---------------------------------------------------------------------------
 
-# Integer candidate pairs recovered from each family's S-integral list.  All
-# lie on the cubic model, and the row's shear carries them onto its omega.
-FAMILY1_INTEGER_CANDIDATES: FrozenSet[IntPoint] = _int_pairs(
-    _FIXTURE["curve-one"]["family_candidates"])
-
-FAMILY2_INTEGER_CANDIDATES: FrozenSet[IntPoint] = _int_pairs(
-    _FIXTURE["curve-two"]["family_candidates"])
-
-
 @dataclass
 class FamilyReport:
     family: int

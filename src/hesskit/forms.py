@@ -9,8 +9,10 @@ is the least common denominator of the coefficients, and equal polynomials
 have equal ``(_num, _den)``.  Every product and sum therefore runs on Python
 integers, with one gcd per result to restore the invariant.
 
-``Form(nvars, degree, terms)`` validates every term and converts the
-coefficients; arithmetic builds its results with the trusted constructor
+``Form(nvars, degree, terms)`` checks ``nvars`` and ``degree`` with
+``require_int``, validates every term and converts the coefficients;
+``Form.variable`` and ``**`` check their int arguments the same way.
+Arithmetic builds its results with the trusted constructor
 ``Form._make``, which only restores the invariant.  ``Form.terms`` is a
 read-only mapping of exponent tuples to reduced ``Fraction`` coefficients,
 computed on access from ``_num`` and ``_den``; ``Form.numerators`` is a
@@ -33,7 +35,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import require_int
+from .errors import InputError, require_int
 
 Exponent = Tuple[int, ...]
 
@@ -114,10 +116,8 @@ class Form:
     __slots__ = ("nvars", "degree", "_num", "_den")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
-        if nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        require_int("nvars", nvars, 1)
+        require_int("degree", degree, 0)
         clean: Dict[Exponent, Fraction] = {}
         for exps, c in terms.items():
             c = _coerce(c)
@@ -186,8 +186,10 @@ class Form:
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Form":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
+        require_int("nvars", nvars, 1)
+        require_int("index", index, 0)
+        if index >= nvars:
+            raise InputError(f"index must be below nvars={nvars}, got {index}")
         exps = [0] * nvars
         exps[index] = 1
         return Form(nvars, 1, {tuple(exps): Fraction(1)})
@@ -295,8 +297,7 @@ class Form:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Form":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        require_int("exponent", k, 0)
         result = Form._make(self.nvars, 0, {(0,) * self.nvars: 1}, 1)
         base = self
         while k:

@@ -29,6 +29,7 @@ from functools import partial
 from itertools import combinations_with_replacement, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .errors import require_int
 from .forms import Form
 
 # ---------------------------------------------------------------------------
@@ -236,8 +237,7 @@ class TParameterForm:
             raise ValueError("a t-parameter family needs at least one slot")
         first = next(iter(slots.values()))
         for a, form in slots.items():
-            if not isinstance(a, int) or a < 0:
-                raise ValueError("t-exponents must be nonnegative integers")
+            require_int("t-exponent", a, 0)
             if form.nvars != first.nvars or (not form.is_zero()
                                              and form.degree != first.degree):
                 raise ValueError("all slots must share variable count and degree")

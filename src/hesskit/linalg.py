@@ -18,9 +18,10 @@ each one pivot that needs no fill-in (the structured first step of
 LaMacchia & Odlyzko, CRYPTO '90); only the surviving block is scattered
 into a zeroed int64 array and eliminated with vectorized arithmetic.  Since
 reduction can only lower rank, a full-column-rank result mod p is already a
-proof of full column rank over the rationals.  Any other modular answer is
-advisory and must be confirmed by the exact path, the only place where the
-columns become a dense Python matrix.
+proof of full column rank over the rationals, and the rank path takes it as
+the answer.  Any other modular answer is advisory and must be confirmed by
+the exact path, the only place where the columns become a dense Python
+matrix.
 
 Pivoting is deterministic throughout: first row with a nonzero entry in the
 leftmost unfinished column.  No randomness, no floats.
@@ -274,22 +275,23 @@ def rank_mod_p(m: IntColumns, p: int) -> int:
 
 
 def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],
-                          primes: Sequence[int] = PROBE_PRIMES,
-                          force_exact: bool = False) -> Tuple[int, str, List[int]]:
+                          primes: Sequence[int] = PROBE_PRIMES
+                          ) -> Tuple[int, str, List[int]]:
     """Rank plus a record of how it was certified.
 
     ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions; every
     probe must be a prime below 2**31.  Returns (rank, method, primes_used).
-    When every probe prime reports full column rank the answer is already
-    exact ("modular-full-rank"); otherwise the Bareiss path decides and the
-    modular answers are checked against it.  A disagreement between a probe
+    One rule, with no option to bypass it: when every probe prime reports
+    full column rank that is already the proof ("modular-full-rank"); any
+    other outcome goes to the Bareiss path, which decides, and the modular
+    answers are checked against it.  A disagreement between a probe
     prime and the exact rank is tolerated only downward (an unlucky prime
     can drop rank, never raise it).
     """
     _check_probe_primes(primes)
     m = matrix if isinstance(matrix, IntColumns) else IntColumns.from_rows(matrix)
     mod_ranks = [rank_mod_p(m, p) for p in primes]
-    if not force_exact and mod_ranks and all(r == m.ncols for r in mod_ranks):
+    if mod_ranks and all(r == m.ncols for r in mod_ranks):
         return m.ncols, "modular-full-rank", list(primes)
     exact = rank_bareiss(m)
     for p, rp in zip(primes, mod_ranks):

@@ -42,7 +42,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from . import curves
 from .forms import Exponent, Form, dim_sym, monomials_of_degree
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
-from .hessians import adjugate_second_partials, adjugate_trace, hess
+from .hessians import adjugate_second_partials, adjugate_trace, \
+    hess_from_adjugate
 from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
 from .orbit_checks import (SPECIAL_POINTS, _predicted_constants, hyperbolic_q,
@@ -198,7 +199,8 @@ def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponen
 def differential_matrix(f: Form) -> DifferentialMatrix:
     """Matrix of the Hessian differential at f over monomial bases, with
     each column scaled to integers by its own positive denominator."""
-    H = hess(f)
+    adj = adjugate_second_partials(f)
+    H = hess_from_adjugate(f, adj)
     if H.is_zero():
         raise ValueError("differential is not certified at a vanishing Hessian")
     n, d = f.nvars, f.degree
@@ -207,7 +209,7 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     row_of = {mono: i for i, mono in enumerate(row_monos)}
     return DifferentialMatrix(
         row_monomials=row_monos, col_monomials=col_monos,
-        columns=_monomial_images(adjugate_second_partials(f), col_monos, row_monos),
+        columns=_monomial_images(adj, col_monos, row_monos),
         hess_column=_indexed(H.numerators, row_of),
     )
 
@@ -258,8 +260,7 @@ def _largest_coefficient_monomial(f: Form) -> Tuple[int, ...]:
 
 
 def projective_injectivity(f: Form, label: Optional[str] = None,
-                           rng: Optional[random.Random] = None,
-                           force_exact: bool = False) -> RankReport:
+                           rng: Optional[random.Random] = None) -> RankReport:
     """Rank of the induced map on tangent spaces of projective space.
 
     The domain complement drops f's coefficient-largest monomial; the Hessian
@@ -274,7 +275,7 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
     lead = _largest_coefficient_monomial(f)
     selected = [j for j, mono in enumerate(M.col_monomials) if mono != lead]
     matrix = M.with_hess(selected)
-    rank, method, primes = rank_with_certificate(matrix, force_exact=force_exact)
+    rank, method, primes = rank_with_certificate(matrix)
     projective_rank = rank - 1
 
     complement_checked = False
@@ -285,8 +286,7 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
         # column_j += c_j * hess column: a column operation, so the span of
         # [M'' | hess] and hence the rank must not change.
         mults = [1 + rng.randrange(3) for _ in sel2]
-        rank2, _, _ = rank_with_certificate(M.with_hess(sel2, mults),
-                                            force_exact=force_exact)
+        rank2, _, _ = rank_with_certificate(M.with_hess(sel2, mults))
         if rank2 != rank:
             raise VerificationError("complement choice changed the quotient rank")
         complement_checked = True
@@ -318,8 +318,7 @@ def precondition_report(point: SpecialPoint, r: int) -> dict:
 
 
 def verify_special_point_rank(point: SpecialPoint, r: int,
-                              rng: Optional[random.Random] = None,
-                              force_exact: bool = False) -> RankReport:
+                              rng: Optional[random.Random] = None) -> RankReport:
     """Conditional injectivity certificate at one special point.
 
     The integer condition is evaluated first.  When it holds, the exact rank
@@ -330,8 +329,7 @@ def verify_special_point_rank(point: SpecialPoint, r: int,
     require_int("r", r, 1)
     pre = precondition_report(point, r)
     f = point.form(r)
-    report = projective_injectivity(f, label=point.label(), rng=rng,
-                                    force_exact=force_exact)
+    report = projective_injectivity(f, label=point.label(), rng=rng)
     report.precondition = pre
     if pre["holds"]:
         report.claim = "injective"
@@ -426,8 +424,7 @@ def block_structure_check(k: int, r: int) -> BlockReport:
 # ---------------------------------------------------------------------------
 
 
-def pijk_injectivity(i: int, k: int, r: int,
-                     force_exact: bool = False) -> RankReport:
+def pijk_injectivity(i: int, k: int, r: int) -> RankReport:
     """The map h -> top harmonic summand of h * l**k is injective on H_i."""
     require_int("i", i, 0)
     require_int("k", k, 1)  # k = 0 is the identity map: nothing to certify
@@ -439,7 +436,7 @@ def pijk_injectivity(i: int, k: int, r: int,
     matrix = IntColumns(len(row_of), [
         _indexed(harmonic_decompose(h * lk, qform)[0].numerators, row_of)
         for h in basis])
-    rank, method, primes = rank_with_certificate(matrix, force_exact=force_exact)
+    rank, method, primes = rank_with_certificate(matrix)
     dim = dim_harmonic(r + 1, i)
     return RankReport(
         point=f"P(i={i},k={k})",

@@ -2,7 +2,8 @@
 
 A certificate for degree d bundles the three computable ingredients behind
 the recovery statement at that degree: a clean integer-condition scan at the
-relevant k, an exact injectivity rank at the matching special point, and the
+relevant k, an injectivity rank at the matching special point (one rank
+rule, ``linalg.rank_with_certificate``, with no route option), and the
 availability of the x0-divisibility gate that excludes the special orbits
 from the indeterminacy limits.  Branch selection:
 
@@ -131,7 +132,7 @@ _SCOPE_NOTE = ("certified degrees are 4 and every degree from 6 on; even "
                "the single-line point")
 
 
-def certify(d: int, force_exact: bool = False) -> Certificate:
+def certify(d: int) -> Certificate:
     """Assemble the full verification certificate for one degree."""
     require_int("d", d, 4)
     if d == 5:
@@ -164,7 +165,7 @@ def certify(d: int, force_exact: bool = False) -> Certificate:
     rank_dict: Optional[dict] = None
     rank_ok = False
     try:
-        rank = verify_special_point_rank(point, r=2, force_exact=force_exact)
+        rank = verify_special_point_rank(point, r=2)
         rank_dict = rank.to_json_dict()
         rank_ok = rank.claim == "injective" and rank.injective
     except VerificationError as exc:
@@ -191,7 +192,7 @@ CERTIFIED_DEGREES: Tuple[int, ...] = tuple(
 # ---------------------------------------------------------------------------
 #
 # Every entry is a module-level function taking the context dict (seed,
-# bound, force_exact) and returning a JSON-ready report with a "passed" key.
+# bound) and returning a JSON-ready report with a "passed" key.
 # Entries must be deterministic functions of the context.
 
 
@@ -252,8 +253,7 @@ def _entry_rank_certificates(ctx: dict) -> dict:
     ok = True
     for kind, k, expect in _RANK_POINTS:
         point = SpecialPoint(kind, k)
-        rep = verify_special_point_rank(point, r=2, rng=rng,
-                                        force_exact=ctx.get("force_exact", False))
+        rep = verify_special_point_rank(point, r=2, rng=rng)
         good = (rep.claim == "injective") == expect
         if not expect:
             good = good and rep.claim == "no-claim" and not rep.injective
@@ -471,7 +471,7 @@ def _entry_certificates(ctx: dict) -> dict:
     per_degree = {}
     ok = branch_ok = True
     for d in _SUITE_CERT_DEGREES:
-        cert = certify(d, force_exact=ctx.get("force_exact", False))
+        cert = certify(d)
         per_degree[str(d)] = cert.to_json_dict()
         if d == 5:
             ok = ok and cert.excluded and cert.ok
@@ -541,8 +541,7 @@ class SuiteResult:
 
 
 def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
-              seed: int = 0, bound: int = 10 ** 6,
-              force_exact: bool = False) -> SuiteResult:
+              seed: int = 0, bound: int = 10 ** 6) -> SuiteResult:
     """Run the registered verifications and merge their reports.
 
     ``name_filter`` keeps entries whose name contains the string; one that
@@ -561,7 +560,7 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
         raise InputError(f"no suite entry matches {name_filter!r}; known: "
                          + ", ".join(name for name, _ in REGISTRY))
     digest = check_fixtures()
-    ctx = {"seed": seed, "bound": bound, "force_exact": force_exact}
+    ctx = {"seed": seed, "bound": bound}
     entries: Dict[str, dict] = {}
     timings: Dict[str, float] = {}
     if jobs > 1 and len(selected) > 1:

@@ -250,7 +250,7 @@ class TestSuiteAndConfig:
 
     @pytest.mark.parametrize("line", [
         "bound = 0", "jobs = 0", "force_exact = ture", "force_exact = on",
-        "force_exact = 2", "force_exact ="])
+        "force_exact = 2", "force_exact =", "force_exact = 1"])
     def test_meaningless_config_value_is_a_usage_error(self, line, tmp_path,
                                                         monkeypatch):
         cfg = tmp_path / "suite.cfg"
@@ -272,23 +272,32 @@ class TestSuiteAndConfig:
         assert "no suite entry matches 'closed-froms'" in captured.err
         assert "closed-forms" in captured.err
 
-    @pytest.mark.parametrize("value,exact", [
-        ("TRUE", True), ("Yes", True), ("1", True),
-        ("false", False), ("NO", False), ("0", False)])
-    def test_boolean_config_values_in_any_case(self, value, exact, tmp_path,
-                                               monkeypatch):
-        cfg = tmp_path / "exact.cfg"
-        cfg.write_text(f"force_exact = {value}\n")
-        seen = {}
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--point", "qk", "--d", "4"], ["certify", "--d", "4"],
+        ["suite", "--filter", "closed-forms"]], ids=["rank", "certify", "suite"])
+    def test_force_exact_is_an_unknown_flag(self, argv, capsys, monkeypatch):
+        # a full column rank mod p is the proof; no flag adds a second route
+        monkeypatch.setattr(hesskit.reports, "_run_one",
+                            raising(AssertionError("suite must not run")))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--force-exact"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --force-exact" in capsys.readouterr().err
 
-        def fake_certify(d, force_exact):
-            seen["force_exact"] = force_exact
-            raise AssertionError("stop")
-
-        monkeypatch.setattr(hesskit.cli, "certify", fake_certify)
-        with pytest.raises(AssertionError, match="stop"):
-            main(["--config", str(cfg), "certify", "--d", "4"])
-        assert seen["force_exact"] is exact
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_refused_before_the_suite_runs(
+            self, where, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hesskit.reports, "_run_one",
+                            raising(AssertionError("suite must not run")))
+        out = tmp_path / "no-such-dir" / "suite.json"
+        if where == "directory":
+            out = tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--filter", "closed-forms", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"cannot write --out file: [Errno" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_run_suite_rejects_fewer_than_one_job(self, jobs):

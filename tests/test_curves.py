@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from hesskit import curves
 from hesskit.curves import (CONDITION_FAMILIES, CURVE_ONE, CURVE_TWO,
-                            FAMILIES, FAMILY1_INTEGER_CANDIDATES,
-                            FAMILY2_INTEGER_CANDIDATES, OMEGA1, OMEGA2,
+                            FAMILIES, OMEGA1, OMEGA2,
                             QuadraticInY, condition_matches_curve, even_a,
                             even_b, fiber_recover, is_s_integral, odd_c, rho1,
                             rho2, scan_condition, signed_points, verify_family)
@@ -335,15 +335,19 @@ class TestFamilyVerification:
         assert set(rep.recovered_set) == OMEGA2
 
     def test_integer_candidate_sets(self):
-        assert FAMILY1_INTEGER_CANDIDATES == {(-1, 1), (-1, 2), (0, -2),
-                                              (0, 0), (1, -3), (1, 0)}
+        fixture = json.loads(curves.fixture_bytes())
+        one, two = ({tuple(p) for p in fixture[curve]["family_candidates"]}
+                    for curve in ("curve-one", "curve-two"))
+        assert one == {(-1, 1), (-1, 2), (0, -2), (0, 0), (1, -3), (1, 0)}
         assert (ONE.shear, TWO.shear) == (1, 0)
         # s = 1 shifts the family-1 candidates onto omega1, s = 0 is the identity
-        shifted = {(x, ONE.shear * x + y) for x, y in FAMILY1_INTEGER_CANDIDATES}
-        assert shifted == OMEGA1
-        assert {(x, TWO.shear * x + y)
-                for x, y in FAMILY2_INTEGER_CANDIDATES} == OMEGA2
-        assert FAMILY2_INTEGER_CANDIDATES == OMEGA2
+        for family, candidates, omega in ((1, one, OMEGA1), (2, two, OMEGA2)):
+            sheared = {(x, FAMILIES[family].shear * x + y) for x, y in candidates}
+            assert sheared == omega
+            rep = verify_family(family, 10)
+            assert candidates == set(rep.integer_candidates)
+            assert sheared == set(rep.recovered_set)
+        assert two == OMEGA2
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from hesskit import (ConeNormalForm, Form, QuadraticForm, SpecialPoint,
-                     block_structure_check, certify, closed_form_constant,
-                     dim_harmonic, dim_sym, fiber_recover, harmonic_basis,
-                     monomials_of_degree, pijk_injectivity, random_form,
-                     run_suite, sample_gated_pair, sample_gated_triple,
-                     scan_condition, verify_closed_form, verify_family,
-                     verify_pair, verify_special_point_rank)
+                     TParameterForm, block_structure_check, certify,
+                     closed_form_constant, dim_harmonic, dim_sym,
+                     fiber_recover, harmonic_basis, monomials_of_degree,
+                     pijk_injectivity, random_form, run_suite,
+                     sample_gated_pair, sample_gated_triple, scan_condition,
+                     verify_closed_form, verify_family, verify_pair,
+                     verify_special_point_rank)
 from hesskit.errors import InputError
 
 X1, X2 = Form.variable(3, 1), Form.variable(3, 2)
@@ -101,9 +102,23 @@ def test_bad_int_argument_is_an_input_error(fn, kwargs, arg, least):
     lambda: fiber_recover(3, 0, 0),
     lambda: SpecialPoint("qq", 2),
     lambda: run_suite(name_filter="closed-froms"),
+    # Form checks its int arguments in its constructor, ``variable`` and
+    # ``**``, as TParameterForm checks its slot keys; the products and
+    # ``diff`` stay unchecked, since they run on forms already built
+    lambda: Form(2, 2.0, {(1, 1): 1}),
+    lambda: Form(True, 1, {(1,): 1}),
+    lambda: Form.variable(3, True),
+    lambda: Form.variable(3, 3),
+    lambda: X1 ** True,
+    lambda: X1 ** 2.0,
+    lambda: TParameterForm({True: X1}),
+    lambda: TParameterForm({1.0: X1}),
 ], ids=["bool-r", "empty-window", "negative-r", "negative-degree",
         "bool-block-r", "float-degree", "m-above-k", "unknown-kind",
-        "family-3", "fiber-family-3", "unknown-point", "empty-filter"])
+        "family-3", "fiber-family-3", "unknown-point", "empty-filter",
+        "float-form-degree", "bool-form-nvars", "bool-variable-index",
+        "variable-index-too-big", "bool-power", "float-power", "bool-t",
+        "float-t"])
 def test_inputs_once_accepted_are_refused(call):
     with pytest.raises(InputError):
         call()

@@ -140,10 +140,16 @@ class TestRank:
         else:
             assert method == "bareiss"
 
-    def test_force_exact_takes_the_elimination_path(self):
+    def test_full_column_rank_mod_p_skips_the_elimination(self, monkeypatch):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        rank, method, _ = rank_with_certificate(m, force_exact=True)
-        assert rank == 2 and method == "bareiss"
+        assert rank_bareiss(m) == sympy.Matrix(m).rank() == 2
+
+        def refuse(matrix):
+            raise RuntimeError("Bareiss run on a full-rank-mod-p matrix")
+
+        monkeypatch.setattr(linalg, "rank_bareiss", refuse)
+        rank, method, _ = rank_with_certificate(m)
+        assert rank == 2 and method == "modular-full-rank"
 
     def test_rank_deficient_never_certified_modular(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
@@ -151,10 +157,13 @@ class TestRank:
         assert rank == 1 and method == "bareiss"
 
     def test_modular_rank_above_exact_is_a_verification_error(self, monkeypatch):
+        # rank 1 over Q; a fake mod-p rank of 2 is above it yet below the full
+        # column rank 3, so the exact path runs and must catch it
+        m = [[1, 2, 3], [2, 4, 6]]
+        assert rank_bareiss(m) == 1
         monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: 2)
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(VerificationError, match="exceeds exact rank 1"):
-            rank_with_certificate(m, force_exact=True)
+            rank_with_certificate(m)
 
 
 ONE = IntColumns(1, [{0: 1}])
@@ -240,8 +249,9 @@ class TestIntColumns:
             assert rank == m.ncols
         else:
             assert method == "bareiss"
-        assert rank_with_certificate(m, force_exact=True) == (
-            rank, "bareiss", list(PROBE_PRIMES))
+        # one rule: the modular answer stands only at full column rank
+        full = all(linalg.rank_mod_p(m, p) == m.ncols for p in PROBE_PRIMES)
+        assert method == ("modular-full-rank" if full else "bareiss")
         # small primes drop rank often; the exact path must still decide
         assert rank_with_certificate(m, primes=(2, 3))[0] == rank
 
@@ -305,8 +315,9 @@ class TestSparse:
     def test_rank_matches_sympy(self, m):
         rank = sympy.Matrix(m).rank()
         assert rank_bareiss(m) == rank
-        assert rank_with_certificate(m, force_exact=True) == (
-            rank, "bareiss", list(PROBE_PRIMES))
+        got, method, primes = rank_with_certificate(m)
+        assert (got, primes) == (rank, list(PROBE_PRIMES))
+        assert method == "bareiss" or rank == len(m[0])
 
     @settings(max_examples=150)
     @given(m=matrices(sparse=True))

@@ -9,7 +9,10 @@ from conftest import RATIONAL, forms
 from hesskit import linalg, rank_certificates
 from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, monomials_of_degree
-from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.harmonic import (QuadraticForm, harmonic_basis,
+                              harmonic_decompose)
+from hesskit.hessians import (adjugate_second_partials, adjugate_trace, hess,
+                              hess_from_adjugate)
 from hesskit.orbit_checks import SPECIAL_POINTS, pair_m_range
 from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
@@ -18,6 +21,20 @@ from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
                                        precondition_report,
                                        projective_injectivity,
                                        verify_special_point_rank)
+
+def bareiss_quotient_ranks(f):
+    """Exact oracle for ``projective_injectivity``: Bareiss rank minus one of
+    [M' | hess] over the complement it uses, its shape, and of [M | hess] over
+    every column, which must agree since the f-column lies in the span of the
+    Hessian column."""
+    M = differential_matrix(f)
+    lead = rank_certificates._largest_coefficient_monomial(f)
+    selected = M.with_hess(
+        [j for j, mono in enumerate(M.col_monomials) if mono != lead])
+    every = M.with_hess(range(len(M.col_monomials)))
+    return (linalg.rank_bareiss(selected) - 1, (selected.nrows, selected.ncols),
+            linalg.rank_bareiss(every) - 1)
+
 
 # (kind, k) -> (rank, projective domain dim) for r = 2, computed exactly
 # once and frozen.  Every one of these is full rank.
@@ -73,21 +90,21 @@ class TestSpecialPointRanks:
         assert not pre["holds"]
 
     def test_exact_path_agrees_with_modular(self):
-        a = verify_special_point_rank(SpecialPoint("qk", 2), r=2)
-        b = verify_special_point_rank(SpecialPoint("qk", 2), r=2,
-                                      force_exact=True)
-        assert a.rank == b.rank
-        assert a.method == "modular-full-rank"
-        assert b.method == "bareiss"
+        point = SpecialPoint("qk", 2)
+        rep = verify_special_point_rank(point, r=2)
+        assert rep.method == "modular-full-rank"
+        rank, _, every = bareiss_quotient_ranks(point.form(2))
+        assert rep.rank == rank == every
 
     @pytest.mark.parametrize("kind,k", sorted(INJECTIVE_POINTS))
     def test_exact_route_matches_modular_route(self, kind, k):
         f = SpecialPoint(kind, k).form(2)
         mod = projective_injectivity(f, rng=random.Random(7))
-        exact = projective_injectivity(f, rng=random.Random(7), force_exact=True)
-        assert mod.method == "modular-full-rank" and exact.method == "bareiss"
-        assert (mod.rank, mod.matrix_shape) == (exact.rank, exact.matrix_shape)
-        assert mod.complement_checked and exact.complement_checked
+        rank, shape, every = bareiss_quotient_ranks(f)
+        assert mod.method == "modular-full-rank"
+        assert (mod.rank, mod.matrix_shape) == (rank, shape)
+        assert every == rank
+        assert mod.complement_checked
 
     def test_modular_route_needs_no_dense_matrix(self, monkeypatch):
         f = SpecialPoint("qkl", 3).form(2)
@@ -233,8 +250,8 @@ class TestMonomialShiftColumns:
         assert_matches_form_route(f)
 
     def test_products_do_not_grow_with_directions(self, monkeypatch):
-        """Only hess and the adjugate multiply forms: the same count at 15
-        directions (d = 4) as at 91 (d = 12)."""
+        """Only the adjugate and Hess f, read off it, multiply forms: the same
+        count at 15 directions (d = 4) as at 91 (d = 12)."""
         calls = []
         original = Form.__mul__
 
@@ -249,8 +266,7 @@ class TestMonomialShiftColumns:
             f = Form.from_coeffs(3, d, {e: rng.randint(1, 9)
                                         for e in monomials_of_degree(3, d)})
             calls.clear()
-            hess(f)
-            adjugate_second_partials(f)
+            hess_from_adjugate(f, adjugate_second_partials(f))
             kernels = len(calls)
             calls.clear()
             differential_matrix(f)
@@ -273,10 +289,10 @@ class TestSparseCubics:
     def test_exact_route_matches_modular_route(self, coeffs):
         f = Form.from_coeffs(3, 3, coeffs)
         mod = projective_injectivity(f, rng=random.Random(70))
-        exact = projective_injectivity(f, rng=random.Random(70), force_exact=True)
-        assert exact.method == "bareiss"
-        assert (mod.rank, mod.matrix_shape) == (exact.rank, exact.matrix_shape)
-        assert mod.complement_checked and exact.complement_checked
+        rank, shape, every = bareiss_quotient_ranks(f)
+        assert (mod.rank, mod.matrix_shape) == (rank, shape)
+        assert every == rank
+        assert mod.complement_checked
 
     def test_zero_pivot_rows_keep_their_rank(self):
         # 2*x0^2*x2 - 3*x1^3 + x2^3; its matrix has rows that are zero in a
@@ -358,7 +374,14 @@ class TestMultiplicationProjection:
                                             (2, 2, 3, 9)])
     def test_frozen_ranks(self, i, k, r, rank):
         rep = pijk_injectivity(i, k, r)
-        assert pijk_injectivity(i, k, r, force_exact=True).rank == rank
+        # exact oracle: Bareiss on the same map, built from dense rationals
+        qform = QuadraticForm.canonical_hyperbolic(r)
+        lk = Form.monomial((k,) + (0,) * r)
+        tops = [harmonic_decompose(h * lk, qform)[0]
+                for h in harmonic_basis(i, qform)]
+        dense = [[top.coefficient(mono) for top in tops]
+                 for mono in monomials_of_degree(r + 1, i + k)]
+        assert linalg.rank_bareiss(dense) == rank
         assert rep.rank == rank
         assert rep.injective
         assert rep.domain_dim == rank

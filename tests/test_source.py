@@ -86,8 +86,9 @@ def test_only_curves_pairs_a_family_with_its_curve():
 
 # Public names whose int parameters are left out of the validation table.
 EXEMPT_NAMES = {
-    # the hot arithmetic type: its constructor and methods check their own
-    # arguments, and a check per call there would cost every product
+    # the hot arithmetic type: its constructor, ``variable`` and ``**`` run
+    # ``require_int`` and have their own cases in test_inputs.py; ``diff``
+    # and the products stay unchecked, as a check there would cost every one
     "Form",
     # report records: the library fills them from arguments already checked
     "Certificate", "SuiteResult",
