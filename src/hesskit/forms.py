@@ -1,23 +1,38 @@
 """Exact sparse arithmetic for homogeneous polynomials over the rationals.
 
 A form in ``nvars`` variables x0..x_{nvars-1} is stored as integer numerators
-over one shared positive denominator: ``_num`` maps exponent tuples to
+over one shared positive denominator: ``_num`` maps packed monomial keys to
 nonzero ``int`` numerators and ``_den`` is an ``int`` with
 ``gcd(_den, *_num.values()) == 1``, so the coefficient of x**e is
-``_num[e] / _den``.  The invariant makes the representation unique: ``_den``
-is the least common denominator of the coefficients, and equal polynomials
-have equal ``(_num, _den)``.  Every product and sum therefore runs on Python
-integers, with one gcd per result to restore the invariant.
+``_num[monomial_key(e)] / _den``.  The invariant makes the representation
+unique: ``_den`` is the least common denominator of the coefficients, and
+equal polynomials have equal ``(_num, _den)``.  Every product and sum
+therefore runs on Python integers, with one gcd per result to restore the
+invariant.
+
+A key packs an exponent tuple into one int with a fixed ``FIELD_BITS``-bit
+field per exponent, x0 in the most significant field (Monagan & Pearce,
+*Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors*, CASC 2007).  The width is the same for every form, so packing is
+linear across forms: the key of a product monomial is the sum of its
+factors' keys, ``diff`` reads one field with a shift and a mask, and keys
+sort in the same order as the tuples they pack.  A field holds exponents
+below 2**FIELD_BITS; ``Form(...)`` refuses a larger exponent and a product
+refuses a degree that large, so a field never carries into its neighbour.
 
 ``Form(nvars, degree, terms)`` checks ``nvars`` and ``degree`` with
-``require_int``, validates every term and converts the coefficients;
+``require_int``, refuses an exponent entry that is a bool or not an int
+(``InputError``), validates every term and converts the coefficients;
 ``Form.variable`` and ``**`` check their int arguments the same way.
 Arithmetic builds its results with the trusted constructor
-``Form._make``, which only restores the invariant.  ``Form.terms`` is a
-read-only mapping of exponent tuples to reduced ``Fraction`` coefficients,
-computed on access from ``_num`` and ``_den``; ``Form.numerators`` is a
-read-only view of ``_num`` itself, for callers that only need the
-coefficients up to one positive factor.  Nothing in this module touches
+``Form._make``, which only restores the invariant.  Exponent tuples appear
+only at the edges: ``Form.terms`` is a read-only mapping of exponent tuples
+to reduced ``Fraction`` coefficients and ``Form.numerators`` one to the
+stored ints, both computed on access from ``_num`` and ``_den``; a lookup
+with anything but a tuple of ``nvars`` ints a field can hold finds nothing.
+``coefficient``, ``sorted_terms``, ``evaluate`` and ``str`` unpack keys the
+same way.  ``packed`` hands the keys themselves to the rank path, which
+indexes its rows by ``monomial_key``.  Nothing in this module touches
 floating point.
 
 The canonical term order used everywhere (printing, iteration, matrix
@@ -31,13 +46,45 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, require_int
 
 Exponent = Tuple[int, ...]
+
+FIELD_BITS = 16  # bits of a packed key per exponent
+_MASK = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
+
+
+def monomial_key(exps: Sequence[int]) -> int:
+    """The packed key of x**exps, as ``Form`` stores it.
+
+    Unchecked: every entry must be an int in [0, 2**FIELD_BITS), which holds
+    for the monomials of any form.
+    """
+    key = 0
+    for e in exps:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _exponents(key: int, nvars: int) -> Exponent:
+    """The exponent tuple a key packs, x0 first."""
+    return tuple(key >> shift & _MASK
+                 for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS))
+
+
+def _lookup_key(exps, nvars: int) -> Optional[int]:
+    """The key of ``exps`` in a form of ``nvars`` variables, or None when
+    ``exps`` is no tuple of ``nvars`` ints that the fields can hold, so that
+    such a lookup finds nothing rather than another monomial."""
+    if type(exps) is not tuple or len(exps) != nvars:
+        return None
+    for e in exps:
+        if not isinstance(e, int) or not 0 <= e <= _MASK:
+            return None
+    return monomial_key(exps)
 
 
 def dim_sym(nvars: int, degree: int) -> int:
@@ -80,29 +127,46 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"coefficient must be int, Fraction or string, got {type(c)!r}")
 
 
-class _Terms(MappingABC):
-    """Read-only view of a form's coefficients as reduced ``Fraction`` values."""
+class _Numerators(MappingABC):
+    """Read-only view of a form's int numerators under exponent-tuple keys."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_nvars")
 
-    def __init__(self, num: Dict[Exponent, int], den: int):
-        self._num = num
-        self._den = den
+    def __init__(self, f: "Form"):
+        self._num = f._num
+        self._den = f._den
+        self._nvars = f.nvars
 
-    def __getitem__(self, exps: Exponent) -> Fraction:
-        return Fraction(self._num[exps], self._den)
+    def _value(self, c: int):
+        return c
+
+    def __getitem__(self, exps: Exponent):
+        key = _lookup_key(exps, self._nvars)
+        if key not in self._num:
+            raise KeyError(exps)
+        return self._value(self._num[key])
 
     def __contains__(self, exps) -> bool:
-        return exps in self._num
+        return _lookup_key(exps, self._nvars) in self._num
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(self._num)
+        nvars = self._nvars
+        return (_exponents(k, nvars) for k in self._num)
 
     def __len__(self) -> int:
         return len(self._num)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+class _Terms(_Numerators):
+    """Read-only view of a form's coefficients as reduced ``Fraction`` values."""
+
+    __slots__ = ()
+
+    def _value(self, c: int) -> Fraction:
+        return Fraction(c, self._den)
 
 
 class Form:
@@ -118,36 +182,41 @@ class Form:
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         require_int("nvars", nvars, 1)
         require_int("degree", degree, 0)
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[int, Fraction] = {}
         for exps, c in terms.items():
             c = _coerce(c)
-            if c == 0:
-                continue
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for nvars={nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            for e in exps:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise InputError(f"exponents must be ints, got {exps!r}")
+                if e < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                if e > _MASK:
+                    raise ValueError(f"exponent in {exps} does not fit a "
+                                     f"{FIELD_BITS}-bit field")
             if sum(exps) != degree:
                 raise ValueError(f"monomial {exps} is not of degree {degree}")
-            clean[tuple(exps)] = c
+            if c:
+                clean[monomial_key(exps)] = c
         # The least common denominator is coprime to the set of numerators.
         den = lcm(*(c.denominator for c in clean.values()))
-        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._set(nvars, degree, num, den)
 
-    def _set(self, nvars: int, degree: int, num: Dict[Exponent, int], den: int) -> None:
+    def _set(self, nvars: int, degree: int, num: Dict[int, int], den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @staticmethod
-    def _make(nvars: int, degree: int, num: Dict[Exponent, int], den: int) -> "Form":
+    def _make(nvars: int, degree: int, num: Dict[int, int], den: int) -> "Form":
         """Trusted constructor for results of arithmetic on valid forms.
 
-        The caller guarantees what ``__init__`` would check: ``num`` maps
-        exponent tuples of length ``nvars`` and total ``degree`` to nonzero
-        ints, and ``den`` > 0.  The only work done is dividing out
+        The caller guarantees what ``__init__`` would check: ``num`` maps the
+        packed keys of monomials in ``nvars`` variables of total ``degree``
+        to nonzero ints, and ``den`` > 0.  The only work done is dividing out
         ``gcd(den, *num.values())``.
         """
         if den != 1:
@@ -165,13 +234,13 @@ class Form:
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Exponent tuple -> nonzero reduced ``Fraction`` coefficient (read-only)."""
-        return _Terms(self._num, self._den)
+        return _Terms(self)
 
     @property
     def numerators(self) -> Mapping[Exponent, int]:
         """Exponent tuple -> nonzero int: the coefficients times the least
         common denominator (read-only)."""
-        return MappingProxyType(self._num)
+        return _Numerators(self)
 
     # ----- constructors -------------------------------------------------
 
@@ -207,11 +276,13 @@ class Form:
         return len(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(_lookup_key(tuple(exps), self.nvars), 0),
+                        self._den)
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
-        den = self._den
-        return [(e, Fraction(self._num[e], den)) for e in sorted(self._num, reverse=True)]
+        n, den = self.nvars, self._den
+        return [(_exponents(k, n), Fraction(c, den))
+                for k, c in sorted(self._num.items(), reverse=True)]
 
     def __iter__(self) -> Iterator[Tuple[Exponent, Fraction]]:
         return iter(self.sorted_terms())
@@ -262,34 +333,24 @@ class Form:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        n = self.nvars
         degree = self.degree + other.degree
+        if degree > _MASK:
+            raise ValueError(f"product degree {degree} does not fit a "
+                             f"{FIELD_BITS}-bit field")
         if not self._num or not other._num:
-            return Form.zero(n, degree)
-        # Pack each exponent tuple into one int, digits base degree + 1 (no
-        # digit of a product term can carry), so multiplying monomials is one
-        # integer addition; the distinct result keys are unpacked once.
-        base = degree + 1
-        weights = [base ** (n - 1 - i) for i in range(n)]
-        right = [(sum(map(mul, e, weights)), c) for e, c in other._num.items()]
+            return Form._make(self.nvars, degree, {}, 1)
+        # No field of a product key exceeds the degree, so none carries and
+        # multiplying two monomials is adding their keys.
+        right = list(other._num.items())
         acc: Dict[int, int] = {}
         get = acc.get
-        for e1, c1 in self._num.items():
-            k1 = sum(map(mul, e1, weights))
+        for k1, c1 in self._num.items():
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        head = weights[:-1]
-        out: Dict[Exponent, int] = {}
-        for k, c in acc.items():
-            if c:
-                exps = []
-                for w in head:
-                    q, k = divmod(k, w)
-                    exps.append(q)
-                exps.append(k)
-                out[tuple(exps)] = c
-        return Form._make(n, degree, out, self._den * other._den)
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        return Form._make(self.nvars, degree, acc, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,7 +359,7 @@ class Form:
 
     def __pow__(self, k: int) -> "Form":
         require_int("exponent", k, 0)
-        result = Form._make(self.nvars, 0, {(0,) * self.nvars: 1}, 1)
+        result = Form._make(self.nvars, 0, {0: 1}, 1)
         base = self
         while k:
             if k & 1:
@@ -314,14 +375,13 @@ class Form:
         """Exact partial derivative with respect to x_index."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        out: Dict[Exponent, int] = {}
-        for e, c in self._num.items():
-            k = e[index]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[index] = k - 1
-            out[tuple(e2)] = c * k
+        shift = FIELD_BITS * (self.nvars - 1 - index)
+        unit = 1 << shift
+        out: Dict[int, int] = {}
+        for key, c in self._num.items():
+            k = key >> shift & _MASK
+            if k:
+                out[key - unit] = c * k
         return Form._make(self.nvars, max(self.degree - 1, 0), out, self._den)
 
     def second_partials(self) -> List[List["Form"]]:
@@ -340,9 +400,9 @@ class Form:
             raise ValueError("point has wrong length")
         pt = [_coerce(p) for p in point]
         total = Fraction(0)
-        for e, c in self._num.items():
+        for key, c in self._num.items():
             v = Fraction(c)
-            for i, k in enumerate(e):
+            for i, k in enumerate(_exponents(key, self.nvars)):
                 if k:
                     v *= pt[i] ** k
             total += v
@@ -381,6 +441,12 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {self.num_terms()} terms)"
+
+
+def packed(f: Form) -> Tuple[Mapping[int, int], int]:
+    """``f`` as stored: its numerators under packed monomial keys (read-only)
+    and their one positive denominator."""
+    return MappingProxyType(f._num), f._den
 
 
 # ----- convenience builders used throughout the package -----------------

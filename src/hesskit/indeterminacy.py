@@ -261,14 +261,18 @@ def _rand_coeff(rng: random.Random, nonzero: bool = False) -> Fraction:
 def _rand_binary(rng: random.Random, x: Form, u: Form, degree: int,
                  monic_x: bool = False) -> Form:
     """Random form in the pencil spanned by x and u of the given degree."""
-    out = x ** degree if monic_x else Form.zero(3, degree)
+    xs, us = [x ** 0], [u ** 0]
+    for _ in range(degree):
+        xs.append(xs[-1] * x)
+        us.append(us[-1] * u)
+    out = xs[degree] if monic_x else Form.zero(3, degree)
     start = 1 if monic_x else 0
     for i in range(start, degree + 1):
         c = _rand_coeff(rng)
         if c:
-            out = out + c * (x ** (degree - i)) * (u ** i)
+            out = out + c * xs[degree - i] * us[i]
     if out.is_zero():
-        out = x ** degree
+        out = xs[degree]
     return out
 
 

@@ -15,7 +15,8 @@ that on demand.
 
 Each column is an image form's integer numerators, that is the rational
 column times its own positive denominator, which keeps the rank and the zero
-pattern.  ``DifferentialMatrix`` indexes the target monomials once and keeps
+pattern.  ``DifferentialMatrix`` indexes the target monomials once, by the
+packed keys ``Form`` stores (``forms.monomial_key``), and keeps
 every column as a sparse ``{row: numerator}`` dict, so the matrices handed to
 ``linalg.rank_with_certificate`` are ``IntColumns`` from the start: no
 clearing, no ``Fraction`` and no dense matrix on the rank path unless the
@@ -36,11 +37,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
-from .forms import Exponent, Form, dim_sym, monomials_of_degree
+from .forms import Exponent, Form, dim_sym, monomial_key, monomials_of_degree, \
+    packed
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, adjugate_trace, \
     hess_from_adjugate
@@ -110,10 +111,10 @@ class SpecialPoint:
 # ---------------------------------------------------------------------------
 
 
-def _indexed(numerators: Mapping[Exponent, int],
-             row_of: Mapping[Exponent, int]) -> Dict[int, int]:
-    """A form's numerators as a sparse column keyed by row index."""
-    return {row_of[e]: v for e, v in numerators.items()}
+def _indexed(f: Form, row_of: Mapping[int, int]) -> Dict[int, int]:
+    """f's numerators as a sparse column, ``row_of`` mapping each packed
+    monomial key to its row index."""
+    return {row_of[k]: v for k, v in packed(f)[0].items()}
 
 
 @dataclass
@@ -148,40 +149,35 @@ class DifferentialMatrix:
 
 
 def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponent],
-                     row_monomials: Sequence[Exponent]) -> List[Dict[int, int]]:
+                     row_of: Mapping[int, int]) -> List[Dict[int, int]]:
     """The numerators of ``adjugate_trace(adj, x**e)`` for each direction e,
     keyed by row index, without building a form per direction.
 
     d_i d_j x**e is the single monomial e_i (e_j - [i = j]) x**(e - i - j),
     so the image of x**e is the sum over i <= j of that weight (doubled off
     the diagonal) times adj[i][j] shifted by e - i - j.  The entries are
-    brought to one denominator D once; a column is then a shifted sum of
-    integer tables under packed monomial keys (digits base target degree + 1,
-    as in ``Form.__mul__``; packing is linear, so a shift is one addition),
-    reduced by gcd(D, *column) as ``Form._make`` would reduce the image.
+    brought to one denominator D once; a column is then a shifted sum of the
+    entries' integer numerators under the forms' own packed keys (``packed``
+    and ``monomial_key``; packing is linear, so a shift is one addition, and
+    a nonzero weight leaves no field below zero), reduced by gcd(D, *column)
+    as ``Form._make`` would reduce the image.  ``row_of`` maps each target
+    monomial's key to its row.
     """
     n = len(directions[0])
-    base = sum(row_monomials[0]) + 1
-    weights = [base ** (n - 1 - i) for i in range(n)]
-
-    def key(e: Exponent) -> int:
-        return sum(map(mul, e, weights))
-
-    row_of_key = {key(e): i for i, e in enumerate(row_monomials)}
+    units = [monomial_key([int(k == i) for k in range(n)]) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    lcds = [lcm(*(c.denominator for c in adj[i][j].terms.values()))
-            for i, j in pairs]
-    den = lcm(*lcds)
+    entries = [packed(adj[i][j]) for i, j in pairs]
+    den = lcm(*(entry_den for _, entry_den in entries))
     tables = []
-    for (i, j), entry_den in zip(pairs, lcds):
+    for (i, j), (num, entry_den) in zip(pairs, entries):
         scale = (den // entry_den) * (2 if i != j else 1)
-        table = [(key(e), c * scale) for e, c in adj[i][j].numerators.items()]
+        table = [(k, c * scale) for k, c in num.items()]
         if table:
-            tables.append((i, j, weights[i] + weights[j], table))
+            tables.append((i, j, units[i] + units[j], table))
 
     columns = []
     for e in directions:
-        ke = key(e)
+        ke = monomial_key(e)
         acc: Dict[int, int] = {}
         get = acc.get
         for i, j, drop, table in tables:
@@ -192,7 +188,7 @@ def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponen
                     k += shift
                     acc[k] = get(k, 0) + w * c
         g = gcd(den, *acc.values())
-        columns.append({row_of_key[k]: v // g for k, v in acc.items() if v})
+        columns.append({row_of[k]: v // g for k, v in acc.items() if v})
     return columns
 
 
@@ -206,11 +202,11 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     n, d = f.nvars, f.degree
     col_monos = monomials_of_degree(n, d)
     row_monos = monomials_of_degree(n, n * (d - 2))
-    row_of = {mono: i for i, mono in enumerate(row_monos)}
+    row_of = {monomial_key(mono): i for i, mono in enumerate(row_monos)}
     return DifferentialMatrix(
         row_monomials=row_monos, col_monomials=col_monos,
-        columns=_monomial_images(adj, col_monos, row_monos),
-        hess_column=_indexed(H.numerators, row_of),
+        columns=_monomial_images(adj, col_monos, row_of),
+        hess_column=_indexed(H, row_of),
     )
 
 
@@ -432,10 +428,10 @@ def pijk_injectivity(i: int, k: int, r: int) -> RankReport:
     qform = QuadraticForm.canonical_hyperbolic(r)
     basis = harmonic_basis(i, qform)
     lk = Form.monomial((k,) + (0,) * r)
-    row_of = {mono: j for j, mono in enumerate(monomials_of_degree(r + 1, i + k))}
+    row_of = {monomial_key(mono): j
+              for j, mono in enumerate(monomials_of_degree(r + 1, i + k))}
     matrix = IntColumns(len(row_of), [
-        _indexed(harmonic_decompose(h * lk, qform)[0].numerators, row_of)
-        for h in basis])
+        _indexed(harmonic_decompose(h * lk, qform)[0], row_of) for h in basis])
     rank, method, primes = rank_with_certificate(matrix)
     dim = dim_harmonic(r + 1, i)
     return RankReport(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -6,14 +7,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import Form, dim_sym, monomials_of_degree, random_form
+from hesskit.forms import (FIELD_BITS, Form, dim_sym, monomials_of_degree,
+                           random_form)
+from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.rank_certificates import differential_matrix
 
 from conftest import RATIONAL, SYMS, forms, to_sympy
 
 
 # Reference kernel: forms as plain dicts of exponent tuple -> nonzero
 # Fraction, multiplied and added term by term.  The differential tests below
-# compare the integer-numerator kernel of ``Form`` against it.
+# compare the packed-key, integer-numerator kernel of ``Form`` against it.
 
 def ref_mul(a, b):
     out = {}
@@ -52,10 +56,11 @@ def ref_pow(a, k, nvars):
 
 def assert_canonical(f):
     """The stored numerators and denominator satisfy the module invariant."""
+    num = dict(f.numerators)
     assert f._den > 0
-    assert all(type(c) is int and c for c in f._num.values())
-    assert gcd(f._den, *f._num.values()) == 1
-    assert len(f.terms) == f.num_terms() == len(f._num)
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(f._den, *num.values()) == 1
+    assert len(f.terms) == f.num_terms() == len(num)
     for c in f.terms.values():
         assert type(c) is Fraction and c != 0
         assert gcd(c.numerator, c.denominator) == 1
@@ -89,6 +94,13 @@ class TestConstruction:
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             Form.from_coeffs(3, 2, {(2, 0, 0): 1, (1, 0, 0): 1})
+
+    def test_a_zero_coefficient_does_not_skip_the_checks(self):
+        for exps in ((2, 0), (1, 1, 0, 0), (3, 0, 0), (-1, 3, 0),
+                     (1 << FIELD_BITS, 0, 0)):
+            with pytest.raises(ValueError):
+                Form(3, 2, {exps: 0})
+        assert Form(3, 2, {(2, 0, 0): 0, (1, 1, 0): "0"}).is_zero()
 
     def test_zero_form_has_no_terms(self):
         z = Form.zero(3, 4)
@@ -220,7 +232,8 @@ class TestIntegerKernel:
         third = Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 3),
                                         (0, 1, 0): Fraction(1, 2)})
         total = sixth + third
-        assert (total._num, total._den) == ({(1, 0, 0): 1, (0, 1, 0): 2}, 2)
+        assert (dict(total.numerators), total._den) == (
+            {(1, 0, 0): 1, (0, 1, 0): 2}, 2)
         assert total == Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 2),
                                                 (0, 1, 0): 1})
         assert (total * 2) == Form.from_coeffs(3, 1, {(1, 0, 0): 1,
@@ -245,9 +258,131 @@ class TestIntegerKernel:
             num[next(iter(num))] = 1
 
 
+@st.composite
+def with_reference(draw, nvars, degree=None):
+    """A form and the tuple-keyed ``Fraction`` dict it was built from, with
+    integer or rational coefficients."""
+    if degree is None:
+        degree = draw(st.integers(0, 4 if nvars <= 3 else 2))
+    monos = monomials_of_degree(nvars, degree)
+    dens = draw(st.sampled_from([(1,), RATIONAL]))
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                      st.sampled_from(dens))
+    a = draw(st.dictionaries(st.sampled_from(monos), coeff,
+                             max_size=len(monos)))
+    return Form(nvars, degree, a), a
+
+
+def check_views(f, a, probes=None):
+    """Every tuple-keyed edge of ``f`` against the dict it was built from,
+    looked up at ``probes`` (default: every monomial of f's degree)."""
+    den = lcm(*(c.denominator for c in a.values()))
+    assert dict(f.terms) == a and f.terms == a
+    assert dict(f.numerators) == {e: int(c * den) for e, c in a.items()}
+    assert [e for e, _ in f.sorted_terms()] == sorted(a, reverse=True)
+    assert f.sorted_terms() == list(f) == sorted(a.items(), reverse=True)
+    if probes is None:
+        probes = monomials_of_degree(f.nvars, f.degree)
+    for e in probes:
+        assert f.coefficient(e) == a.get(e, 0)
+        assert (e in f.terms) == (e in f.numerators) == (e in a)
+        assert f.terms.get(e) == a.get(e)
+
+
+TOP = (1 << FIELD_BITS) - 1  # the largest exponent a key field holds
+
+
+class TestPackedKeys:
+    """The packed-key kernel against the tuple-key reference ``ref_*``."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+    def test_kernel_matches_reference(self, nvars):
+        @settings(max_examples=30, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            f, a = data.draw(with_reference(nvars))
+            g, b = data.draw(with_reference(nvars))
+            h, c = data.draw(with_reference(nvars, f.degree))
+            k = data.draw(st.integers(0, 3))
+            check_views(f, a)
+            assert dict((f * g).terms) == ref_mul(a, b)
+            assert dict((f + h).terms) == ref_add(a, c)
+            assert dict((f - h).terms) == ref_add(a, ref_scale(c, -1))
+            for i in range(nvars):
+                assert dict(f.diff(i).terms) == ref_diff(a, i)
+            assert dict((f ** k).terms) == ref_pow(a, k, nvars)
+            for got in (f * g, f + h, f.diff(0), f ** k):
+                assert_canonical(got)
+
+        check()
+
+    def test_largest_exponent_fills_its_field(self):
+        a = {(TOP, 0, 0): Fraction(2), (0, TOP, 0): Fraction(-1),
+             (0, 0, TOP): Fraction(1, 3), (TOP - 1, 0, 1): Fraction(5, 2),
+             (1, TOP - 1, 0): Fraction(7)}
+        f = Form(3, TOP, a)
+        check_views(f, a, list(a) + [(TOP - 1, 1, 0), (0, 1, TOP - 1)])
+        for i in range(3):
+            assert dict(f.diff(i).terms) == ref_diff(a, i)
+        low = {(0, 0, 0): Fraction(3)}
+        assert dict((f * Form(3, 0, low)).terms) == ref_mul(a, low)
+        # fields of a product reach the top without spilling into x0's
+        g = Form(2, TOP - 4, {(TOP - 7, 3): 1, (0, TOP - 4): -2})
+        h = Form(2, 4, {(3, 1): 5, (0, 4): 1})
+        assert dict((g * h).terms) == ref_mul(dict(g.terms), dict(h.terms))
+        assert (g * h).coefficient((0, TOP)) == -2
+
+    def test_exponent_past_the_field_is_refused(self):
+        for nvars, exps in ((1, (TOP + 1,)), (3, (0, TOP + 1, 0)),
+                            (2, (TOP + 1, 2))):
+            with pytest.raises(ValueError, match="16-bit field"):
+                Form(nvars, sum(exps), {exps: 1})
+            with pytest.raises(ValueError, match="16-bit field"):
+                Form.monomial(exps)
+
+    def test_product_degree_past_the_field_is_refused(self):
+        x = Form.monomial((TOP, 0))
+        y = Form.variable(2, 1)
+        assert (Form.monomial((TOP - 1, 0)) * y).terms == {(TOP - 1, 1): 1}
+        for product in (lambda: x * y, lambda: y * x, lambda: x ** 2,
+                        lambda: x * Form.zero(2, 1)):
+            with pytest.raises(ValueError, match="16-bit field"):
+                product()
+
+    def test_a_lookup_outside_the_fields_finds_nothing(self):
+        f = Form.from_coeffs(3, 1, {(0, 0, 1): 4, (0, 1, 0): 3})
+        # each would pack to the key of (0, 0, 1) or (0, 1, 0) if unchecked
+        for exps in ((1,), (0, 1), (0, 0, 0, 1), (0, 0, TOP + 2),
+                     (0, 0, 1 << FIELD_BITS), (0, 2, -1), (1, -TOP, 0),
+                     (0, 0, 1.5), [0, 0, 1], "abc", None):
+            for view in (f.terms, f.numerators):
+                assert exps not in view and view.get(exps) is None
+                with pytest.raises(KeyError):
+                    view[exps]
+        for exps in ((1,), (0, 1), (0, 0, 0, 1), (0, 0, 1 << FIELD_BITS),
+                     (0, 2, -1)):
+            assert f.coefficient(exps) == 0
+        assert f.coefficient([0, 0, 1]) == 4 and f.terms[(0, 1, 0)] == 3
+
+    @pytest.mark.parametrize("nvars,degree", [(1, 4), (2, 5), (3, 4), (5, 3)])
+    def test_differential_matrix_reads_the_same_keys(self, nvars, degree):
+        """The rank path's packed columns equal the numerators of the image
+        forms, each built through ``adjugate_trace``."""
+        f = random_form(nvars, degree, random.Random(nvars), coeff_bound=4)
+        M = differential_matrix(f)
+        row_of = {e: i for i, e in enumerate(M.row_monomials)}
+
+        def column(g):
+            return {row_of[e]: v for e, v in g.numerators.items()}
+
+        adj = adjugate_second_partials(f)
+        assert M.columns == [column(adjugate_trace(adj, Form.monomial(e)))
+                             for e in M.col_monomials]
+        assert M.hess_column == column(hess(f))
+
+
 class TestRandomAndJson:
     def test_random_form_is_seed_stable(self):
-        import random
         a = random_form(3, 4, random.Random(11))
         b = random_form(3, 4, random.Random(11))
         assert a == b

@@ -113,12 +113,17 @@ def test_bad_int_argument_is_an_input_error(fn, kwargs, arg, least):
     lambda: X1 ** 2.0,
     lambda: TParameterForm({True: X1}),
     lambda: TParameterForm({1.0: X1}),
+    # an exponent entry is packed into an int key, so it must be an int
+    lambda: Form(2, 2, {(1.0, 1): 1}),
+    lambda: Form.monomial((True, 1)),
+    lambda: Form(2, 2, {(1.0, 1): 0}),
 ], ids=["bool-r", "empty-window", "negative-r", "negative-degree",
         "bool-block-r", "float-degree", "m-above-k", "unknown-kind",
         "family-3", "fiber-family-3", "unknown-point", "empty-filter",
         "float-form-degree", "bool-form-nvars", "bool-variable-index",
         "variable-index-too-big", "bool-power", "float-power", "bool-t",
-        "float-t"])
+        "float-t", "float-exponent", "bool-exponent",
+        "float-exponent-zero-coefficient"])
 def test_inputs_once_accepted_are_refused(call):
     with pytest.raises(InputError):
         call()

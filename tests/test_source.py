@@ -84,6 +84,54 @@ def test_only_curves_pairs_a_family_with_its_curve():
     assert found == []
 
 
+def _packing_sites(tree):
+    """Lines that read a form's stored representation or pack monomials by
+    hand: a ``._num`` or ``._den`` attribute; a positional weight list, that
+    is a comprehension of ``b ** w(i)`` or ``b << w(i)`` over its own i; a
+    ``map(mul, exps, weights)`` dot product; or a ``key << bits | e`` step."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+            found.append(node.lineno)
+        elif (isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+              and isinstance(node.elt, ast.BinOp)
+              and isinstance(node.elt.op, (ast.Pow, ast.LShift))):
+            bound = {n.id for gen in node.generators
+                     for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+            if bound & {n.id for n in ast.walk(node.elt.right)
+                        if isinstance(n, ast.Name)}:
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "map" and node.args
+              and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == "mul"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+              and isinstance(node.left, ast.BinOp)
+              and isinstance(node.left.op, ast.LShift)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_forms_packs_monomials():
+    """``forms`` owns the one packing of exponent tuples into int keys;
+    other modules reach it through ``monomial_key`` and ``packed``."""
+    found = [f"{name}:{line}"
+             for name, tree in _library_trees() if name != "forms.py"
+             for line in _packing_sites(tree)]
+    assert found == []
+
+
+def test_the_packing_guard_sees_a_packing():
+    trees = dict(_library_trees())
+    assert _packing_sites(trees["forms.py"])
+    by_hand = ("weights = [base ** (n - 1 - i) for i in range(n)]\n"
+               "key = sum(map(mul, e, weights))\n"
+               "shifts = [1 << 16 * (n - 1 - i) for i in range(n)]\n"
+               "den = f._den\n")
+    assert sorted(_packing_sites(ast.parse(by_hand))) == [1, 2, 3, 4]
+
+
 # Public names whose int parameters are left out of the validation table.
 EXEMPT_NAMES = {
     # the hot arithmetic type: its constructor, ``variable`` and ``**`` run
