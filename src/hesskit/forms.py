@@ -10,6 +10,10 @@ equal polynomials have equal ``(_num, _den)``.  Every product and sum
 therefore runs on Python integers, with one gcd per result to restore the
 invariant.
 
+``dot(nvars, degree, terms)``, the sum of c*f*g over (c, f, g) triples, is
+the one product loop: a whole sum of products costs one dict and one gcd.
+``f * g`` is its one-term case.
+
 A key packs an exponent tuple into one int with a fixed ``FIELD_BITS``-bit
 field per exponent, x0 in the most significant field (Monagan & Pearce,
 *Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -17,8 +21,8 @@ vectors*, CASC 2007).  The width is the same for every form, so packing is
 linear across forms: the key of a product monomial is the sum of its
 factors' keys, ``diff`` reads one field with a shift and a mask, and keys
 sort in the same order as the tuples they pack.  A field holds exponents
-below 2**FIELD_BITS; ``Form(...)`` refuses a larger exponent and a product
-refuses a degree that large, so a field never carries into its neighbour.
+below 2**FIELD_BITS; ``Form(...)`` refuses a larger exponent and ``dot`` a
+product degree that large, so a field never carries into its neighbour.
 
 ``Form(nvars, degree, terms)`` checks ``nvars`` and ``degree`` with
 ``require_int``, refuses an exponent entry that is a bool or not an int
@@ -332,25 +336,7 @@ class Form:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compatible(other)
-        degree = self.degree + other.degree
-        if degree > _MASK:
-            raise ValueError(f"product degree {degree} does not fit a "
-                             f"{FIELD_BITS}-bit field")
-        if not self._num or not other._num:
-            return Form._make(self.nvars, degree, {}, 1)
-        # No field of a product key exceeds the degree, so none carries and
-        # multiplying two monomials is adding their keys.
-        right = list(other._num.items())
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in self._num.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        return Form._make(self.nvars, degree, acc, self._den * other._den)
+        return dot(self.nvars, self.degree + other.degree, ((1, self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -447,6 +433,55 @@ def packed(f: Form) -> Tuple[Mapping[int, int], int]:
     """``f`` as stored: its numerators under packed monomial keys (read-only)
     and their one positive denominator."""
     return MappingProxyType(f._num), f._den
+
+
+def dot(nvars: int, degree: int, terms) -> Form:
+    """The sum of c*f*g over the triples (c, f, g) of ``terms``.
+
+    c is an int or a ``Fraction``, f and g are forms in ``nvars`` variables.
+    Every product runs into one dict over the terms' least common
+    denominator, and the result is one ``_make``.  A term with a zero
+    coefficient or factor is skipped, as ``+`` passes a zero form of any
+    degree through; every other term needs ``deg f + deg g == degree``.  A
+    ``degree`` of 2**FIELD_BITS or more is refused first, so no key field
+    of the result can carry.
+    """
+    if degree > _MASK:
+        raise ValueError(f"product degree {degree} does not fit a "
+                         f"{FIELD_BITS}-bit field")
+    live = []
+    den = 1
+    for c, f, g in terms:
+        if f.nvars != nvars or g.nvars != nvars:
+            raise ValueError("forms live in different variable counts")
+        if type(c) is int:
+            p, q = c, 1
+        elif isinstance(c, Fraction):
+            p, q = c.numerator, c.denominator
+        else:
+            raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
+        if not (p and f._num and g._num):
+            continue
+        if f.degree + g.degree != degree:
+            raise ValueError(f"a product of degree {f.degree + g.degree} "
+                             f"in a sum of degree {degree}")
+        q *= f._den * g._den
+        live.append((p, q, f._num, list(g._num.items())))
+        den = lcm(den, q)
+    # No field of a product key exceeds the degree, so none carries and
+    # multiplying two monomials is adding their keys.
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for p, q, left, right in live:
+        m = p * (den // q)
+        for k1, c1 in left.items():
+            c1 *= m
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    return Form._make(nvars, degree, acc, den)
 
 
 # ----- convenience builders used throughout the package -----------------

@@ -1,47 +1,58 @@
 """Hessian determinants, their first-order jets, and t-parameter families.
 
-``hess`` is the exact Hessian determinant of a form.  The first-order jet of
-the Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is
-read off Jacobi's formula as trace(adj(D2 f) * D2 g):
+Every quantity here is a sum of products of forms, and each sum is one call
+of ``forms.dot``: one dict over one common denominator, one ``_make``.
+``hess`` is the exact Hessian determinant of a form, a Laplace expansion
+with one ``dot`` per memoised row expansion.  The first-order jet of the
+Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is read
+off Jacobi's formula as trace(adj(D2 f) * D2 g):
 ``adjugate_second_partials`` builds adj(D2 f) once and ``adjugate_trace``
 applies it to each direction; ``hess_from_adjugate`` reads Hess f itself off
 the same adjugate.
 
 For three variables the polarized operators h12 and h3 are provided; h3 is
-(1/3) * trace(A * M(B, C)) with M the polarized (mixed) adjugate, at most
-27 form products a call.  ``hess`` keeps its Laplace expansion, so
-h3(f, f, f) == hess(f) compares two routes.
+(1/3) * trace(A * M(B, C)) with M the polarized (mixed) adjugate, six
+``dot``s for the entries of M and one to contract them with A.  ``hess``
+keeps its Laplace expansion, so h3(f, f, f) == hess(f) compares two routes.
 
-A family depending polynomially on a parameter t is a ``TParameterForm``;
-the families form a ring that contains the zero family, so ``hess_t`` runs
-the same determinant expansion over them.  ``hess_t_leading`` runs it with
-products taken modulo t**N, enough to read the lowest t-order of the family
-Hessian, which is all a limit needs.  ``hessian_expansion`` is the
-independent polarization route that cross-checks ``hess_t``; its sums run
-over multisets of slots, since h12 and h3 are symmetric.
+A family depending polynomially on a parameter t is a ``TParameterForm``.
+The family sum of products groups slot products by t-exponent, one
+``forms.dot`` per exponent, so ``hess_t`` runs the same determinant
+expansion over families.  ``hess_t_leading`` runs it with products taken
+modulo t**N, enough to read the lowest t-order of the family Hessian, which
+is all a limit needs.  ``hessian_expansion`` is the independent
+polarization route that cross-checks ``hess_t``; its sums run over
+multisets of slots, since h12 and h3 are symmetric.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import require_int
-from .forms import Form
+from .forms import Form, dot
 
 # ---------------------------------------------------------------------------
 # determinants of matrices with ring-element entries
 # ---------------------------------------------------------------------------
 
 
-def _det_by_expansion(mat, mul=operator.mul):
+def _form_dot(terms) -> Form:
+    """``forms.dot`` with the degree read off the first (c, f, g) triple."""
+    _, f, g = terms[0]
+    return dot(f.nvars, f.degree + g.degree, terms)
+
+
+def _det_by_expansion(mat, dot=_form_dot):
     """Determinant by first-row Laplace expansion with column-mask memo.
 
-    Entries only need +, - and the commutative product ``mul``.  Intended
-    for the small matrices that show up here (at most 5x5).
+    Each row expansion is one call of ``dot`` on its (+-1, entry, minor)
+    triples, which returns the sum of sign * entry * minor; the default
+    sums forms.  Intended for the small matrices that show up here (at most
+    5x5).
     """
     n = len(mat)
     if not n:
@@ -54,20 +65,16 @@ def _det_by_expansion(mat, mul=operator.mul):
             return mat[row][col]
         if mask in memo:
             return memo[mask]
-        acc = None
+        terms = []
         sign = 1
         m = mask
         while m:
             low = m & (-m)
             col = low.bit_length() - 1
-            term = mul(mat[row][col], rec(row + 1, mask & ~low))
-            if acc is None:
-                acc = term if sign > 0 else -term
-            else:
-                acc = acc + term if sign > 0 else acc - term
+            terms.append((sign, mat[row][col], rec(row + 1, mask & ~low)))
             sign = -sign
             m &= m - 1
-        memo[mask] = acc
+        memo[mask] = acc = dot(terms)
         return acc
 
     return rec(0, (1 << n) - 1)
@@ -113,30 +120,24 @@ def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
     With ``adj = adjugate_second_partials(f)`` this is the jet of Hess along
     g at f (Jacobi's formula); taking the adjugate as an argument lets a
     caller that needs many directions at one f build it once.  A zero result
-    keeps the degree nvars * (deg g - 2).
+    keeps the degree of adj * D2 g, nvars * (deg g - 2) when deg f = deg g.
     """
     n = g.nvars
-    total = Form.zero(n, max(n * (g.degree - 2), 0))
     gm = g.second_partials()
-    for i in range(n):
-        for j in range(n):
-            if not gm[i][j].is_zero():
-                total = total + adj[i][j] * gm[i][j]
-    return total
+    return dot(n, adj[0][0].degree + gm[0][0].degree,
+               [(1, adj[i][j], gm[i][j]) for i in range(n) for j in range(n)])
 
 
 def hess_from_adjugate(f: Form, adj: Sequence[Sequence[Form]]) -> Form:
     """hess(f) as the first-row cofactor sum, sum over j of f_0j * adj[j][0].
 
-    With ``adj = adjugate_second_partials(f)`` this takes nvars products in
-    place of a second determinant expansion.
+    With ``adj = adjugate_second_partials(f)`` this is one ``dot`` of nvars
+    products in place of a second determinant expansion.
     """
     n = f.nvars
     row = f.diff(0)
-    total = Form.zero(n, max(n * (f.degree - 2), 0))
-    for j in range(n):
-        total = total + row.diff(j) * adj[j][0]
-    return total
+    return dot(n, max(n * (f.degree - 2), 0),
+               [(1, row.diff(j), adj[j][0]) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +155,22 @@ def h12(f: Form, g: Optional[Form] = None) -> Form:
     """Polarized 2x2 lower-right Hessian minor in three variables.
 
     h12(f, g) = (f11*g22 - 2*f12*g12 + f22*g11) / 2, and h12(f) is the
-    diagonal f11*f22 - f12**2.
+    diagonal f11*f22 - f12**2; either is one ``dot``.
     """
     if g is None:
         _require_ternary(f)
         f11 = f.diff(1).diff(1)
         f22 = f.diff(2).diff(2)
         f12 = f.diff(1).diff(2)
-        return f11 * f22 - f12 * f12
+        return dot(3, 2 * f11.degree, ((1, f11, f22), (-1, f12, f12)))
     _require_ternary(f, g)
     if f.degree != g.degree:
         raise ValueError("h12 arguments must have equal degree")
     f11, f12, f22 = f.diff(1).diff(1), f.diff(1).diff(2), f.diff(2).diff(2)
     g11, g12, g22 = g.diff(1).diff(1), g.diff(1).diff(2), g.diff(2).diff(2)
-    return (f11 * g22 - (f12 * g12).scale(2) + f22 * g11).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    return dot(3, 2 * f11.degree,
+               ((half, f11, g22), (-1, f12, g12), (half, f22, g11)))
 
 
 def h3(f: Form, g: Form, h: Form) -> Form:
@@ -178,11 +181,12 @@ def h3(f: Form, g: Form, h: Form) -> Form:
     (1/3) * trace(A * M(B, C)), where M(B, C) = (adj(B + C) - adj B - adj C)/2
     is the polarized adjugate.  Jacobi's formula gives h3(f, g, g) =
     (1/3) * trace(A * adj B); both sides are symmetric bilinear in (g, h)
-    and agree for g = h, so they agree everywhere.  Twice
-    M has three diagonal entries of three products and three off-diagonal
-    entries of four, so one call takes 21 + 6 products.  When two arguments
-    are the same object they fill the (g, h) slots, and then M = adj B
-    takes two products per entry, 12 + 6 in all.
+    and agree for g = h, so they agree everywhere.  Each entry of twice M on
+    and above the diagonal is one ``dot``: three products on the diagonal
+    and four off it.  One outer ``dot`` of six products, with coefficients
+    1/6 and 1/3, contracts them with A, so a call takes 21 + 6 products.
+    When two arguments are the same object they fill the (g, h) slots, and
+    then M = adj B takes two products per entry, 12 + 6 in all.
     """
     _require_ternary(f, g, h)
     if not (f.degree == g.degree == h.degree):
@@ -192,26 +196,28 @@ def h3(f: Form, g: Form, h: Form) -> Form:
     elif f is h:
         f, g = g, f
     a, b, c = f.second_partials(), g.second_partials(), h.second_partials()
+    e = a[0][0].degree
 
-    def crossed(x: Tuple[int, int], y: Tuple[int, int]) -> Form:
-        """B[x] C[y] + C[x] B[y]."""
+    def crossed(sign: int, x: Tuple[int, int], y: Tuple[int, int]):
+        """The terms of sign * (B[x] C[y] + C[x] B[y])."""
         if g is h:
-            return (b[x[0]][x[1]] * b[y[0]][y[1]]).scale(2)
-        return b[x[0]][x[1]] * c[y[0]][y[1]] + c[x[0]][x[1]] * b[y[0]][y[1]]
+            return [(2 * sign, b[x[0]][x[1]], b[y[0]][y[1]])]
+        return [(sign, b[x[0]][x[1]], c[y[0]][y[1]]),
+                (sign, c[x[0]][x[1]], b[y[0]][y[1]])]
 
     # cofactor (i, j) of a symmetric 3 x 3 matrix X is
     # X[p][q] X[r][s] - X[p][s] X[r][q], with (p, r) and (q, s) the two
     # indices after i and after j in cyclic order
-    diagonal = off_diagonal = Form.zero(3, 3 * max(f.degree - 2, 0))
+    outer = []
     for i in range(3):
         p, r = (i + 1) % 3, (i + 2) % 3
-        mixed = crossed((p, p), (r, r)) - (b[p][r] * c[p][r]).scale(2)
-        diagonal = diagonal + a[i][i] * mixed
+        mixed = crossed(1, (p, p), (r, r)) + [(-2, b[p][r], c[p][r])]
+        outer.append((Fraction(1, 6), a[i][i], dot(3, 2 * e, mixed)))
         for j in range(i + 1, 3):
             q, s = (j + 1) % 3, (j + 2) % 3
-            mixed = crossed((p, q), (r, s)) - crossed((p, s), (r, q))
-            off_diagonal = off_diagonal + a[i][j] * mixed
-    return (diagonal + off_diagonal.scale(2)).scale(Fraction(1, 6))
+            mixed = crossed(1, (p, q), (r, s)) + crossed(-1, (p, s), (r, q))
+            outer.append((Fraction(1, 3), a[i][j], dot(3, 2 * e, mixed)))
+    return dot(3, 3 * e, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +287,36 @@ class TParameterForm:
     def __sub__(self, other: "TParameterForm") -> "TParameterForm":
         return self + (-other)
 
-    def __mul__(self, other: "TParameterForm") -> "TParameterForm":
-        return self.times(other)
-
     def times(self, other: "TParameterForm",
               below: Optional[int] = None) -> "TParameterForm":
-        """The product, taken modulo t**below when ``below`` is given.
+        """The product, taken modulo t**below when ``below`` is given."""
+        return _family_dot(((1, self, other),), below)
 
-        Slot products of t-exponent >= below are never formed.  Reduction
-        modulo t**below is a ring homomorphism, so a determinant expanded
-        with this product is the determinant modulo t**below.
-        """
-        self._check_compatible(other)
-        acc: Dict[int, Form] = {}
-        for a1, f1 in self.slots.items():
-            for a2, f2 in other.slots.items():
+    __mul__ = times
+
+
+def _family_dot(terms, below: Optional[int] = None) -> TParameterForm:
+    """The family sum of c*F*G over (c, F, G) triples, modulo t**below when
+    ``below`` is given.
+
+    Slot products are grouped by t-exponent, one ``forms.dot`` per
+    exponent; products of t-exponent >= below are never formed.  Reduction
+    modulo t**below is a ring homomorphism, so a determinant expanded with
+    this sum is the determinant modulo t**below.
+    """
+    _, first, second = terms[0]
+    nvars, degree = first.nvars, first.degree + second.degree
+    groups: Dict[int, list] = {}
+    for c, F, G in terms:
+        if F.nvars != nvars or G.nvars != nvars:
+            raise ValueError("families live in different variable counts")
+        for a1, f1 in F.slots.items():
+            for a2, f2 in G.slots.items():
                 key = a1 + a2
-                if below is not None and key >= below:
-                    continue
-                prod = f1 * f2
-                acc[key] = acc[key] + prod if key in acc else prod
-        return TParameterForm._make(self.nvars, self.degree + other.degree, acc)
+                if below is None or key < below:
+                    groups.setdefault(key, []).append((c, f1, f2))
+    return TParameterForm._make(nvars, degree, {
+        key: dot(nvars, degree, group) for key, group in groups.items()})
 
 
 def _hessian_cells(family: TParameterForm) -> List[List[TParameterForm]]:
@@ -323,7 +338,7 @@ def hess_t(family: TParameterForm) -> TParameterForm:
     The determinant runs over cells that are families themselves.  A family
     of cones gives the zero family.
     """
-    return _det_by_expansion(_hessian_cells(family))
+    return _det_by_expansion(_hessian_cells(family), _family_dot)
 
 
 def hess_t_leading(family: TParameterForm) -> TParameterForm:
@@ -344,7 +359,7 @@ def hess_t_leading(family: TParameterForm) -> TParameterForm:
     full = family.nvars * max(exponents, default=0) + 1
     below = min(2 * min(exponents, default=0) + 1, full)
     while True:
-        H = _det_by_expansion(cells, partial(TParameterForm.times, below=below))
+        H = _det_by_expansion(cells, partial(_family_dot, below=below))
         if below == full or not H.is_zero():
             return H
         below = min(2 * below, full)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
-from .forms import Form, _coerce, monomials_of_degree
+from .forms import Form, _coerce, dot, monomials_of_degree
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
 
@@ -61,12 +61,10 @@ class ConeNormalForm:
     def build(self) -> Form:
         d = self.d
         x0 = Form.variable(3, 0)
-        f = x0 ** d + (x0 ** (d - 1)) * self.l
-        mp = self.m
-        for i, c in enumerate(self.cs, start=2):
-            if c:
-                f = f + c * (x0 ** (d - i)) * (mp ** i)
-        return f
+        terms = [(1, x0 ** (d - 1), x0), (1, x0 ** (d - 1), self.l)]
+        terms += [(c, x0 ** (d - i), self.m ** i)
+                  for i, c in enumerate(self.cs, start=2) if c]
+        return dot(3, d, terms)
 
     def degenerate(self) -> bool:
         """True when the construction forces a vanishing Hessian."""
@@ -265,12 +263,10 @@ def _rand_binary(rng: random.Random, x: Form, u: Form, degree: int,
     for _ in range(degree):
         xs.append(xs[-1] * x)
         us.append(us[-1] * u)
-    out = xs[degree] if monic_x else Form.zero(3, degree)
-    start = 1 if monic_x else 0
-    for i in range(start, degree + 1):
-        c = _rand_coeff(rng)
-        if c:
-            out = out + c * xs[degree - i] * us[i]
+    terms = [(1, xs[degree], us[0])] if monic_x else []
+    for i in range(1 if monic_x else 0, degree + 1):
+        terms.append((_rand_coeff(rng), xs[degree - i], us[i]))
+    out = dot(3, degree, terms)
     if out.is_zero():
         out = xs[degree]
     return out

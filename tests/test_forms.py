@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import (FIELD_BITS, Form, dim_sym, monomials_of_degree,
-                           random_form)
+from hesskit.forms import (FIELD_BITS, Form, dim_sym, dot,
+                           monomials_of_degree, random_form)
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.rank_certificates import differential_matrix
 
@@ -44,6 +44,13 @@ def ref_diff(a, i):
     for e, c in a.items():
         if e[i]:
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def ref_dot(terms):
+    out = {}
+    for c, f, g in terms:
+        out = ref_add(out, ref_scale(ref_mul(dict(f.terms), dict(g.terms)), c))
     return out
 
 
@@ -379,6 +386,91 @@ class TestPackedKeys:
         assert M.columns == [column(adjugate_trace(adj, Form.monomial(e)))
                              for e in M.col_monomials]
         assert M.hess_column == column(hess(f))
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+class TestDot:
+    """``dot``, the one product loop, against ``ref_mul``, ``ref_add`` and
+    ``ref_scale``."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+    def test_sum_of_products_matches_reference(self, nvars):
+        @settings(max_examples=30, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            degree = data.draw(st.integers(0, 4 if nvars <= 3 else 3))
+            terms = []
+            for _ in range(data.draw(st.integers(0, 4))):
+                left = data.draw(st.integers(0, degree))
+                f, _ = data.draw(with_reference(nvars, left))
+                g, _ = data.draw(with_reference(nvars, degree - left))
+                terms.append((data.draw(coefficients), f, g))
+            got = dot(nvars, degree, terms)
+            assert dict(got.terms) == ref_dot(terms)
+            assert (got.nvars, got.degree) == (nvars, degree)
+            assert_canonical(got)
+            if len(terms) == 1 and terms[0][0] == 1:
+                assert got == terms[0][1] * terms[0][2]
+
+        check()
+
+    @settings(max_examples=40)
+    @given(f=rational_forms, g=rational_forms,
+           c=st.fractions(min_value=-5, max_value=5,
+                          max_denominator=12).filter(bool))
+    def test_full_cancellation_gives_the_zero_form(self, f, g, c):
+        degree = f.degree + g.degree
+        for terms in ([(c, f, g), (-c, g, f)],
+                      [(c, f, g), (-1, f.scale(c), g)],
+                      [(1, f, g.scale(c)), (-1, g, f.scale(c))]):
+            z = dot(3, degree, terms)
+            assert z.is_zero() and z.num_terms() == 0
+            assert z.degree == degree and z._den == 1
+            assert z == Form.zero(3, degree) and hash(z) == hash(Form.zero(3, 0))
+            assert_canonical(z)
+
+    def test_partial_cancellation_drops_exactly_the_zeros(self):
+        x0, x1 = Form.variable(2, 0), Form.variable(2, 1)
+        half = Fraction(1, 2)
+        got = dot(2, 2, [(half, x0, x0 + x1), (-half, x0, x0),
+                         (Fraction(1, 3), x1, x1)])
+        assert dict(got.numerators) == {(1, 1): 3, (0, 2): 2}
+        assert got._den == 6 and got.num_terms() == 2
+        assert_canonical(got)
+
+    def test_zero_terms_are_skipped(self):
+        x = Form.variable(3, 0)
+        f = Form.from_coeffs(3, 2, {(1, 1, 0): Fraction(2, 3)})
+        for terms in ([], [(0, f, f)], [(Fraction(0), f, f)],
+                      [(5, Form.zero(3, 2), f)], [(5, f, Form.zero(3, 7))]):
+            z = dot(3, 4, terms)
+            assert z.is_zero() and z.degree == 4 and z._den == 1
+        assert dot(3, 4, [(0, f, f), (1, f, f), (2, Form.zero(3, 1), x)]) == f * f
+
+    def test_refusals(self):
+        x3, x2 = Form.variable(3, 0), Form.variable(2, 0)
+        for terms in ([(1, x3, x2)], [(1, x2, x3)], [(1, x2, x2)],
+                      [(1, Form.zero(2, 1), x3)], [(0, x3, x2)]):
+            with pytest.raises(ValueError, match="different variable counts"):
+                dot(3, 2, terms)
+        for degree, terms in ((3, [(1, x3, x3)]),
+                              (2, [(1, x3, x3), (1, x3 * x3, x3)])):
+            with pytest.raises(ValueError, match="in a sum of degree"):
+                dot(3, degree, terms)
+        top = Form.monomial((TOP, 0))
+        for degree, terms in ((TOP + 1, []), (TOP + 1, [(1, top, x2)]),
+                              (1 << 20, [(0, x2, x2)])):
+            with pytest.raises(ValueError, match="16-bit field"):
+                dot(2, degree, terms)
+        assert dot(2, TOP, [(1, Form.monomial((TOP - 1, 0)), x2)]) \
+            == Form.monomial((TOP, 0))
+        for c in (1.5, 0.0, True, False, "1", None):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                dot(3, 2, [(c, x3, x3)])
 
 
 class TestRandomAndJson:

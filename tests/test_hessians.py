@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import hesskit.hessians
 from hesskit.forms import Form, random_form
 from hesskit.hessians import (TParameterForm, _det_by_expansion,
                               adjugate_second_partials, adjugate_trace, h3,
@@ -228,18 +229,21 @@ class TestMixedAdjugateH3:
 
     def test_product_count(self, monkeypatch):
         """Guard: distinct dense quartics take at most 30 Form products (the
-        six-Laplace route took 54), a repeated argument at most 18."""
+        six-Laplace route took 54), a repeated argument at most 18.  Each
+        (c, f, g) triple handed to ``dot`` is one product."""
         rng = random.Random(7)
         f, g, h = (random_form(3, 4, rng, coeff_bound=9) for _ in range(3))
         assert all(q.num_terms() >= 12 for q in (f, g, h))
         calls = []
-        original = Form.__mul__
+        original = hesskit.hessians.dot
 
-        def counting(self, other):
-            calls.append(1)
-            return original(self, other)
+        def counting(nvars, degree, terms):
+            terms = list(terms)
+            calls.extend(terms)
+            return original(nvars, degree, terms)
 
-        monkeypatch.setattr(Form, "__mul__", counting)
+        monkeypatch.setattr(hesskit.hessians, "dot", counting)
+        monkeypatch.setattr(Form, "__mul__", None)
         value = h3(f, g, h)
         distinct = len(calls)
         calls.clear()
