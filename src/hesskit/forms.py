@@ -11,8 +11,11 @@ therefore runs on Python integers, with one gcd per result to restore the
 invariant.
 
 ``dot(nvars, degree, terms)``, the sum of c*f*g over (c, f, g) triples, is
-the one product loop: a whole sum of products costs one dict and one gcd.
-``f * g`` is its one-term case.
+the one loop that builds a form from other forms: a whole sum of products
+costs one dict and one gcd.  ``f * g`` is its one-term case, and ``f + g``,
+``f - g``, ``-f`` and ``f.scale(c)`` are its cases with the constant form 1
+as every second factor.  ``diff`` keeps its own loop: a derivative is no
+sum.
 
 A key packs an exponent tuple into one int with a fixed ``FIELD_BITS``-bit
 field per exponent, x0 in the most significant field (Monagan & Pearce,
@@ -28,12 +31,13 @@ product degree that large, so a field never carries into its neighbour.
 ``require_int``, refuses an exponent entry that is a bool or not an int
 (``InputError``), validates every term and converts the coefficients;
 ``Form.variable`` and ``**`` check their int arguments the same way.
-Arithmetic builds its results with the trusted constructor
-``Form._make``, which only restores the invariant.  Exponent tuples appear
-only at the edges: ``Form.terms`` is a read-only mapping of exponent tuples
-to reduced ``Fraction`` coefficients and ``Form.numerators`` one to the
-stored ints, both computed on access from ``_num`` and ``_den``; a lookup
-with anything but a tuple of ``nvars`` ints a field can hold finds nothing.
+``dot``, ``diff`` and the constant form 1 build their results with the
+trusted constructor ``Form._make``, which only restores the invariant.
+Exponent tuples appear only at the edges: ``Form.terms`` is a read-only
+mapping of exponent tuples to reduced ``Fraction`` coefficients and
+``Form.numerators`` one to the stored ints, both computed on access from
+``_num`` and ``_den``; a lookup with anything but a tuple of ``nvars`` ints
+a field can hold finds nothing.
 ``coefficient``, ``sorted_terms``, ``evaluate`` and ``str`` unpack keys the
 same way.  ``packed`` hands the keys themselves to the rank path, which
 indexes its rows by ``monomial_key``.  Nothing in this module touches
@@ -293,45 +297,24 @@ class Form:
 
     # ----- ring operations ----------------------------------------------
 
-    def _check_compatible(self, other: "Form") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("forms live in different variable counts")
+    def _sum(self, other: "Form", sign: int) -> "Form":
+        # a zero operand of any nominal degree passes the other through
+        degree = self.degree if self._num else other.degree
+        one = _unit(self.nvars)
+        return dot(self.nvars, degree, ((1, self, one), (sign, other, one)))
 
     def __add__(self, other: "Form") -> "Form":
-        self._check_compatible(other)
-        if not self._num:
-            return other
-        if not other._num:
-            return self
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add forms of degrees {self.degree} and {other.degree}")
-        den = lcm(self._den, other._den)
-        m1, m2 = den // self._den, den // other._den
-        out = dict(self._num) if m1 == 1 else {e: c * m1 for e, c in self._num.items()}
-        get = out.get
-        for e, c in other._num.items():
-            s = get(e, 0) + c * m2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Form._make(self.nvars, self.degree, out, den)
-
-    def __neg__(self) -> "Form":
-        return Form._make(self.nvars, self.degree,
-                          {e: -c for e, c in self._num.items()}, self._den)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self) -> "Form":
+        return dot(self.nvars, self.degree, ((-1, self, _unit(self.nvars)),))
 
     def scale(self, c) -> "Form":
-        c = _coerce(c)
-        if c == 0:
-            return Form.zero(self.nvars, self.degree)
-        p = c.numerator
-        return Form._make(self.nvars, self.degree,
-                          {e: p * v for e, v in self._num.items()},
-                          self._den * c.denominator)
+        return dot(self.nvars, self.degree,
+                   ((_coerce(c), self, _unit(self.nvars)),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -345,7 +328,7 @@ class Form:
 
     def __pow__(self, k: int) -> "Form":
         require_int("exponent", k, 0)
-        result = Form._make(self.nvars, 0, {0: 1}, 1)
+        result = _unit(self.nvars)
         base = self
         while k:
             if k & 1:
@@ -427,6 +410,12 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {self.num_terms()} terms)"
+
+
+def _unit(nvars: int) -> Form:
+    """The constant form 1 in ``nvars`` variables: with it as the second
+    factor of every term, ``dot`` is a linear combination of forms."""
+    return Form._make(nvars, 0, {0: 1}, 1)
 
 
 def packed(f: Form) -> Tuple[Mapping[int, int], int]:

@@ -10,8 +10,9 @@ variables.  A form is harmonic when lap_q kills it.  Every degree-d form f
 splits uniquely as f = sum_i q**i * f_{d-2i} with all f_{d-2i} harmonic.
 ``harmonic_decompose`` peels the top summand off by the closed Laplacian
 formula, a short sum of q-powers times iterated Laplacians of f, and recurses
-on the rest; it solves no linear system.  ``harmonic_basis`` and the dual
-Gram matrix come from exact linear algebra in ``linalg``.
+on the rest; it solves no linear system.  The Laplacian, the two sums of
+each step and ``recompose`` are one ``forms.dot`` each.  ``harmonic_basis``
+and the dual Gram matrix come from exact linear algebra in ``linalg``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import require_int
-from .forms import Form, _coerce, dim_sym, monomials_of_degree
+from .forms import Form, _coerce, dim_sym, dot, monomials_of_degree
 
 _ONE_HALF = Fraction(1, 2)
 
@@ -82,22 +83,16 @@ class QuadraticForm:
         return self._poly
 
     def laplacian(self, f: Form) -> Form:
-        """The dual second-order operator sum_ij (A**-1)_ij d_i d_j f."""
+        """The dual second-order operator sum_ij (A**-1)_ij d_i d_j f, one
+        ``dot`` over the nonzero entries of A**-1."""
         if f.nvars != self.nvars:
             raise ValueError("form and quadric have different variable counts")
-        n = self.nvars
-        firsts = [f.diff(i) for i in range(n)]
-        total = Form.zero(n, max(f.degree - 2, 0))
-        for i in range(n):
-            di = firsts[i]
-            if di.is_zero():
-                continue
-            for j in range(n):
-                c = self.dual[i][j]
-                if c == 0:
-                    continue
-                total = total + di.diff(j).scale(c)
-        return total
+        firsts = [f.diff(i) for i in range(self.nvars)]
+        one = f ** 0
+        return dot(self.nvars, max(f.degree - 2, 0),
+                   [(c, firsts[i].diff(j), one)
+                    for i, row in enumerate(self.dual)
+                    for j, c in enumerate(row) if c])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadraticForm):
@@ -118,49 +113,54 @@ def harmonic_decompose(f: Form, q: QuadraticForm) -> List[Form]:
     f == sum_i q**i * slots[i] exactly.  Each step writes the current form c
     of degree m as c = h + q*g with h harmonic, where
 
+        h = sum_{j>=0} a_j q**j lap_q**j (c),
         g = -sum_{j>=1} a_j q**(j-1) lap_q**j (c),
         a_0 = 1,  a_j = -a_{j-1} / (2j (n + 2m - 2 - 2j)),
 
     (Axler-Bourdon-Ramey, Harmonic Function Theory, ch. 5), and recurses on
-    g.  The formula rests on lap_q(q**j h) = 2j (n + 2m' + 2j - 2) q**(j-1) h
+    g.  Each of h and g is one ``dot`` over the powers 1, q, q**2, ..., which
+    are built once per call.  The formula rests on
+
+        lap_q(q**j h) = 2j (n + 2m' + 2j - 2) q**(j-1) h
+
     for h harmonic of degree m', which holds for every nondegenerate q under
     the normalization lap_q(q) = 2n; no denominator vanishes for m >= 2.
     """
     if f.nvars != q.nvars:
         raise ValueError("form and quadric have different variable counts")
     n = f.nvars
-    qpoly = q.polynomial()
+    qpows = _powers(q.polynomial(), f.degree // 2)
     slots: List[Form] = []
     cur = f
     for m in range(f.degree, 1, -2):
         laps = [cur]
-        for _ in range(m // 2):
-            laps.append(q.laplacian(laps[-1]))
         coeffs = [Fraction(1)]
         for j in range(1, m // 2 + 1):
+            laps.append(q.laplacian(laps[-1]))
             coeffs.append(-coeffs[-1] / (2 * j * (n + 2 * m - 2 - 2 * j)))
-        acc = laps[-1].scale(coeffs[-1])
-        for j in range(m // 2 - 1, 0, -1):
-            acc = qpoly * acc + laps[j].scale(coeffs[j])
-        g = -acc
-        slots.append(cur - qpoly * g)
-        cur = g
+        slots.append(dot(n, m, [(coeffs[j], qpows[j], laps[j])
+                                for j in range(m // 2 + 1)]))
+        cur = dot(n, m - 2, [(-coeffs[j], qpows[j - 1], laps[j])
+                             for j in range(1, m // 2 + 1)])
     slots.append(cur)
     return slots
 
 
 def recompose(slots: Sequence[Form], q: QuadraticForm) -> Form:
-    """Inverse of harmonic_decompose: sum_i q**i * slots[i]."""
+    """Inverse of harmonic_decompose: sum_i q**i * slots[i], one ``dot``."""
     if not slots:
         raise ValueError("no slots")
-    qpoly = q.polynomial()
-    total = None
-    qpow = Form.monomial((0,) * q.nvars, 1)
-    for i, s in enumerate(slots):
-        piece = s if i == 0 else qpow * s
-        total = piece if total is None else total + piece
-        qpow = qpow * qpoly
-    return total
+    qpows = _powers(q.polynomial(), len(slots) - 1)
+    return dot(q.nvars, slots[0].degree,
+               [(1, qpow, s) for qpow, s in zip(qpows, slots)])
+
+
+def _powers(qpoly: Form, top: int) -> List[Form]:
+    """[1, qpoly, qpoly**2, ..., qpoly**top]."""
+    out = [qpoly ** 0]
+    for _ in range(top):
+        out.append(out[-1] * qpoly)
+    return out
 
 
 def dim_harmonic(nvars: int, degree: int) -> int:

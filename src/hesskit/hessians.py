@@ -15,14 +15,15 @@ For three variables the polarized operators h12 and h3 are provided; h3 is
 ``dot``s for the entries of M and one to contract them with A.  ``hess``
 keeps its Laplace expansion, so h3(f, f, f) == hess(f) compares two routes.
 
-A family depending polynomially on a parameter t is a ``TParameterForm``.
-The family sum of products groups slot products by t-exponent, one
-``forms.dot`` per exponent, so ``hess_t`` runs the same determinant
-expansion over families.  ``hess_t_leading`` runs it with products taken
-modulo t**N, enough to read the lowest t-order of the family Hessian, which
-is all a limit needs.  ``hessian_expansion`` is the independent
-polarization route that cross-checks ``hess_t``; its sums run over
-multisets of slots, since h12 and h3 are symmetric.
+A family depending polynomially on a parameter t is a ``TParameterForm``;
+its one operation is the product.  The family sum of products groups slot
+products by t-exponent, one ``forms.dot`` per exponent, so ``hess_t`` runs
+the same determinant expansion over families.  ``hess_t_leading`` runs it
+with products taken modulo t**N, enough to read the lowest t-order of the
+family Hessian, which is all a limit needs.  ``hessian_expansion`` is the
+independent polarization route that cross-checks ``hess_t``; its sums run
+over multisets of slots, since h12 and h3 are symmetric, and each
+t-exponent is one ``forms.dot`` again.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ def _require_ternary(*forms: Form) -> None:
             raise ValueError("this operator is defined for three variables only")
 
 
+def _lower_partials(f: Form) -> Tuple[Form, Form, Form]:
+    """(f11, f12, f22), read off the two first partials f1 and f2."""
+    f1, f2 = f.diff(1), f.diff(2)
+    return f1.diff(1), f1.diff(2), f2.diff(2)
+
+
 def h12(f: Form, g: Optional[Form] = None) -> Form:
     """Polarized 2x2 lower-right Hessian minor in three variables.
 
@@ -159,15 +166,13 @@ def h12(f: Form, g: Optional[Form] = None) -> Form:
     """
     if g is None:
         _require_ternary(f)
-        f11 = f.diff(1).diff(1)
-        f22 = f.diff(2).diff(2)
-        f12 = f.diff(1).diff(2)
+        f11, f12, f22 = _lower_partials(f)
         return dot(3, 2 * f11.degree, ((1, f11, f22), (-1, f12, f12)))
     _require_ternary(f, g)
     if f.degree != g.degree:
         raise ValueError("h12 arguments must have equal degree")
-    f11, f12, f22 = f.diff(1).diff(1), f.diff(1).diff(2), f.diff(2).diff(2)
-    g11, g12, g22 = g.diff(1).diff(1), g.diff(1).diff(2), g.diff(2).diff(2)
+    f11, f12, f22 = _lower_partials(f)
+    g11, g12, g22 = _lower_partials(g)
     half = Fraction(1, 2)
     return dot(3, 2 * f11.degree,
                ((half, f11, g22), (-1, f12, g12), (half, f22, g11)))
@@ -267,26 +272,6 @@ class TParameterForm:
     def sorted_slots(self) -> List[Tuple[int, Form]]:
         return sorted(self.slots.items())
 
-    def _check_compatible(self, other: "TParameterForm") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("families live in different variable counts")
-
-    def __add__(self, other: "TParameterForm") -> "TParameterForm":
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add families of degrees {self.degree} and {other.degree}")
-        merged: Dict[int, Form] = dict(self.slots)
-        for a, form in other.slots.items():
-            merged[a] = merged[a] + form if a in merged else form
-        return TParameterForm._make(self.nvars, self.degree, merged)
-
-    def __neg__(self) -> "TParameterForm":
-        return TParameterForm._make(self.nvars, self.degree,
-                                    {a: -f for a, f in self.slots.items()})
-
-    def __sub__(self, other: "TParameterForm") -> "TParameterForm":
-        return self + (-other)
-
     def times(self, other: "TParameterForm",
               below: Optional[int] = None) -> "TParameterForm":
         """The product, taken modulo t**below when ``below`` is given."""
@@ -383,7 +368,9 @@ def hessian_expansion(family: TParameterForm) -> TParameterForm:
 
     h12 and h3 are symmetric, so each sum runs over multisets of slots,
     weighted by the number of orderings of the multiset (1, 2 for pairs;
-    1, 3, 6 for triples).  Returns the zero family when the result vanishes
+    1, 3, 6 for triples).  Each t-exponent collects its h3 terms against the
+    constant 1 and its h12 terms against d(d-1) x0**(d-2), and is one
+    ``forms.dot``.  Returns the zero family when the result vanishes
     identically.  This is the dual route used to cross-check hess_t: it
     never expands a determinant over families.
     """
@@ -395,19 +382,15 @@ def hessian_expansion(family: TParameterForm) -> TParameterForm:
     if lead is None or lead != expected:
         raise ValueError("expansion route expects the t**0 slot to be exactly x0**d")
     rest = [(a, f) for a, f in family.sorted_slots() if a != 0]
-
-    def polarization_sum(op, arity: int) -> Dict[int, Form]:
-        acc: Dict[int, Form] = {}
+    factors = ((h3, 3, lead ** 0),
+               (h12, 2, Form.monomial((d - 2, 0, 0), d * (d - 1))))
+    groups: Dict[int, list] = {}
+    for op, arity, factor in factors:
         for group in combinations_with_replacement(rest, arity):
             exps = tuple(a for a, _ in group)
-            form = op(*(f for _, f in group)).scale(len(set(permutations(exps))))
-            key = sum(exps)
-            acc[key] = acc[key] + form if key in acc else form
-        return acc
-
-    scale = Form.monomial((d - 2, 0, 0), d * (d - 1))
-    acc = polarization_sum(h3, 3)
-    for a, form in polarization_sum(h12, 2).items():
-        form = scale * form
-        acc[a] = acc[a] + form if a in acc else form
-    return TParameterForm._make(3, 3 * (d - 2), acc)
+            weight = len(set(permutations(exps)))
+            groups.setdefault(sum(exps), []).append(
+                (weight, op(*(f for _, f in group)), factor))
+    degree = 3 * (d - 2)
+    return TParameterForm._make(3, degree, {
+        a: dot(3, degree, terms) for a, terms in groups.items()})

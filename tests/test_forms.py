@@ -196,17 +196,38 @@ class TestIntegerKernel:
         f, g = fg
         a, b = dict(f.terms), dict(g.terms)
         minus_b = ref_scale(b, -1)
-        for got, want in ((f + g, ref_add(a, b)), (f - g, ref_add(a, minus_b)),
-                          (-g, minus_b)):
-            assert dict(got.terms) == want
+        zero = Form.zero(3, f.degree + 3)  # another nominal degree
+        for got, want, degree in (
+                (f + g, ref_add(a, b), f.degree),
+                (f - g, ref_add(a, minus_b), f.degree),
+                (-g, minus_b, g.degree),
+                # a zero operand on either side passes the other through
+                (f + zero, a, f.degree), (zero + g, b, g.degree),
+                (f - zero, a, f.degree), (zero - g, minus_b, g.degree),
+                (zero + Form.zero(3, 1), {}, 1)):
+            assert dict(got.terms) == want and got.degree == degree
             assert_canonical(got)
+        assert (-g)._den == g._den and (-f)._den == f._den
+        z = f - f
+        assert z == Form.zero(3, f.degree) and z._den == 1
+        assert z.is_zero() and z.degree == f.degree
+        for bad in (f * Form.variable(3, 0), Form.variable(2, 0) ** f.degree,
+                    Form.zero(2, f.degree)):
+            for pair in ((f, bad), (bad, f)):
+                for op in (Form.__add__, Form.__sub__):
+                    with pytest.raises(ValueError):
+                        op(*pair)
 
     @settings(max_examples=40)
     @given(f=rational_forms,
            c=st.fractions(min_value=-20, max_value=20, max_denominator=35))
     def test_scale_matches_reference(self, f, c):
-        for got in (f.scale(c), f * c, c * f):
-            assert dict(got.terms) == ref_scale(dict(f.terms), c)
+        a = dict(f.terms)
+        for got, want in ((f.scale(c), ref_scale(a, c)), (f * c, ref_scale(a, c)),
+                          (c * f, ref_scale(a, c)), (f.scale(0), {}),
+                          (f.scale("1/2"), ref_scale(a, Fraction(1, 2))),
+                          (f.scale("-3"), ref_scale(a, -3))):
+            assert dict(got.terms) == want and got.degree == f.degree
             assert_canonical(got)
 
     @settings(max_examples=40)
@@ -315,6 +336,10 @@ class TestPackedKeys:
             assert dict((f * g).terms) == ref_mul(a, b)
             assert dict((f + h).terms) == ref_add(a, c)
             assert dict((f - h).terms) == ref_add(a, ref_scale(c, -1))
+            zero = Form.zero(nvars, f.degree + 1)
+            assert dict((zero + h).terms) == c
+            assert dict((zero - h).terms) == ref_scale(c, -1)
+            assert dict((f - zero).terms) == a
             for i in range(nvars):
                 assert dict(f.diff(i).terms) == ref_diff(a, i)
             assert dict((f ** k).terms) == ref_pow(a, k, nvars)

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import Form, dim_sym
+from hesskit.forms import Form, dim_sym, monomials_of_degree
 from hesskit.harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                               harmonic_basis, harmonic_decompose, recompose)
 
-from conftest import forms
+from conftest import RATIONAL, SYMS, forms, to_sympy
+from test_forms import ref_add, ref_diff, ref_mul, ref_scale
 
 Q = QuadraticForm.canonical_hyperbolic(2)
 
@@ -32,6 +35,90 @@ QUADRICS = [
 
 def slot_degrees(d):
     return list(range(d, -1, -2))
+
+
+# Reference decomposition on plain dicts of exponent tuple -> Fraction: the
+# Laplacian as a chain of scaled second partials and the closed formula's
+# g-sum by Horner's rule in q, term by term through ``ref_*``.  It shares no
+# arithmetic with ``Form``.
+
+def ref_laplacian(a, q):
+    total = {}
+    for i in range(q.nvars):
+        di = ref_diff(a, i)
+        for j in range(q.nvars):
+            c = q.dual[i][j]
+            if c:
+                total = ref_add(total, ref_scale(ref_diff(di, j), c))
+    return total
+
+
+def ref_decompose(a, degree, q):
+    n = q.nvars
+    qpoly = dict(q.polynomial().terms)
+    slots = []
+    cur = a
+    for m in range(degree, 1, -2):
+        laps = [cur]
+        for _ in range(m // 2):
+            laps.append(ref_laplacian(laps[-1], q))
+        coeffs = [Fraction(1)]
+        for j in range(1, m // 2 + 1):
+            coeffs.append(-coeffs[-1] / (2 * j * (n + 2 * m - 2 - 2 * j)))
+        acc = ref_scale(laps[-1], coeffs[-1])
+        for j in range(m // 2 - 1, 0, -1):
+            acc = ref_add(ref_mul(qpoly, acc), ref_scale(laps[j], coeffs[j]))
+        g = ref_scale(acc, -1)
+        slots.append(ref_add(cur, ref_scale(ref_mul(qpoly, g), -1)))
+        cur = g
+    slots.append(cur)
+    return slots
+
+
+def random_rational_form(nvars, degree, rng):
+    terms = {e: Fraction(rng.randint(-6, 6), rng.choice(RATIONAL))
+             for e in monomials_of_degree(nvars, degree)}
+    return Form(nvars, degree, terms)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["identity", "canonical_hyperbolic"])
+    def test_decomposition_matches_the_reference(self, kind, r):
+        q = getattr(QuadraticForm, kind)(r)
+        rng = random.Random(f"{kind}{r}")
+        for degree in range(9):
+            f = random_rational_form(q.nvars, degree, rng)
+            a = dict(f.terms)
+            assert dict(q.laplacian(f).terms) == ref_laplacian(a, q)
+            slots = harmonic_decompose(f, q)
+            assert [dict(s.terms) for s in slots] == ref_decompose(a, degree, q)
+            assert [s.degree for s in slots] == slot_degrees(degree)
+
+    @pytest.mark.parametrize("q", [QuadraticForm.canonical_hyperbolic(r)
+                                   for r in (1, 2, 3)]
+                             + [QuadraticForm.identity(2)],
+                             ids=["hyperbolic1", "hyperbolic2", "hyperbolic3",
+                                  "identity2"])
+    def test_laplacian_matches_sympy(self, q):
+        n = q.nvars
+        gram = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
+            q.gram[i][j].numerator, q.gram[i][j].denominator))
+        dual = gram.inv()
+        xs = SYMS[:n]
+
+        @settings(max_examples=10, deadline=None)
+        @given(f=forms(nvars=n, min_degree=0, max_degree=4,
+                       denominators=RATIONAL))
+        def check(f):
+            expr = to_sympy(f)
+            want = sum(dual[i, j] * sympy.diff(expr, xs[i], xs[j])
+                       for i in range(n) for j in range(n))
+            lap = q.laplacian(f)
+            assert to_sympy(lap) == sympy.expand(want)
+            assert lap.degree == max(f.degree - 2, 0)
+
+        check()
 
 
 class TestDecomposition:
@@ -153,6 +240,10 @@ class TestQuadraticForm:
     def test_variable_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             harmonic_decompose(Form.monomial((2, 0)), Q)
+
+    def test_recompose_of_no_slots_rejected(self):
+        with pytest.raises(ValueError, match="^no slots$"):
+            recompose([], Q)
 
     @pytest.mark.parametrize("gram", [[[1, 1], [1, 1]],
                                       [[0, 0, 0], [0, 1, 0], [0, 0, 1]],

@@ -132,6 +132,46 @@ def test_the_packing_guard_sees_a_packing():
     assert sorted(_packing_sites(ast.parse(by_hand))) == [1, 2, 3, 4]
 
 
+def _make_callers(tree):
+    """The functions that call ``Form._make``, by name; a call outside any
+    function is listed as ``<module>``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "_make"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "Form"):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_dot_diff_and_the_unit_build_forms():
+    """``dot`` is the one loop that builds a form from other forms; only it,
+    ``diff`` and the constant form 1 reach the trusted constructor."""
+    found = {(name, owner) for name, tree in _library_trees()
+             for owner in _make_callers(tree)}
+    assert found == {("forms.py", "dot"), ("forms.py", "diff"),
+                     ("forms.py", "_unit")}
+
+
+def test_the_constructor_guard_sees_a_second_loop():
+    by_hand = ("def __neg__(self):\n"
+               "    return Form._make(self.nvars, self.degree,\n"
+               "                      {e: -c for e, c in self._num.items()},\n"
+               "                      self._den)\n"
+               "Form._make(1, 0, {0: 1}, 1)\n")
+    assert _make_callers(ast.parse(by_hand)) == {"__neg__", "<module>"}
+
+
 # Public names whose int parameters are left out of the validation table.
 EXEMPT_NAMES = {
     # the hot arithmetic type: its constructor, ``variable`` and ``**`` run
