@@ -328,15 +328,18 @@ class Form:
 
     def __pow__(self, k: int) -> "Form":
         require_int("exponent", k, 0)
-        result = _unit(self.nvars)
+        if not k:
+            return _unit(self.nvars)
+        # square and multiply, starting from the first factor, not from 1
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # ----- calculus -----------------------------------------------------
 

@@ -47,13 +47,15 @@ def _form_dot(terms) -> Form:
     return dot(f.nvars, f.degree + g.degree, terms)
 
 
-def _det_by_expansion(mat, dot=_form_dot):
-    """Determinant by first-row Laplace expansion with column-mask memo.
+def _det_by_expansion(mat, dot=_form_dot, sign=1):
+    """sign * determinant, by first-row Laplace expansion with column-mask memo.
 
     Each row expansion is one call of ``dot`` on its (+-1, entry, minor)
     triples, which returns the sum of sign * entry * minor; the default
-    sums forms.  Intended for the small matrices that show up here (at most
-    5x5).
+    sums forms.  ``sign`` multiplies the triples of the top row, so a signed
+    cofactor costs no pass of its own; a 1x1 matrix has no row expansion
+    and returns its entry unsigned.  Intended for the small matrices that
+    show up here (at most 5x5).
     """
     n = len(mat)
     if not n:
@@ -67,13 +69,13 @@ def _det_by_expansion(mat, dot=_form_dot):
         if mask in memo:
             return memo[mask]
         terms = []
-        sign = 1
+        s = sign if row == 0 else 1
         m = mask
         while m:
             low = m & (-m)
             col = low.bit_length() - 1
-            terms.append((sign, mat[row][col], rec(row + 1, mask & ~low)))
-            sign = -sign
+            terms.append((s, mat[row][col], rec(row + 1, mask & ~low)))
+            s = -s
             m &= m - 1
         memo[mask] = acc = dot(terms)
         return acc
@@ -97,9 +99,10 @@ def hess(f: Form) -> Form:
 def adjugate_second_partials(f: Form) -> List[List[Form]]:
     """Adjugate of the matrix of second partials of f.
 
-    adj[i][j] is (-1)**(i+j) times the (j,i) minor; since the matrix is
-    symmetric the adjugate is symmetric too.  The adjugate of a 1x1 matrix
-    is the constant 1.
+    adj[i][j] is (-1)**(i+j) times the (j,i) minor, one expansion with the
+    sign in its top row; since the matrix is symmetric the adjugate is
+    symmetric too.  The adjugate of a 1x1 matrix is the constant 1, and for
+    a binary form each cofactor is one second partial.
     """
     mat = f.second_partials()
     n = f.nvars
@@ -107,9 +110,13 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
     for i in range(n):
         for j in range(i, n):
             minor = [[mat[a][b] for b in range(n) if b != i] for a in range(n) if a != j]
-            entry = _det_by_expansion(minor) if minor else Form.monomial((0,))
-            if (i + j) % 2:
-                entry = -entry
+            sign = -1 if (i + j) % 2 else 1
+            if len(minor) > 1:
+                entry = _det_by_expansion(minor, sign=sign)
+            elif minor:
+                entry = minor[0][0] if sign == 1 else -minor[0][0]
+            else:
+                entry = Form.monomial((0,))
             adj[i][j] = entry
             adj[j][i] = entry
     return adj  # type: ignore[return-value]

@@ -21,12 +21,12 @@ collected separately for logging.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import platform
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -564,7 +564,7 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
     entries: Dict[str, dict] = {}
     timings: Dict[str, float] = {}
     if jobs > 1 and len(selected) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for name, report, took in pool.map(
                     _run_one, [(name, ctx) for name, _ in selected]):
                 entries[name] = report

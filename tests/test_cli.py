@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -310,6 +314,23 @@ class TestSuiteAndConfig:
                             raising(AssertionError("suite must not run")))
         with pytest.raises(ValueError, match="bound"):
             hesskit.reports.run_suite(name_filter="curve-families", bound=bound)
+
+    def test_two_jobs_give_the_one_job_bytes(self):
+        # "co" keeps condition-scans and cone-normal-forms, so the pool runs
+        one = hesskit.reports.run_suite(name_filter="co", jobs=1)
+        two = hesskit.reports.run_suite(name_filter="co", jobs=2)
+        assert list(two.entries) == ["condition-scans", "cone-normal-forms"]
+        assert (hesskit.reports.canonical_json(two.to_json_dict())
+                == hesskit.reports.canonical_json(one.to_json_dict()))
+
+    def test_start_up_leaves_the_process_pool_unloaded(self):
+        src = str(pathlib.Path(hesskit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, hesskit.cli; "
+                 "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_corrupted_fixture_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hesskit.reports, "EXPECTED_FIXTURE_DIGEST",

@@ -131,7 +131,7 @@ def _agrees_with_loop(curve, bound):
 
 _coeff_polys = st.lists(st.integers(-6, 6), max_size=4)  # degree <= 3
 _small_polys = st.lists(st.integers(-3, 3), max_size=2)  # degree <= 1
-_bounds = st.integers(0, 3 * 10 ** 5)  # crosses several chunk edges
+_bounds = st.integers(0, 3 * 10 ** 5)  # up to 6e5 x values: crosses block edges
 
 
 def _mul(p, q):
@@ -147,7 +147,7 @@ def factored_curves(draw):
     """(u y - p)(v y - q) = 0, integer points on many x.
 
     Its discriminant (u q - v p)**2 is a square at every x, so no x is sieved
-    out and the chunk walk and exact test are what these curves check.
+    out and the wheel walk and exact test are what these curves check.
     """
     u, p, v, q = (draw(_small_polys) for _ in range(4))
     b = [-s - t for s, t in zip_longest(_mul(u, q), _mul(v, p), fillvalue=0)]
@@ -210,6 +210,57 @@ class TestSieve:
     @given(curve=factored_curves(), bound=_bounds)
     def test_factored_curves_agree_with_the_loop(self, curve, bound):
         _agrees_with_loop(curve, bound)
+
+
+def _block_span(curve):
+    """x values per block of the wheel walk: whole periods, about CHUNK
+    wheel candidates."""
+    period, residues, _ = curves._wheel(curve._sieve_tables())
+    return max(1, CHUNK // residues.size) * period
+
+
+class TestWheel:
+    """The wheel of merged residue tables and the block walk over it."""
+
+    @pytest.mark.parametrize("curve", [CURVE_ONE, CURVE_TWO, DIAGONALS,
+                                       QuadraticInY("r", (3, -1), (2,), (5, 0, 1))])
+    def test_residues_pass_every_wheel_table(self, curve):
+        tables = curve._sieve_tables()
+        period, residues, rest = curves._wheel(tables)
+        wheel = tables[:len(tables) - len(rest)]
+        assert rest == tables[len(wheel):]
+        assert period <= curves._WHEEL_CAP
+        assert all(period % m == 0 for m, _ in wheel)
+        assert sorted(m for m, _ in wheel + rest) == sorted(curves.SIEVE_MODULI)
+        assert residues.tolist() == [r for r in range(period)
+                                     if all(t[r % m] for m, t in wheel)]
+
+    def test_a_wheel_with_no_residue_finds_nothing(self):
+        # y**2 = 3: 12 is a non-square modulo 64, so every x is sieved out
+        curve = QuadraticInY("y^2 = 3", a=(1,), b=(0,), c=(-3,))
+        assert curves._wheel(curve._sieve_tables())[1].size == 0
+        assert curve.integral_points(10 ** 6) == _loop_points(curve, 50) == []
+
+    def test_shipped_wheels_are_selective(self):
+        for curve in (CURVE_ONE, CURVE_TWO):
+            period, residues, _ = curves._wheel(curve._sieve_tables())
+            assert residues.size < period // 10
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_every_x_near_block_edges(self, shift):
+        # every residue is kept on these two curves, so each block is full
+        for curve in (DIAGONALS, ANTIDIAGONAL):
+            bound = _block_span(curve) + shift
+            xs = range(-bound, bound + 1)
+            want = ([(x, -x) for x in xs] if curve is ANTIDIAGONAL
+                    else sorted({(x, y) for x in xs for y in (x, -x)}))
+            assert curve.integral_points(bound) == want
+
+    @pytest.mark.parametrize("curve,omega", [(CURVE_ONE, OMEGA1),
+                                             (CURVE_TWO, OMEGA2)])
+    def test_shipped_curves_across_two_blocks(self, curve, omega):
+        bound = 2 * _block_span(curve) + 1
+        assert curve.integral_points(bound) == sorted(omega)
 
 
 class TestWeierstrassModels:

@@ -244,6 +244,21 @@ class TestIntegerKernel:
         assert dict(fk.terms) == ref_pow(dict(f.terms), k, f.nvars)
         assert_canonical(fk)
 
+    @pytest.mark.parametrize("f", [
+        Form.zero(3, 2),
+        Form.from_coeffs(3, 1, {(1, 0, 0): Fraction(1, 6),
+                                (0, 1, 0): Fraction(-3, 4), (0, 0, 1): 2}),
+        Form.from_coeffs(2, 2, {(2, 0): 1, (1, 1): -1}),
+    ], ids=["zero", "denominator", "integral"])
+    def test_power_is_repeated_product(self, f):
+        want = Form.from_coeffs(f.nvars, 0, {(0,) * f.nvars: 1})
+        for k in range(6):
+            got = f ** k
+            assert got == want and got.degree == want.degree == k * f.degree
+            assert got.terms == want.terms
+            assert_canonical(got)
+            want = want * f
+
     @settings(max_examples=40)
     @given(f=rational_forms)
     def test_cancellation_gives_the_zero_form(self, f):
