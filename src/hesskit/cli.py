@@ -33,7 +33,6 @@ from .reports import FixtureError, canonical_json, certify, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
-EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 
 CONFIG_KEYS = ("seed", "bound", "jobs", "kmin", "kmax")
@@ -285,32 +284,28 @@ def _cmd_suite(args, parser) -> int:
     return EXIT_OK if result.passed() else EXIT_VERIFICATION
 
 
+_HANDLERS = {
+    "verify": _cmd_verify_prop,
+    "rank": _cmd_rank,
+    "scan": _cmd_scan,
+    "curves": _cmd_curves_verify,
+    "limit": _cmd_limit,
+    "certify": _cmd_certify,
+    "suite": _cmd_suite,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config(args, parser)
     try:
-        if args.command == "verify":
-            return _cmd_verify_prop(args, parser)
-        if args.command == "rank":
-            return _cmd_rank(args, parser)
-        if args.command == "scan":
-            return _cmd_scan(args, parser)
-        if args.command == "curves":
-            return _cmd_curves_verify(args, parser)
-        if args.command == "limit":
-            return _cmd_limit(args, parser)
-        if args.command == "certify":
-            return _cmd_certify(args, parser)
-        if args.command == "suite":
-            return _cmd_suite(args, parser)
+        return _HANDLERS[args.command](args, parser)
     except FixtureError as exc:
         _log(str(exc))
         return EXIT_FIXTURE
     except InputError as exc:
         parser.error(str(exc))
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import InputError, require_int
 from .forms import Form, _coerce
+from .records import json_dict
 
 Point = Tuple[Fraction, Fraction]
 IntPoint = Tuple[int, int]
@@ -95,14 +96,7 @@ class ScanReport:
     clean: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "r": self.r,
-            "kmin": self.kmin,
-            "kmax": self.kmax,
-            "violations": [list(v) for v in self.violations],
-            "clean": self.clean,
-        }
+        return json_dict(self)
 
 
 def scan_condition(condition: str, r: int, kmin: int, kmax: int) -> ScanReport:
@@ -615,20 +609,7 @@ class FamilyReport:
                 and self.omega_match)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "weierstrass_points_ok": self.weierstrass_points_ok,
-            "s_integral_support_ok": self.s_integral_support_ok,
-            "rescale_model_ok": self.rescale_model_ok,
-            "rescaled_points_ok": self.rescaled_points_ok,
-            "fiber_cases": dict(sorted(self.fiber_cases.items())),
-            "integer_candidates": [list(p) for p in self.integer_candidates],
-            "recovered_set": [list(p) for p in self.recovered_set],
-            "expected_set": [list(p) for p in self.expected_set],
-            "brute_force_set": [list(p) for p in self.brute_force_set],
-            "omega_match": self.omega_match,
-            "passed": self.passed(),
-        }
+        return json_dict(self, passed=self.passed())
 
 
 def verify_family(family: int, bound: int) -> FamilyReport:

@@ -415,10 +415,17 @@ class Form:
         return f"Form({self.nvars} vars, deg {self.degree}, {self.num_terms()} terms)"
 
 
+_UNITS: Dict[int, Form] = {}
+
+
 def _unit(nvars: int) -> Form:
     """The constant form 1 in ``nvars`` variables: with it as the second
-    factor of every term, ``dot`` is a linear combination of forms."""
-    return Form._make(nvars, 0, {0: 1}, 1)
+    factor of every term, ``dot`` is a linear combination of forms.  Forms
+    are immutable, so one is built per ``nvars`` and shared."""
+    one = _UNITS.get(nvars)
+    if one is None:
+        one = _UNITS[nvars] = Form._make(nvars, 0, {0: 1}, 1)
+    return one
 
 
 def packed(f: Form) -> Tuple[Mapping[int, int], int]:

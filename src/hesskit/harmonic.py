@@ -94,14 +94,6 @@ class QuadraticForm:
                     for i, row in enumerate(self.dual)
                     for j, c in enumerate(row) if c])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadraticForm):
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
     def __repr__(self) -> str:
         return f"QuadraticForm({self.nvars} vars)"
 

@@ -279,12 +279,8 @@ class TParameterForm:
     def sorted_slots(self) -> List[Tuple[int, Form]]:
         return sorted(self.slots.items())
 
-    def times(self, other: "TParameterForm",
-              below: Optional[int] = None) -> "TParameterForm":
-        """The product, taken modulo t**below when ``below`` is given."""
-        return _family_dot(((1, self, other),), below)
-
-    __mul__ = times
+    def __mul__(self, other: "TParameterForm") -> "TParameterForm":
+        return _family_dot(((1, self, other),))
 
 
 def _family_dot(terms, below: Optional[int] = None) -> TParameterForm:

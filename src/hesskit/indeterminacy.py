@@ -26,6 +26,7 @@ from .errors import InputError, VerificationError, require_int
 from .forms import Form, _coerce, dot, monomials_of_degree
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
+from .records import json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +97,9 @@ class NormalFormReport:
         return self.h12_vanishes and self.divisible and self.iff_holds
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "h12_vanishes": self.h12_vanishes,
-            "divisible_by_x0^(2d-4)": self.divisible,
-            "hess_zero": self.hess_zero,
-            "degenerate_data": self.degenerate_data,
-            "iff_holds": self.iff_holds,
-            "passed": self.passed(),
-        }
+        out = json_dict(self, passed=self.passed())
+        out["divisible_by_x0^(2d-4)"] = out.pop("divisible")
+        return out
 
 
 def normal_form_check(n: ConeNormalForm) -> NormalFormReport:
@@ -191,16 +186,9 @@ class GateReport:
         return (not self.applicable) or bool(self.divisible)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "d": self.d,
-            "case": self.case,
-            "hypotheses_ok": self.hypotheses_ok,
-            "applicable": self.applicable,
-            "divisible": self.divisible,
-            "value_nonzero": self.value_nonzero,
-            "passed": self.passed(),
-        }
+        out = json_dict(self, passed=self.passed())
+        out["check"] = out.pop("name")
+        return out
 
 
 def pair_divisibility_check(f: Form, g: Form, case: str = "input") -> GateReport:
@@ -404,12 +392,7 @@ class LimitReport:
         return self.status != "not-divisible"
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "status": self.status,
-            "lowest_order": self.lowest_order,
-            "required_power": self.required_power,
-        }
+        return json_dict(self)
 
 
 def limit_divisibility_check(family: TParameterForm) -> LimitReport:

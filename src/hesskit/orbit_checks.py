@@ -32,6 +32,7 @@ from .errors import InputError, VerificationError, require_int
 from .forms import Form
 from .hessians import (adjugate_second_partials, adjugate_trace, hess,
                        hess_from_adjugate)
+from .records import json_dict
 
 
 def hyperbolic_q(r: int) -> Form:
@@ -74,15 +75,7 @@ class ClosedFormReport:
     matches: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "h": self.h,
-            "constant": str(self.constant),
-            "q_power": self.q_power,
-            "l_power": self.l_power,
-            "matches": self.matches,
-        }
+        return json_dict(self)
 
 
 def verify_closed_form(r: int, k: int, h: int) -> ClosedFormReport:
@@ -191,20 +184,7 @@ class PairReport:
                 and self.c0 == self.c0_extracted and self.c1 == self.c1_extracted)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "k": self.k,
-            "m": self.m,
-            "c0": str(self.c0),
-            "c1": str(self.c1),
-            "c0_extracted": str(self.c0_extracted),
-            "c1_extracted": str(self.c1_extracted),
-            "base_matches": self.base_matches,
-            "eps_matches": self.eps_matches,
-            "condition_value": self.condition_value,
-            "matches": self.matches,
-        }
+        return json_dict(self, matches=self.matches)
 
 
 def _coefficient_at(form: Form, img: Tuple[int, int]) -> Fraction:

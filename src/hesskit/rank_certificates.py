@@ -49,6 +49,7 @@ from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
 from .orbit_checks import (SPECIAL_POINTS, _predicted_constants, hyperbolic_q,
                            pair_m_range, power_product)
+from .records import json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +232,9 @@ class RankReport:
     complement_checked: bool = False
 
     def to_json_dict(self) -> dict:
-        out = {
-            "point": self.point,
-            "r": self.r,
-            "d": self.d,
-            "domain_dim": self.domain_dim,
-            "matrix_shape": list(self.matrix_shape),
-            "rank": self.rank,
-            "injective": self.injective,
-            "method": self.method,
-            "probe_primes": list(self.probe_primes),
-            "claim": self.claim,
-            "complement_checked": self.complement_checked,
-        }
-        if self.precondition is not None:
-            out["precondition"] = self.precondition
+        out = json_dict(self)
+        if self.precondition is None:
+            del out["precondition"]
         return out
 
 
@@ -355,15 +344,8 @@ class BlockReport:
         return self.all_single_slot and self.all_scalar
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "blocks": self.blocks,
-            "all_single_slot": self.all_single_slot,
-            "all_scalar": self.all_scalar,
-            "scalars_match": self.all_scalar,
-            "passed": self.passed(),
-        }
+        return json_dict(self, scalars_match=self.all_scalar,
+                         passed=self.passed())
 
 
 def block_structure_check(k: int, r: int) -> BlockReport:

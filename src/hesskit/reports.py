@@ -49,6 +49,7 @@ from .orbit_checks import (SPECIAL_POINTS, _predicted_constants,
                            pair_m_range, verify_closed_form, verify_pair)
 from .rank_certificates import (SpecialPoint, block_structure_check,
                                 pijk_injectivity, verify_special_point_rank)
+from .records import json_dict
 
 EXPECTED_FIXTURE_DIGEST = (
     "c6dc3b94233d4f5bf0f0aab3f82a6f6ebfc0f92940058def7696f74a6256e32a")
@@ -110,20 +111,9 @@ class Certificate:
     reason: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "branch": self.branch,
-            "pass": self.ok,
-            "excluded": self.excluded,
-            "reason": self.reason,
-            "point": self.point,
-            "scan": self.scan,
-            "rank": self.rank,
-            "gates": self.gates,
-            "trusted": list(self.trusted),
-            "notes": list(self.notes),
-            "versions": versions(),
-        }
+        out = json_dict(self, versions=versions())
+        out["pass"] = out.pop("ok")
+        return out
 
 
 _SCOPE_NOTE = ("certified degrees are 4 and every degree from 6 on; even "

@@ -7,7 +7,6 @@ it serializes under ``canonical_json``: key names, values and nesting.
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -179,9 +178,3 @@ def test_every_record_class_is_pinned():
         "ScanReport", "FamilyReport", "ClosedFormReport", "PairReport",
         "RankReport", "BlockReport", "NormalFormReport", "GateReport",
         "LimitReport", "Certificate"}
-
-
-def test_fractions_serialize_as_their_str():
-    rep = _pair()
-    assert isinstance(rep.c0, Fraction)
-    assert rep.to_json_dict()["c0"] == str(rep.c0)
