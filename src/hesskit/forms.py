@@ -112,17 +112,13 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
     """
     require_int("nvars", nvars, 1)
     require_int("degree", degree, 0)
-    out: List[Exponent] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    return out
+    # each pass extends every (prefix, degree left) by one exponent, largest
+    # first, so the list stays in canonical order
+    rows: List[Tuple[Exponent, int]] = [((), degree)]
+    for _ in range(nvars - 1):
+        rows = [(prefix + (e,), rest - e) for prefix, rest in rows
+                for e in range(rest, -1, -1)]
+    return [prefix + (rest,) for prefix, rest in rows]
 
 
 def _coerce(c) -> Fraction:

@@ -13,27 +13,31 @@ The rank path works on ``IntColumns``, a sparse integer matrix stored as one
 ``{row: value}`` dict per column.  Callers that build their matrix column by
 column (the differential matrices) hand it over as is; a dense rational
 input is cleared once and turned into the same columns.  Each probe prime
-reduces the columns mod p and first peels off singleton columns and rows,
-each one pivot that needs no fill-in (the structured first step of
-LaMacchia & Odlyzko, CRYPTO '90); only the surviving block is scattered
-into a zeroed int64 array and eliminated with vectorized arithmetic.  Since
-reduction can only lower rank, a full-column-rank result mod p is already a
-proof of full column rank over the rationals, and the rank path takes it as
-the answer.  Any other modular answer is advisory and must be confirmed by
-the exact path, the only place where the columns become a dense Python
-matrix.
+reduces the columns mod p and ``rank_mod_p`` eliminates the residues as
+they are, one sparse Gaussian elimination over GF(p) on Python dicts under
+the original row and column indices.  Its pivot rule is Markowitz's, not
+``_echelon``'s: the column with the fewest live rows, then the row in it
+with the fewest entries, ties to the lower index.  A singleton column
+always goes first and a singleton row is the pivot chosen in its column,
+both without fill-in, so the structured first step of LaMacchia & Odlyzko
+(CRYPTO '90) needs no pass of its own.
+Since reduction can only lower rank, a full-column-rank result mod p is
+already a proof of full column rank over the rationals, and the rank path
+takes it as the answer.  Any other modular answer is advisory and must be
+confirmed by the exact path, the only place where the columns become a
+dense Python matrix.
 
-Pivoting is deterministic throughout: first row with a nonzero entry in the
-leftmost unfinished column.  No randomness, no floats.
+Pivoting is deterministic throughout; ``_echelon`` takes the first row with
+a nonzero entry in the leftmost unfinished column.  No randomness, no
+floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .errors import VerificationError
 
@@ -185,93 +189,71 @@ def _residues(columns: Sequence[Dict[int, int]], p: int) -> List[Dict[int, int]]
     return [{i: r for i, x in col.items() if (r := x % p)} for col in columns]
 
 
-def _peel(cols: List[Optional[Dict[int, int]]]) -> Tuple[int, List[Dict[int, int]]]:
-    """Peel singleton columns and rows off a matrix over GF(p), in place.
-
-    ``cols`` holds nonzero residues only; a removed column becomes None.  A
-    column with one nonzero, at row i, and a row with one nonzero, in column
-    j, each give rank(A) = 1 + rank(A without that row and column): a column
-    (row) operation clears the rest of the pivot's row (column) without
-    fill-in.  Empty columns are dropped.  Peeling repeats until no singleton
-    is left.  Returns the number of pivots peeled and the surviving columns.
-    """
-    rows: Dict[int, set] = {}
-    for j, col in enumerate(cols):
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    todo_cols = [j for j, col in enumerate(cols) if len(col) <= 1]
-    todo_rows = [i for i, js in rows.items() if len(js) == 1]
-    rank = 0
-    while todo_cols or todo_rows:
-        if todo_cols:
-            j = todo_cols.pop()
-            col = cols[j]
-            if col is None or len(col) > 1:
-                continue
-            cols[j] = None
-            if not col:
-                continue
-            (i,) = col
-            for k in rows.pop(i):
-                if k != j:
-                    other = cols[k]
-                    del other[i]
-                    if len(other) <= 1:
-                        todo_cols.append(k)
-        else:
-            i = todo_rows.pop()
-            js = rows.get(i)
-            if js is None or len(js) != 1:
-                continue
-            (j,) = js
-            del rows[i]
-            for k in cols[j]:
-                if k != i:
-                    left = rows[k]
-                    left.discard(j)
-                    if len(left) == 1:
-                        todo_rows.append(k)
-                    elif not left:
-                        del rows[k]
-            cols[j] = None
-        rank += 1
-    return rank, [col for col in cols if col]
-
-
 def rank_mod_p(m: IntColumns, p: int) -> int:
-    """Rank of the integer matrix ``m`` over GF(p).
+    """Rank of the integer matrix ``m`` over GF(p), by sparse elimination.
 
     Always a lower bound for the rational rank.  ``p`` must be a prime below
-    2**31, so that products of residues stay inside int64 and every nonzero
-    residue has an inverse.  Singleton rows and columns of the residues are
-    peeled off first (``_peel``); only the surviving block is scattered into
-    a zeroed int64 array and eliminated with vectorized arithmetic.
+    2**31, the range on which ``_is_probe_prime`` is exact, so that every
+    nonzero residue has an inverse.  Rows are ``{col: residue}`` dicts and
+    columns sets of live rows, both under the original indices; ``m`` is not
+    touched.  Each step pivots in the column with the fewest live rows (a
+    heap of counts whose stale entries are skipped), on the row there with
+    the fewest entries, ties to the lower index: Markowitz's rule
+    (Management Sci. 3, 1957) taken column first.  A singleton column always
+    goes first, and a singleton row is the choice in its column; neither
+    makes fill-in.
+
+    Built for the sparse matrices of the rank path, at most 6.5% nonzero.
+    Dense input is slow: a random 60 x 60 takes about 25 ms and a 120 x 120
+    about 190 ms, where a vectorized int64 loop takes 4 and 15 ms (2 cores,
+    Python 3.11).
     """
     _check_probe_primes((p,))
-    rank, cols = _peel(_residues(m.columns, p))
-    row_of = {i: t for t, i in enumerate({i for col in cols for i in col})}
-    a = np.zeros((len(row_of), len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        a[[row_of[i] for i in col], j] = list(col.values())
-    nrows, ncols = a.shape
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: List[set] = []
+    for c, col in enumerate(_residues(m.columns, p)):
+        cols.append(set(col))
+        for r, x in col.items():
+            if r in rows:
+                rows[r][c] = x
+            else:
+                rows[r] = {c: x}
+    heap = [(len(live), c) for c, live in enumerate(cols) if live]
+    heapify(heap)
+    rank = 0
+    while heap:
+        n, c = heappop(heap)
+        live = cols[c]
+        if n != len(live):
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        below = a[row + 1:, col]
-        mask = below != 0
-        if mask.any():
-            a[row + 1:][mask] = (a[row + 1:][mask] - below[mask, None] * a[row][None, :]) % p
-        row += 1
-    return rank + row
+        r = min([(len(rows[i]), i) for i in live])[1]
+        prow = rows.pop(r)
+        pivot = prow.pop(c)
+        cols[c] = set()
+        live.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        if live:
+            # row i becomes row i - f / pivot * (pivot row), f its entry in c
+            neg = p - pow(pivot, -1, p)
+            scaled = [(j, y * neg % p) for j, y in prow.items()]
+            for i in live:
+                row = rows[i]
+                f = row.pop(c)
+                for j, y in scaled:
+                    if j not in row:
+                        row[j] = f * y % p
+                        cols[j].add(i)
+                    elif x := (row[j] + f * y) % p:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+        for j in prow:
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
+        rank += 1
+    return rank
 
 
 def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -118,6 +119,15 @@ class TestConstruction:
         assert monos[0] == (2, 0, 0)
         assert monos[-1] == (0, 0, 2)
         assert monos == sorted(monos, reverse=True)
+
+    def test_monomials_match_the_product_oracle(self):
+        # every exponent tuple with the right sum, sorted in descending order
+        for nvars in range(1, 6):
+            for d in range(13):
+                oracle = sorted((e for e in itertools.product(range(d + 1),
+                                                              repeat=nvars)
+                                 if sum(e) == d), reverse=True)
+                assert monomials_of_degree(nvars, d) == oracle
 
     def test_dim_sym_matches_monomial_count(self):
         for nvars in (2, 3, 4):

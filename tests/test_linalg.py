@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from hesskit import linalg
-from hesskit.errors import VerificationError
+from hesskit import linalg, rank_certificates
+from hesskit.errors import InputError, VerificationError
 from hesskit.linalg import (PROBE_PRIMES, IntColumns, invert, nullspace,
                             rank_bareiss, rank_with_certificate, solve_exact)
+from hesskit.orbit_checks import SPECIAL_POINTS
+from hesskit.rank_certificates import SpecialPoint, differential_matrix
 
 
 @st.composite
@@ -169,6 +171,24 @@ class TestRank:
 ONE = IntColumns(1, [{0: 1}])
 
 
+def special_points(degrees):
+    for d in degrees:
+        for kind in SPECIAL_POINTS:
+            try:
+                yield SpecialPoint.at_degree(kind, d)
+            except InputError:  # wrong parity or below the kind's least degree
+                pass
+
+
+SPECIAL_POINTS_4_TO_9 = list(special_points(range(4, 10)))
+
+# Mod 7 the first pivot (column 0, row 0) fills row 2 in column 2, and the
+# pivot in column 1 cancels that entry; the determinant is -84 = -12 * 7.
+FILL_CANCELS = IntColumns(3, [{0: 6, 2: 2}, {1: 6, 2: 2}, {0: 4, 1: 3}])
+# Mod 7 the pivot in column 0 empties column 1; the determinant is -14.
+EMPTIES_A_COLUMN = IntColumns(2, [{0: 4, 1: 6}, {0: 3, 1: 1}])
+
+
 class TestProbePrimes:
     # 2147483659 is the least prime above 2**31
     @pytest.mark.parametrize("probe", [4, 1, 0, -7, 2147483659, True, 2.0])
@@ -268,22 +288,57 @@ class TestIntColumns:
         assert m.columns == before
 
     def test_singleton_only_modulo_p(self):
-        # mod 3 the first column is x at row 1 alone; peeling it empties the
-        # second column, so no elimination is left.  Mod 5 neither column nor
-        # row is a singleton and the 2 x 2 block has determinant 0.
+        # mod 3 the first column is x at row 1 alone, a singleton pivot that
+        # leaves the second column empty.  Mod 5 neither column nor row is a
+        # singleton and the 2 x 2 block has determinant 0.
         m = IntColumns(2, [{0: 3, 1: 1}, {0: 6, 1: 2}])
-        assert linalg._peel(linalg._residues(m.columns, 3)) == (1, [])
-        assert linalg._peel(linalg._residues(m.columns, 5)) == (
-            0, [{0: 3, 1: 1}, {0: 1, 1: 2}])
-        for p in (3, 5) + PROBE_PRIMES:
+        for p in (3, 5, 7) + PROBE_PRIMES:
             assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p) == 1
 
     def test_chain_of_singletons_peels_completely(self):
         # rows 0 and 3 are the only singletons at first; each removal
-        # exposes the next row
+        # exposes the next row (mod 3 the entries 3 and 6 vanish)
         m = IntColumns(4, [{0: 1, 1: 2}, {1: 3, 2: 4}, {2: 5, 3: 6}])
-        assert linalg._peel(linalg._residues(m.columns, 7)) == (3, [])
         assert linalg.rank_mod_p(m, 7) == 3
+        for p in (3, 5, 7) + PROBE_PRIMES:
+            assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7) + PROBE_PRIMES)
+    @pytest.mark.parametrize("m", [
+        FILL_CANCELS,
+        EMPTIES_A_COLUMN,
+        # duplicate columns, and columns equal only mod 7
+        IntColumns(3, [{0: 1, 2: 5}, {1: 2}, {0: 1, 2: 5}, {1: 9}]),
+        IntColumns(2, [{0: 7, 1: 3}, {1: 3}]),
+        IntColumns(3, [{}, {}]),
+        IntColumns(4, []),
+        IntColumns(0, []),
+        # rows 1 to 3 are in no column
+        IntColumns(5, [{0: 1}, {4: 2}, {0: 3, 4: 1}]),
+    ])
+    def test_explicit_cases_match_dense_elimination(self, m, p):
+        before = [dict(col) for col in m.columns]
+        assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p)
+        assert m.columns == before
+
+    def test_fill_cancelled_and_emptied_column_modulo_seven(self):
+        assert linalg.rank_mod_p(FILL_CANCELS, 7) == 2
+        assert linalg.rank_mod_p(FILL_CANCELS, 11) == rank_bareiss(FILL_CANCELS) == 3
+        assert linalg.rank_mod_p(EMPTIES_A_COLUMN, 7) == 1
+        assert linalg.rank_mod_p(EMPTIES_A_COLUMN, 11) == 2
+
+    @pytest.mark.parametrize("point", SPECIAL_POINTS_4_TO_9, ids=str)
+    def test_differential_matrices_match_dense_elimination(self, point):
+        # every entry is even, so mod 2 the rank is 0; mod 3 to 13 the ranks
+        # drop part way (qk1l2 at d = 8: 36 mod 5, 0 mod 7, 44 mod 11)
+        f = point.form(2)
+        M = differential_matrix(f)
+        lead = rank_certificates._largest_coefficient_monomial(f)
+        for m in (M.with_hess(range(len(M.col_monomials))),
+                  M.with_hess([j for j, mono in enumerate(M.col_monomials)
+                               if mono != lead])):
+            for p in (2, 3, 5, 7, 11, 13) + PROBE_PRIMES:
+                assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p)
 
     def test_dense_input_becomes_the_same_columns(self):
         m = IntColumns.from_rows([[Fraction(1, 2), 0], [0, 0], [3, Fraction(-1, 3)]])
