@@ -20,12 +20,11 @@ the original row and column indices.  Its pivot rule is Markowitz's, not
 with the fewest entries, ties to the lower index.  A singleton column
 always goes first and a singleton row is the pivot chosen in its column,
 both without fill-in, so the structured first step of LaMacchia & Odlyzko
-(CRYPTO '90) needs no pass of its own.
-Since reduction can only lower rank, a full-column-rank result mod p is
-already a proof of full column rank over the rationals, and the rank path
-takes it as the answer.  Any other modular answer is advisory and must be
-confirmed by the exact path, the only place where the columns become a
-dense Python matrix.
+(CRYPTO '90) needs no pass of its own.  Since reduction can only lower
+rank, a full-column-rank result mod p is already a proof of full column
+rank over the rationals, and the rank path takes it as the answer.  Any
+other modular answer is advisory and must be confirmed by the exact path,
+the only place where the columns become a dense Python matrix.
 
 Pivoting is deterministic throughout; ``_echelon`` takes the first row with
 a nonzero entry in the leftmost unfinished column.  No randomness, no
