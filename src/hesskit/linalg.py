@@ -12,19 +12,27 @@ nullspace; every division in it is exact.
 The rank path works on ``IntColumns``, a sparse integer matrix stored as one
 ``{row: value}`` dict per column.  Callers that build their matrix column by
 column (the differential matrices) hand it over as is; a dense rational
-input is cleared once and turned into the same columns.  Each probe prime
-reduces the columns mod p and ``rank_mod_p`` eliminates the residues as
-they are, one sparse Gaussian elimination over GF(p) on Python dicts under
-the original row and column indices.  Its pivot rule is Markowitz's, not
-``_echelon``'s: the column with the fewest live rows, then the row in it
-with the fewest entries, ties to the lower index.  A singleton column
-always goes first and a singleton row is the pivot chosen in its column,
-both without fill-in, so the structured first step of LaMacchia & Odlyzko
-(CRYPTO '90) needs no pass of its own.  Since reduction can only lower
-rank, a full-column-rank result mod p is already a proof of full column
-rank over the rationals, and the rank path takes it as the answer.  Any
-other modular answer is advisory and must be confirmed by the exact path,
-the only place where the columns become a dense Python matrix.
+input is cleared once and turned into the same columns.  ``rank_mod_p`` is
+the one modular elimination: it reduces the columns mod q and eliminates
+the residues as they are, one sparse Gaussian elimination on Python dicts
+under the original row and column indices.  Its pivot rule is
+Markowitz's, not ``_echelon``'s: the column with the fewest live rows, then
+the row in it with the fewest entries, ties to the lower index.  A
+singleton column always goes first and a singleton row is the pivot chosen
+in its column, both without fill-in, so the structured first step of
+LaMacchia & Odlyzko (CRYPTO '90) needs no pass of its own.
+
+For a single probe prime q = p.  ``rank_with_certificate`` runs it once for
+all probe primes, with q their lcm (about 2**62 for the default two), and
+takes a pivot only when it is a unit mod q.  Reduced mod each prime, that
+run is an elimination over GF(p) with nonzero pivots, and what it leaves is
+0 mod q, so its rank is the rank mod every probe prime.  At a pivot that is
+not a unit the run stops, and each prime gets a run of its own.  Since
+reduction can only lower rank, a full-column-rank result mod p is already a
+proof of full column rank over the rationals, and the rank path takes it as
+the answer.  Any other modular answer is advisory and must be confirmed by
+the exact path, the only place where the columns become a dense Python
+matrix.
 
 Pivoting is deterministic throughout; ``_echelon`` takes the first row with
 a nonzero entry in the leftmost unfinished column.  No randomness, no
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import VerificationError
@@ -183,35 +191,46 @@ def rank_bareiss(matrix: Union[IntColumns, Sequence[Sequence]]) -> int:
     return len(_echelon(m, ncols)[0])
 
 
-def _residues(columns: Sequence[Dict[int, int]], p: int) -> List[Dict[int, int]]:
-    """Fresh columns reduced mod p, entries that vanish dropped."""
-    return [{i: r for i, x in col.items() if (r := x % p)} for col in columns]
+def _residues(columns: Sequence[Dict[int, int]], q: int) -> List[Dict[int, int]]:
+    """Fresh columns reduced mod q, entries that vanish dropped."""
+    return [{i: r for i, x in col.items() if (r := x % q)} for col in columns]
 
 
-def rank_mod_p(m: IntColumns, p: int) -> int:
-    """Rank of the integer matrix ``m`` over GF(p), by sparse elimination.
+def rank_mod_p(m: IntColumns, p: int, *more: int) -> Optional[int]:
+    """Rank of the integer matrix ``m`` modulo each probe prime, by one
+    sparse elimination.
 
-    Always a lower bound for the rational rank.  ``p`` must be a prime below
-    2**31, the range on which ``_is_probe_prime`` is exact, so that every
-    nonzero residue has an inverse.  Rows are ``{col: residue}`` dicts and
-    columns sets of live rows, both under the original indices; ``m`` is not
-    touched.  Each step pivots in the column with the fewest live rows (a
-    heap of counts whose stale entries are skipped), on the row there with
-    the fewest entries, ties to the lower index: Markowitz's rule
-    (Management Sci. 3, 1957) taken column first.  A singleton column always
-    goes first, and a singleton row is the choice in its column; neither
-    makes fill-in.
+    Always a lower bound for the rational rank.  Every probe must be a prime
+    below 2**31, the range on which ``_is_probe_prime`` is exact.  The
+    elimination runs modulo q, the lcm of the probes, and takes a pivot only
+    if it is a unit mod q; at the first one that is not, it stops and
+    returns ``None``.  A run that ends gives the rank modulo every probe:
+    reduced mod a probe, each step is a step over that prime field with a
+    nonzero pivot, and every entry left is 0 mod q, so 0 mod the probe.
+    With one probe q = p, every nonzero residue is a unit and the run always
+    ends.
+
+    Rows are ``{col: residue}`` dicts and columns sets of live rows, both
+    under the original indices; ``m`` is not touched.  Each step pivots in
+    the column with the fewest live rows (a heap of counts whose stale
+    entries are skipped), on the row there with the fewest entries, ties to
+    the lower index: Markowitz's rule (Management Sci. 3, 1957) taken column
+    first.  A singleton column always goes first, and a singleton row is the
+    choice in its column; neither makes fill-in.
 
     Built for the sparse matrices the library makes: the 1540 x 231 matrix
     of ``certify(20)`` is 1.2% nonzero, and none with 5 000 cells or more in
     ``certify(4..30)`` or the seed-0 suite is above 8.5%.  Dense input is
-    slow: a random 60 x 60 takes about 25 ms and a 120 x 120 about 190 ms,
-    where a vectorized int64 loop takes 4 and 15 ms (2 cores, Python 3.11).
+    slow: a random 60 x 60 takes about 25 ms and a 120 x 120 about 190 ms
+    mod one prime, where a vectorized int64 loop takes 4 and 15 ms (2 cores,
+    Python 3.11).
     """
-    _check_probe_primes((p,))
+    primes = (p, *more)
+    _check_probe_primes(primes)
+    q = lcm(*primes)
     rows: Dict[int, Dict[int, int]] = {}
     cols: List[set] = []
-    for c, col in enumerate(_residues(m.columns, p)):
+    for c, col in enumerate(_residues(m.columns, q)):
         cols.append(set(col))
         for r, x in col.items():
             if r in rows:
@@ -229,22 +248,24 @@ def rank_mod_p(m: IntColumns, p: int) -> int:
         r = min([(len(rows[i]), i) for i in live])[1]
         prow = rows.pop(r)
         pivot = prow.pop(c)
+        if gcd(pivot, q) != 1:
+            return None
         cols[c] = set()
         live.discard(r)
         for j in prow:
             cols[j].discard(r)
         if live:
             # row i becomes row i - f / pivot * (pivot row), f its entry in c
-            neg = p - pow(pivot, -1, p)
-            scaled = [(j, y * neg % p) for j, y in prow.items()]
+            neg = q - pow(pivot, -1, q)
+            scaled = [(j, y * neg % q) for j, y in prow.items()]
             for i in live:
                 row = rows[i]
                 f = row.pop(c)
                 for j, y in scaled:
                     if j not in row:
-                        row[j] = f * y % p
+                        row[j] = f * y % q
                         cols[j].add(i)
-                    elif x := (row[j] + f * y) % p:
+                    elif x := (row[j] + f * y) % q:
                         row[j] = x
                     else:
                         del row[j]
@@ -263,16 +284,21 @@ def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],
 
     ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions; every
     probe must be a prime below 2**31.  Returns (rank, method, primes_used).
-    One rule, with no option to bypass it: when every probe prime reports
-    full column rank that is already the proof ("modular-full-rank"); any
-    other outcome goes to the Bareiss path, which decides, and the modular
-    answers are checked against it.  A disagreement between a probe
-    prime and the exact rank is tolerated only downward (an unlucky prime
-    can drop rank, never raise it).
+    The modular ranks come from one ``rank_mod_p`` run modulo the lcm of
+    all probes, which gives the rank modulo each of them; only if that run
+    meets a pivot that is not a unit does each probe prime get a run of its
+    own.  One rule, with no option to bypass it: when every probe prime
+    reports full column rank that is already the proof
+    ("modular-full-rank"); any other outcome goes to the Bareiss path,
+    which decides, and the modular answers are checked against it.  A
+    disagreement between a probe prime and the exact rank is tolerated only
+    downward (an unlucky prime can drop rank, never raise it).
     """
     _check_probe_primes(primes)
     m = matrix if isinstance(matrix, IntColumns) else IntColumns.from_rows(matrix)
-    mod_ranks = [rank_mod_p(m, p) for p in primes]
+    fused = rank_mod_p(m, *primes) if primes else None
+    mod_ranks = ([fused] * len(primes) if fused is not None
+                 else [rank_mod_p(m, p) for p in primes])
     if mod_ranks and all(r == m.ncols for r in mod_ranks):
         return m.ncols, "modular-full-rank", list(primes)
     exact = rank_bareiss(m)

@@ -86,6 +86,34 @@ def peelable(draw, p):
     return IntColumns(nrows, columns)
 
 
+@st.composite
+def fill_cores(draw, p):
+    """``IntColumns`` whose eliminations make fill-in that matters: in an
+    n x n core two permutations, one a cyclic shift of the other, give every
+    row and column two entries, so no singleton peels the core and each
+    pivot fills in the row it clears.  The cycle's entries are 1 or -1, so
+    its determinant is 0 or 2 and the core is singular over the rationals
+    about half the time: only the filled entries show it.  Up to two extra
+    cells (multiples of p among them) and up to two extra rows; rows and
+    columns shuffled.
+    """
+    entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p),
+                      st.integers(2 ** 63, 2 ** 70)).filter(bool)
+    sign = st.sampled_from((1, -1))
+    n = draw(st.integers(2, 7))
+    perm = draw(st.permutations(range(n)))
+    columns = [{perm[c]: draw(sign), perm[(c + 1) % n]: draw(sign)}
+               for c in range(n)]
+    nrows = n + draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, n - 1))
+        columns[c] = {**columns[c], draw(st.integers(0, nrows - 1)): draw(entry)}
+    rows = draw(st.permutations(range(nrows)))
+    columns = [{rows[i]: x for i, x in col.items()}
+               for col in draw(st.permutations(columns))]
+    return IntColumns(nrows, columns)
+
+
 def dense_rank_mod_p(m, p):
     """Gaussian elimination over GF(p) on every residue: no peeling."""
     rows = [[x % p for x in row] for row in m.dense()]
@@ -163,7 +191,9 @@ class TestRank:
         # column rank 3, so the exact path runs and must catch it
         m = [[1, 2, 3], [2, 4, 6]]
         assert rank_bareiss(m) == 1
-        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: 2)
+        # the kernel both routes share: the run modulo the probes' lcm and
+        # each per-prime run
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, *primes: 2)
         with pytest.raises(VerificationError, match="exceeds exact rank 1"):
             rank_with_certificate(m)
 
@@ -224,6 +254,26 @@ class TestProbePrimes:
         else:
             with pytest.raises(ValueError):
                 linalg.rank_mod_p(ONE, n)
+
+    @pytest.mark.parametrize("entry, fused", [
+        (PROBE_PRIMES[0], None), (PROBE_PRIMES[1], None),
+        (PROBE_PRIMES[0] * PROBE_PRIMES[1], 0)])
+    def test_entry_divisible_by_a_probe_goes_to_bareiss(self, entry, fused):
+        # a singleton pivot that is no unit modulo the probes' product stops
+        # the run, though no inverse is taken; their product itself is 0
+        assert linalg.rank_mod_p(IntColumns(1, [{0: entry}]), *PROBE_PRIMES) == fused
+        assert rank_with_certificate([[entry]]) == (
+            1, "bareiss", list(PROBE_PRIMES))
+
+    def test_no_probe_goes_to_bareiss(self):
+        assert rank_with_certificate(IntColumns(0, []), primes=()) == (
+            0, "bareiss", [])
+        assert rank_with_certificate([[1, 0], [0, 1]], primes=()) == (
+            2, "bareiss", [])
+
+    def test_a_repeated_probe_is_one_modulus(self):
+        assert rank_with_certificate([[1, 0], [0, 1]], primes=(7, 7)) == (
+            2, "modular-full-rank", [7, 7])
 
 
 RAGGED = ([[1], [2, 3]], [[1, 2], [3]])
@@ -340,10 +390,65 @@ class TestIntColumns:
             for p in (2, 3, 5, 7, 11, 13) + PROBE_PRIMES:
                 assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p)
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7) + PROBE_PRIMES)
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_fill_in_matches_dense_elimination(self, p, data):
+        m = data.draw(fill_cores(p))
+        before = [dict(col) for col in m.columns]
+        assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p)
+        assert m.columns == before
+
     def test_dense_input_becomes_the_same_columns(self):
         m = IntColumns.from_rows([[Fraction(1, 2), 0], [0, 0], [3, Fraction(-1, 3)]])
         assert (m.nrows, m.columns) == (3, [{0: 1, 2: 9}, {2: -1}])
         assert m.dense() == [[1, 0], [0, 0], [9, -1]]
+
+
+def fused_rank(m, p1, p2):
+    """The one run modulo p1 * p2: it stops, or gives both per-prime ranks."""
+    before = [dict(col) for col in m.columns]
+    rank = linalg.rank_mod_p(m, p1, p2)
+    assert rank is None or rank == linalg.rank_mod_p(m, p1) == linalg.rank_mod_p(m, p2)
+    assert m.columns == before
+    return rank
+
+
+FUSED_PAIRS = (PROBE_PRIMES, (5, 7), (2, 3))
+
+
+class TestFusedRank:
+    """One elimination modulo the product of two probe primes against the
+    per-prime runs; with small primes non-unit pivots and rank drops occur."""
+
+    @pytest.mark.parametrize("point", SPECIAL_POINTS_4_TO_9, ids=str)
+    def test_differential_matrices(self, point):
+        f = point.form(2)
+        M = differential_matrix(f)
+        lead = rank_certificates._largest_coefficient_monomial(f)
+        for m in (M.with_hess(range(len(M.col_monomials))),
+                  M.with_hess([j for j, mono in enumerate(M.col_monomials)
+                               if mono != lead])):
+            for pair in FUSED_PAIRS[1:]:
+                fused_rank(m, *pair)
+            # no entry met modulo the default probes is divisible by either
+            assert fused_rank(m, *PROBE_PRIMES) is not None
+
+    def test_both_outcomes_at_degree_four(self):
+        # qk: 15 modulo 5 and 7 alike; qk1l2: 9 modulo 5 and 10 modulo 7, so
+        # the run modulo 35 cannot end
+        qk, qk1l2 = (differential_matrix(SpecialPoint(kind, 2).form(2))
+                     for kind in ("qk", "qk1l2"))
+        assert fused_rank(qk.with_hess(range(len(qk.col_monomials))), 5, 7) == 15
+        m = qk1l2.with_hess(range(len(qk1l2.col_monomials)))
+        assert (linalg.rank_mod_p(m, 5), linalg.rank_mod_p(m, 7)) == (9, 10)
+        assert fused_rank(m, 5, 7) is None
+
+    @settings(max_examples=150)
+    @given(m=st.one_of(int_columns(), fill_cores(35)),
+           pair=st.sampled_from(FUSED_PAIRS))
+    def test_random_matrices(self, m, pair):
+        fused_rank(m, *pair)
 
 
 class TestDetSolve:

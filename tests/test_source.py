@@ -132,9 +132,9 @@ def test_the_packing_guard_sees_a_packing():
     assert sorted(_packing_sites(ast.parse(by_hand))) == [1, 2, 3, 4]
 
 
-def _make_callers(tree):
-    """The functions that call ``Form._make``, by name; a call outside any
-    function is listed as ``<module>``."""
+def _callers(tree, is_target):
+    """The functions that make a call whose callee ``is_target`` accepts, by
+    name; a call outside any function is listed as ``<module>``."""
     found = set()
 
     def visit(node, owner):
@@ -142,16 +142,19 @@ def _make_callers(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "_make"
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == "Form"):
+            if isinstance(child, ast.Call) and is_target(child.func):
                 found.add(owner)
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def _make_callers(tree):
+    """The functions that call ``Form._make``, by name."""
+    return _callers(tree, lambda func: (
+        isinstance(func, ast.Attribute) and func.attr == "_make"
+        and isinstance(func.value, ast.Name) and func.value.id == "Form"))
 
 
 def test_only_dot_diff_and_the_unit_build_forms():
@@ -170,6 +173,31 @@ def test_the_constructor_guard_sees_a_second_loop():
                "                      self._den)\n"
                "Form._make(1, 0, {0: 1}, 1)\n")
     assert _make_callers(ast.parse(by_hand)) == {"__neg__", "<module>"}
+
+
+def _heappop_callers(tree):
+    """The functions that call ``heappop``, by name, whether imported from
+    ``heapq`` or called as ``heapq.heappop``."""
+    return _callers(tree, lambda func: "heappop" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def test_one_elimination_kernel():
+    """``rank_mod_p`` is the one elimination loop: the run modulo the
+    probes' lcm and each per-prime run both go through it."""
+    found = {(name, owner) for name, tree in _library_trees()
+             for owner in _heappop_callers(tree)}
+    assert found == {("linalg.py", "rank_mod_p")}
+
+
+def test_the_kernel_guard_sees_a_second_loop():
+    by_hand = ("def rank_mod_p(m, p, *more):\n"
+               "    while heap:\n"
+               "        n, c = heappop(heap)\n"
+               "def rank_mod_pq(m, q):\n"
+               "    while heap:\n"
+               "        n, c = heapq.heappop(heap)\n")
+    assert _heappop_callers(ast.parse(by_hand)) == {"rank_mod_p", "rank_mod_pq"}
 
 
 # Public names whose int parameters are left out of the validation table.
