@@ -37,6 +37,9 @@ EXIT_FIXTURE = 3
 
 CONFIG_KEYS = ("seed", "bound", "jobs", "kmin", "kmax")
 
+# ``verify prop --id``: 2.7 is the closed form, the others the pair identities
+_PAIR_OF_ID = {row.identity: row.pair for row in SPECIAL_POINTS.values()}
+
 
 def load_config(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
@@ -107,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_sub = p_verify.add_subparsers(dest="verify_what", required=True)
     p_prop = v_sub.add_parser("prop", help="identity checks by id")
     p_prop.add_argument("--id", required=True,
-                        choices=("2.7", "2.8", "2.15", "2.16"),
+                        choices=("2.7",) + tuple(_PAIR_OF_ID),
                         help="which identity family to check")
     p_prop.add_argument("--r", type=int, required=True,
                         help="r + 1 is the number of variables")
@@ -174,7 +177,7 @@ def _cmd_verify_prop(args, parser) -> int:
 
     if args.h != 0:
         parser.error(f"--h does not apply to id {args.id}")
-    kind = {"2.8": "even", "2.15": "odd", "2.16": "even2"}[args.id]
+    kind = _PAIR_OF_ID[args.id]
     if args.m is not None:
         rep = verify_pair(kind, r, k, args.m)
         _emit(rep.to_json_dict())

@@ -31,7 +31,7 @@ _ONE_HALF = Fraction(1, 2)
 class QuadraticForm:
     """Nondegenerate quadratic form given by its symmetric Gram matrix."""
 
-    __slots__ = ("nvars", "gram", "dual", "_poly")
+    __slots__ = ("nvars", "dual", "_poly")
 
     def __init__(self, gram: Sequence[Sequence]):
         n = len(gram)
@@ -47,7 +47,6 @@ class QuadraticForm:
         except ValueError as err:
             raise ValueError("Gram matrix is degenerate") from err
         self.nvars = n
-        self.gram = tuple(tuple(row) for row in g)
         self.dual = tuple(tuple(row) for row in dual)
         terms: Dict[Tuple[int, ...], Fraction] = {}
         for i in range(n):

@@ -26,6 +26,7 @@ from .errors import InputError, VerificationError, require_int
 from .forms import Form, _coerce, dot, monomials_of_degree
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
+from .orbit_checks import SPECIAL_POINTS, PointKind
 from .records import json_dict
 
 
@@ -323,12 +324,11 @@ def _rand_dense(rng: random.Random, d: int) -> Form:
     return Form.from_coeffs(3, d, terms)
 
 
-def _normal_form_sample(d: int, rng: random.Random,
-                        m: Optional[Form] = None) -> ConeNormalForm:
+def _normal_form_sample(d: int, rng: random.Random) -> ConeNormalForm:
+    """A random normal form with the direction m = x1."""
     l = _linear(_rand_coeff(rng), _rand_coeff(rng))
-    m = m if m is not None else _linear(Fraction(1), Fraction(0))
     cs = tuple(_rand_coeff(rng) for _ in range(d - 1))
-    return ConeNormalForm(d, l, m, cs)
+    return ConeNormalForm(d, l, _linear(Fraction(1), Fraction(0)), cs)
 
 
 def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, str]:
@@ -463,41 +463,33 @@ NAMED_FAMILIES = {
 def exclusion_gate(d: int) -> dict:
     """Which special values the limit-divisibility bound can exclude.
 
-    The Hessian at q**k has x0-adic valuation 0, at q**k l it is 3, and at
-    q**(k-1) l**2 it is 6 (ternary case).  A value can be excluded from the
+    One record per row of ``orbit_checks.SPECIAL_POINTS`` whose l-power h has
+    the parity of d.  The Hessian there has x0-adic valuation 3h, the l-power
+    (r+1)h of the closed form at r = 2.  A value can be excluded from the
     indeterminacy limits exactly when its valuation is smaller than d-3, the
-    guaranteed divisibility order of every limit.
+    guaranteed divisibility order of every limit.  The row states its own
+    least k for the gate, and a ``VerificationError`` is raised where the two
+    statements disagree.
     """
     if d < 4:
         raise ValueError("need d >= 4")
     k, odd = divmod(d, 2)
-    gates = {}
-    if not odd:
-        gates["hyperbolic-power"] = {
-            "point": f"q^{k}",
-            "valuation": 0,
-            "excluded": d - 3 > 0,
-            "needs": "k >= 2",
-            "available": k >= 2,
-        }
-        gates["quadric-double-line"] = {
-            "point": f"q^{k - 1}*l^2",
-            "valuation": 6,
-            "excluded": d - 3 > 6,
-            "needs": "k >= 5",
-            "available": k >= 5,
-        }
-    else:
-        gates["quadric-line"] = {
-            "point": f"q^{k}*l",
-            "valuation": 3,
-            "excluded": d - 3 > 3,
-            "needs": "k >= 3",
-            "available": k >= 3,
-        }
-    for name, rec in gates.items():
-        if rec["excluded"] != rec["available"]:
-            raise VerificationError(
-                f"gate {name} at degree {d}: valuation bound and "
-                f"'{rec['needs']}' disagree")
+    gates = {row.gate: _gate_record(row, d) for row in SPECIAL_POINTS.values()
+             if row.l_power % 2 == odd}
     return {"d": d, "k": k, "odd": bool(odd), "gates": gates}
+
+
+def _gate_record(row: PointKind, d: int) -> dict:
+    """The exclusion gate of a special-point row at degree d."""
+    k = d // 2
+    qp, lp = row.powers(k)
+    valuation = 3 * lp
+    lpart = "" if lp == 0 else "*l" if lp == 1 else f"*l^{lp}"
+    rec = {"point": f"q^{qp}{lpart}", "valuation": valuation,
+           "excluded": d - 3 > valuation, "needs": f"k >= {row.gate_k}",
+           "available": k >= row.gate_k}
+    if rec["excluded"] != rec["available"]:
+        raise VerificationError(
+            f"gate {row.gate} at degree {d}: valuation bound and "
+            f"'{rec['needs']}' disagree")
+    return rec

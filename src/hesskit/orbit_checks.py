@@ -15,10 +15,9 @@ component is also re-extracted from a single monomial coefficient, which pins
 the normalization independently of the full-form comparison.
 
 ``SPECIAL_POINTS`` is the one table of the special points q**k, q**k l and
-q**(k-1) l**2, one ``PointKind`` row of strings and ints each.  Of a pair's
-data only the direction and the eps-image powers are written per kind; its
-base is the row's point, and the base image, the extraction monomials and
-c0 follow from the closed form.
+q**(k-1) l**2, one ``PointKind`` row of strings and ints each: the point, its
+pair identity, integer condition and exclusion gate.  All of a pair's data
+follow from its row and the closed form.
 """
 
 from __future__ import annotations
@@ -82,13 +81,17 @@ def verify_closed_form(r: int, k: int, h: int) -> ClosedFormReport:
     """Expand hess(q**k l**h) and compare with the predicted monomial in q, l."""
     c = closed_form_constant(r, k, h)
     actual = hess(power_product(r, k, h))
-    qp = (r + 1) * (k - 1) if k else 0
-    lp = (r + 1) * h if k else 0
+    qp, lp = _hess_image(r, (k, h)) if k else (0, 0)
     if c == 0:
         predicted = Form.zero(r + 1, actual.degree)
     else:
         predicted = c * power_product(r, qp, lp)
     return ClosedFormReport(r, k, h, c, qp, lp, actual == predicted)
+
+
+def _hess_image(r: int, powers: Tuple[int, int]) -> Tuple[int, int]:
+    """The (q, l) powers of hess(q**k l**h), for k >= 1."""
+    return ((r + 1) * (powers[0] - 1), (r + 1) * powers[1])
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +103,37 @@ class PointKind(NamedTuple):
     """A row of ``SPECIAL_POINTS``: the point q**(k - q_shift) * l**l_power."""
 
     pair: str  # the perturbation pair kind taken at the point
+    identity: str  # the number of the pair identity
     condition: str  # a key of curves.CONDITIONS, which holds the least m
+    condition_id: str  # the number of that condition
     q_shift: int
     l_power: int
     k_min: int
+    gate: str  # the exclusion gate of indeterminacy.exclusion_gate
+    gate_k: int  # the least k at which that gate is stated available
 
     def powers(self, k: int) -> Tuple[int, int]:
         return (k - self.q_shift, self.l_power)
 
+    @property
+    def branch(self) -> str:  # the certificate's branch token
+        return f"{self.condition}-via-{self.condition_id}"
+
 
 SPECIAL_POINTS = {
-    "qk": PointKind("even", "evenA", 0, 0, 1),
-    "qkl": PointKind("odd", "odd", 0, 1, 1),
-    "qk1l2": PointKind("even2", "evenB", 1, 2, 2),
+    "qk": PointKind("even", "2.8", "evenA", "2.9", 0, 0, 1,
+                    "hyperbolic-power", 2),
+    "qkl": PointKind("odd", "2.15", "odd", "2.17", 0, 1, 1,
+                     "quadric-line", 3),
+    "qk1l2": PointKind("even2", "2.16", "evenB", "2.18", 1, 2, 2,
+                       "quadric-double-line", 5),
 }
 _PAIR_ROWS = {row.pair: row for row in SPECIAL_POINTS.values()}
 
-# kind "even":  base q**k,        direction q**(k-m) l**(2m),    1 <= m <= k
-# kind "odd":   base q**k l,      direction q**(k-m) l**(2m+1),  0 <= m <= k
-# kind "even2": base q**(k-1) l**2, direction q**(k-m) l**(2m),  0 <= m <= k
-#
-# In every case hess(base + eps dir) = c0 * A + eps * c1 * B + O(eps**2) with
-# A, B explicit power products; the constants depend polynomially on (r,k,m).
+# A pair's base is its row's point, and m runs from its condition's least m
+# to k.  With j = m - q_shift the direction is the base times (l**2/q)**j, and
+# hess(base + eps dir) = c0 * A + eps * c1 * B + O(eps**2), where A is the
+# closed-form image of the base and B = A * (l**2/q)**j.
 
 
 def _predicted_constants(kind: str, r: int, k: int, m: int) -> Tuple[Fraction, Fraction]:
@@ -156,12 +168,9 @@ def _pair_data(kind: str, r: int, k: int, m: int):
     require_int("m", m, ms.start)
     if m > k:
         raise InputError(f"m must lie in [{ms.start}, {k}], got {m!r}")
-    s = (r + 1) * (k - 1)
-    if kind == "even":
-        return (k - m, 2 * m), (s - m, 2 * m)
-    if kind == "odd":
-        return (k - m, 2 * m + 1), (s - m, 2 * m + r + 1)
-    return (k - m, 2 * m), (s - r - m, 2 * m + 2 * r)
+    row = _PAIR_ROWS[kind]
+    base, j = row.powers(k), m - row.q_shift
+    return tuple((a - j, b + 2 * j) for a, b in (base, _hess_image(r, base)))
 
 
 @dataclass(frozen=True)
@@ -209,10 +218,9 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
     (dk, dh), eps_img = _pair_data(kind, r, k, m)
     c0, c1 = _predicted_constants(kind, r, k, m)
     row = _PAIR_ROWS[kind]
-    bk, bh = row.powers(k)
-    base_img = ((r + 1) * (bk - 1), (r + 1) * bh)
+    base_img = _hess_image(r, row.powers(k))
 
-    base = power_product(r, bk, bh)
+    base = power_product(r, *row.powers(k))
     direction = power_product(r, dk, dh)
     adj = adjugate_second_partials(base)
     h0 = hess_from_adjugate(base, adj)

@@ -123,7 +123,8 @@ _SCOPE_NOTE = ("certified degrees are 4 and every degree from 6 on; even "
 
 
 def certify(d: int) -> Certificate:
-    """Assemble the full verification certificate for one degree."""
+    """Assemble the full verification certificate for one degree; the branch
+    token and the exclusion gate are read off the point's table row."""
     require_int("d", d, 4)
     if d == 5:
         gates = exclusion_gate(5)
@@ -136,12 +137,8 @@ def certify(d: int) -> Certificate:
                     "point, so no exclusion gate is available"),
             notes=[_SCOPE_NOTE])
 
-    if d % 2:
-        kind, branch, gate_key = "qkl", BRANCH_ODD, "quadric-line"
-    elif d <= 12:
-        kind, branch, gate_key = "qk", BRANCH_EVEN_A, "hyperbolic-power"
-    else:
-        kind, branch, gate_key = "qk1l2", BRANCH_EVEN_B, "quadric-double-line"
+    kind = "qkl" if d % 2 else "qk" if d <= 12 else "qk1l2"
+    spec = SPECIAL_POINTS[kind]
     point = SpecialPoint.at_degree(kind, d)
     k = point.k
     row = CONDITION_FAMILIES.get(point.condition)
@@ -162,12 +159,12 @@ def certify(d: int) -> Certificate:
         notes.append(f"rank verification failed: {exc}")
 
     gates = exclusion_gate(d)
-    gate_ok = bool(gates["gates"][gate_key]["excluded"])
+    gate_ok = bool(gates["gates"][spec.gate]["excluded"])
     if not gate_ok:
-        notes.append(f"exclusion gate {gate_key} unavailable at degree {d}")
+        notes.append(f"exclusion gate {spec.gate} unavailable at degree {d}")
 
     return Certificate(
-        d=d, branch=branch, ok=scan_ok and rank_ok and gate_ok,
+        d=d, branch=spec.branch, ok=scan_ok and rank_ok and gate_ok,
         point=point.label(),
         scan=dict(scan.to_json_dict(), violations_at_k=[list(v) for v in at_k]),
         rank=rank_dict, gates=gates, trusted=trusted, notes=notes)
@@ -216,14 +213,12 @@ def _entry_pair_expansions(ctx: dict) -> dict:
                     rep = verify_pair(row.pair, r, k, m)
                     if not rep.matches:
                         failures.append(rep.to_json_dict())
-    scaling_ok = True
-    for r in (2, 3):
-        for k in range(1, 6):
-            c0, c1 = _predicted_constants("odd", r, k, 0)
-            scaling_ok = scaling_ok and c1 == (r + 1) * c0
-            if k >= 2:
-                c0, c1 = _predicted_constants("even2", r, k, 1)
-                scaling_ok = scaling_ok and c1 == (r + 1) * c0
+    # at m = q_shift the direction is the base, so c1 = (r + 1) * c0
+    scaling_ok = all(
+        c1 == (r + 1) * c0
+        for r in (2, 3) for k in range(1, 6) for row in SPECIAL_POINTS.values()
+        if k >= row.k_min and row.q_shift in pair_m_range(row.pair, r, k)
+        for c0, c1 in [_predicted_constants(row.pair, r, k, row.q_shift)])
     return {"passed": not failures and scaling_ok, "count": count,
             "scaling_consistency": scaling_ok, "failures": failures}
 

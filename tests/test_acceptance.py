@@ -10,7 +10,7 @@ import time
 
 from hesskit.reports import (REGISTRY, canonical_json, run_suite)
 
-CTX = {"seed": 0, "bound": 10 ** 6, "force_exact": False}
+CTX = {"seed": 0, "bound": 10 ** 6}
 ENTRIES = dict(REGISTRY)
 
 

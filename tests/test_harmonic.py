@@ -102,10 +102,10 @@ class TestAgainstReference:
                                   "identity2"])
     def test_laplacian_matches_sympy(self, q):
         n = q.nvars
-        gram = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
-            q.gram[i][j].numerator, q.gram[i][j].denominator))
-        dual = gram.inv()
         xs = SYMS[:n]
+        # the Gram matrix is half the Hessian of the polynomial x^T A x
+        gram = sympy.hessian(to_sympy(q.polynomial()), xs) / 2
+        dual = gram.inv()
 
         @settings(max_examples=10, deadline=None)
         @given(f=forms(nvars=n, min_degree=0, max_degree=4,

@@ -10,14 +10,16 @@ import hesskit.hessians
 from hesskit.forms import Form
 from hesskit.hessians import (TParameterForm, hess, hess_t, hess_t_leading,
                               lowest_t_order)
-from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
+from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES,
+                                   _gate_record, _linear,
                                    exclusion_gate, f_divisible_by_x0,
                                    limit_divisibility_check,
                                    multiplicity_profile, normal_form_check,
                                    pair_divisibility_check, sample_family,
                                    sample_gated_pair, sample_gated_triple,
                                    triple_divisibility_check)
-from hesskit.orbit_checks import hyperbolic_q
+from hesskit.orbit_checks import SPECIAL_POINTS, hyperbolic_q
+from hesskit.rank_certificates import SpecialPoint
 
 X1 = _linear(Fraction(1), Fraction(0))
 X2 = _linear(Fraction(0), Fraction(1))
@@ -247,7 +249,51 @@ def x0_valuation(f):
     return min(e[0] for e in f.terms)
 
 
+def _reference_exclusion_gate(d):
+    """The gate records written out by hand, one per special point."""
+    if d < 4:
+        raise ValueError("need d >= 4")
+    k, odd = divmod(d, 2)
+    gates = {}
+    if not odd:
+        gates["hyperbolic-power"] = {
+            "point": f"q^{k}",
+            "valuation": 0,
+            "excluded": d - 3 > 0,
+            "needs": "k >= 2",
+            "available": k >= 2,
+        }
+        gates["quadric-double-line"] = {
+            "point": f"q^{k - 1}*l^2",
+            "valuation": 6,
+            "excluded": d - 3 > 6,
+            "needs": "k >= 5",
+            "available": k >= 5,
+        }
+    else:
+        gates["quadric-line"] = {
+            "point": f"q^{k}*l",
+            "valuation": 3,
+            "excluded": d - 3 > 3,
+            "needs": "k >= 3",
+            "available": k >= 3,
+        }
+    return {"d": d, "k": k, "odd": bool(odd), "gates": gates}
+
+
 class TestExclusionGates:
+    @pytest.mark.parametrize("d", range(4, 41))
+    def test_gates_match_the_hand_written_records(self, d):
+        assert exclusion_gate(d) == _reference_exclusion_gate(d)
+
+    @pytest.mark.parametrize("kind", list(SPECIAL_POINTS))
+    def test_gate_valuation_is_that_of_the_hessian(self, kind):
+        row = SPECIAL_POINTS[kind]
+        for k in range(row.k_min, row.k_min + 4):
+            point = SpecialPoint(kind, k)
+            rec = _gate_record(row, point.degree)
+            assert rec["valuation"] == x0_valuation(hess(point.form(2)))
+
     def test_special_point_valuations(self):
         q, l = hyperbolic_q(2), Form.variable(3, 0)
         assert x0_valuation(hess(q ** 2)) == 0

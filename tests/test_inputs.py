@@ -149,7 +149,8 @@ def test_floats_in_exact_inputs_are_refused(call):
 
 
 def test_exact_inputs_still_take_fractions_and_strings():
-    assert QuadraticForm([["1/10"]]).gram == ((Fraction(1, 10),),)
+    assert QuadraticForm([["1/10"]]).polynomial() == Form(
+        1, 2, {(2,): Fraction(1, 10)})
     assert fiber_recover(2, "1/2", 0) == fiber_recover(2, Fraction(1, 2), 0)
     cone = ConeNormalForm(4, X2, X1, ("1/2", 1, Fraction(3)))
     assert cone.cs == (Fraction(1, 2), Fraction(1), Fraction(3))

@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import hesskit
+from hesskit.orbit_checks import SPECIAL_POINTS
 from test_inputs import ENTRIES
 
 
@@ -198,6 +199,48 @@ def test_the_kernel_guard_sees_a_second_loop():
                "    while heap:\n"
                "        n, c = heapq.heappop(heap)\n")
     assert _heappop_callers(ast.parse(by_hand)) == {"rank_mod_p", "rank_mod_pq"}
+
+
+_KIND_LITERALS = (set(SPECIAL_POINTS)
+                  | {row.pair for row in SPECIAL_POINTS.values()})
+_GATE_NAMES = {row.gate for row in SPECIAL_POINTS.values()}
+
+
+def _per_kind_sites(tree):
+    """Lines that compare a value with a point-kind or pair-kind literal by
+    ``==``, ``!=``, ``in`` or ``not in``, or hold an exclusion-gate name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in _GATE_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                for op in node.ops):
+            consts = {c.value for side in [node.left, *node.comparators]
+                      for c in ast.walk(side) if isinstance(c, ast.Constant)}
+            if consts & _KIND_LITERALS:
+                found.append(node.lineno)
+    return found
+
+
+def test_only_the_table_tells_the_special_points_apart():
+    """Per-point facts sit in ``orbit_checks.SPECIAL_POINTS``; no other
+    module branches on a kind or names a gate."""
+    found = [f"{name}:{line}"
+             for name, tree in _library_trees() if name != "orbit_checks.py"
+             for line in _per_kind_sites(tree)]
+    assert found == []
+
+
+def test_the_per_kind_guard_sees_a_branch():
+    by_hand = ("if kind == 'qkl':\n"
+               "    gate = 'quadric-line'\n"
+               "elif 'even2' != pair:\n"
+               "    pass\n"
+               "ok = kind in ('qk', 'qk1l2')\n"
+               "ok = row.pair not in {'odd'}\n"
+               "kind = 'qkl' if d % 2 else 'qk'\n")
+    assert sorted(_per_kind_sites(ast.parse(by_hand))) == [1, 2, 3, 5, 6]
 
 
 # Public names whose int parameters are left out of the validation table.
