@@ -15,11 +15,9 @@ known finite lists, reproduced here by two independent routes:
   point needs the discriminant b(x)**2 - 4 a(x) c(x) to be a perfect square.
   A residue sieve in numpy drops every x whose discriminant is a non-square
   modulo one of SIEVE_MODULI (the square test of Cohen, GTM 138, section
-  1.7.2).  The most selective moduli are merged into one wheel of period W
-  at most _WHEEL_CAP (Pritchard, Acta Informatica 1982): only the residues
-  of W that all of them pass are ever generated, and the other moduli thin
-  those.  The sieve rejects only x that provably carry no point, and the
-  few survivors get the exact ``isqrt`` test, so the search stays a proof;
+  1.7.2), one block of x values at a time.  The sieve rejects only x that
+  provably carry no point, and the few survivors get the exact ``isqrt``
+  test, so the search stays a proof;
 * transport of finitely many S-integral points of Weierstrass models back
   through an explicit birational map.
 
@@ -123,11 +121,9 @@ def scan_condition(condition: str, r: int, kmin: int, kmax: int) -> ScanReport:
 # Moduli of the residue sieve in QuadraticInY.integral_points.  Together they
 # pass one x in a thousand or fewer on the two shipped curves.
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# About this many wheel candidates are sieved per numpy pass; keeps each of
-# the sieve's int32 arrays near 128 kB whatever the bound.
-_CHUNK = 1 << 15
-# Largest wheel period W: its residue table of W entries is built per search.
-_WHEEL_CAP = 1 << 16
+# x values sieved per numpy pass: each boolean mask and tiled table holds
+# about 32 kB whatever the bound.  2**14 runs alike; 2**16 and up is slower.
+_BLOCK = 1 << 15
 
 
 class QuadraticInY:
@@ -161,11 +157,8 @@ class QuadraticInY:
         return self.evaluate(x, y) == 0
 
     def _sieve_tables(self) -> List[Tuple[int, np.ndarray]]:
-        """Per modulus m, a table over r in range(m): is disc(r) a square mod m.
-
-        Sorted by the share of residues kept, so the most selective modulus
-        thins the candidates first.
-        """
+        """Per modulus m of SIEVE_MODULI, in order, a table over r in
+        range(m): is disc(r) a square mod m."""
         tables = []
         for m in SIEVE_MODULI:
             squares = {r * r % m for r in range(m)}
@@ -174,7 +167,6 @@ class QuadraticInY:
                 a, b, c = self._coeffs_at(r)
                 keep.append((b * b - 4 * a * c) % m in squares)
             tables.append((m, np.array(keep)))
-        tables.sort(key=lambda entry: entry[1].mean())
         return tables
 
     def _ys_at(self, x: int) -> List[int]:
@@ -208,63 +200,29 @@ class QuadraticInY:
         is exhaustive.  Where a(x) = 0 the discriminant is b(x)**2, which
         every table keeps, so the linear case always reaches the exact test.
 
-        The most selective tables form a wheel (``_wheel``): their moduli
-        divide its period W, so x mod W fixes x mod each of them, and the
-        residues of W that pass all of them are exactly the x they pass.
-        The range is walked in blocks of whole periods, each holding about
-        _CHUNK wheel candidates as offsets from the block start; only those
-        candidates are generated, the other tables thin them with residues
-        taken from the Python int block start, and the survivors get the
-        exact test of ``_ys_at``.  The survivor set is the conjunction of the
-        same tables as with no wheel, memory stays flat and nothing can
-        overflow, whatever the bound.
+        The range is walked in ascending blocks of _BLOCK x values.  Each
+        table is tiled once to _BLOCK + m entries, so the residues of a block
+        starting at lo are one contiguous slice from lo % m; the slices of all
+        tables are ANDed into one mask, and its survivors get the exact test
+        of ``_ys_at``.  Memory stays flat and nothing can overflow, whatever
+        the bound.
 
         Raises InputError unless ``bound`` is a non-negative int, and
         ValueError when a whole vertical line x = const lies on the curve (an
         infinite set).
         """
         require_int("bound", bound, 0)
-        period, residues, rest = _wheel(self._sieve_tables())
+        tiled = [(m, np.resize(table, _BLOCK + m))
+                 for m, table in self._sieve_tables()]
         found: List[IntPoint] = []
-        if not residues.size:
-            return found
-        periods = max(1, _CHUNK // residues.size)
-        span = periods * period
-        top = span + max((m for m, _ in rest), default=0)
-        offsets = (np.arange(0, span, period, dtype=np.int64)[:, None]
-                   + residues).ravel()
-        offsets = offsets.astype(np.int32 if top < 1 << 31 else np.int64)
-        start = -bound - (-bound) % period
-        for lo in range(start, bound + 1, span):
-            cand = offsets[np.searchsorted(offsets, max(-bound - lo, 0)):
-                           np.searchsorted(offsets, min(bound - lo, span - 1),
-                                           side="right")]
-            for m, table in rest:
-                cand = cand[table[(cand + lo % m) % m]]
-            for i in cand.tolist():
+        for lo in range(-bound, bound + 1, _BLOCK):
+            width = min(_BLOCK, bound + 1 - lo)
+            mask = np.ones(width, dtype=bool)
+            for m, table in tiled:
+                mask &= table[lo % m:lo % m + width]
+            for i in np.flatnonzero(mask).tolist():
                 found.extend((lo + i, y) for y in self._ys_at(lo + i))
         return sorted(found)
-
-
-def _wheel(tables: Sequence[Tuple[int, np.ndarray]]
-           ) -> Tuple[int, np.ndarray, List[Tuple[int, np.ndarray]]]:
-    """Merge the leading tables into one wheel: (W, residues, other tables).
-
-    Takes tables from the front of ``tables`` (most selective first) while
-    the lcm W of their moduli stays at most _WHEEL_CAP, and returns the
-    sorted int32 residues r in range(W) that every one of them passes,
-    with the tables left over.
-    """
-    period, size = 1, 0
-    for m, _ in tables:
-        if lcm(period, m) > _WHEEL_CAP:
-            break
-        period, size = lcm(period, m), size + 1
-    r = np.arange(period, dtype=np.int32)
-    keep = np.ones(period, dtype=bool)
-    for m, table in tables[:size]:
-        keep &= table[r % m]
-    return period, np.flatnonzero(keep).astype(np.int32), list(tables[size:])
 
 
 def _int_pairs(rows: Sequence[Sequence[int]]) -> FrozenSet[IntPoint]:

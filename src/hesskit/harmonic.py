@@ -178,7 +178,7 @@ def harmonic_basis(degree: int, q: QuadraticForm) -> List[Form]:
         image = q.laplacian(Form.monomial(m, 1))
         for e, c in image.terms.items():
             rows[tindex[e]][j] = c
-    basis_vectors = linalg.nullspace(rows, ncols=len(monos))
+    basis_vectors = linalg.nullspace(rows)
     out: List[Form] = []
     for v in basis_vectors:
         terms = {monos[i]: c for i, c in enumerate(v) if c != 0}

@@ -471,8 +471,7 @@ def exclusion_gate(d: int) -> dict:
     least k for the gate, and a ``VerificationError`` is raised where the two
     statements disagree.
     """
-    if d < 4:
-        raise ValueError("need d >= 4")
+    require_int("d", d, 4)
     k, odd = divmod(d, 2)
     gates = {row.gate: _gate_record(row, d) for row in SPECIAL_POINTS.values()
              if row.l_power % 2 == odd}

@@ -339,17 +339,13 @@ def invert(a: Sequence[Sequence]) -> Matrix:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
+def nullspace(a: Sequence[Sequence]) -> Matrix:
     """Basis of the right nullspace of A, as a list of column vectors.
 
     Deterministic: reduced row echelon form with leftmost-pivot choice, one
     basis vector per free column in canonical column order, the free
-    coordinate set to 1.
+    coordinate set to 1.  A needs at least one row.
     """
-    if not a:
-        if ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
-        return [[Fraction(int(i == k)) for i in range(ncols)] for k in range(ncols)]
     n_cols = len(a[0])
     m = clear_denominators(a)
     pivots, den = _echelon(m, n_cols)

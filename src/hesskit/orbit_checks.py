@@ -36,8 +36,7 @@ from .records import json_dict
 
 def hyperbolic_q(r: int) -> Form:
     """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables."""
-    if r < 1:
-        raise ValueError("need at least two variables")
+    require_int("r", r, 1)
     terms = {(1, 1) + (0,) * (r - 1): 1}
     for i in range(2, r + 1):
         terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
@@ -46,8 +45,9 @@ def hyperbolic_q(r: int) -> Form:
 
 def power_product(r: int, k: int, h: int) -> Form:
     """q**k * l**h as an explicit form of degree 2k + h."""
-    if k < 0 or h < 0:
-        raise ValueError("powers must be nonnegative")
+    require_int("r", r, 1)
+    require_int("k", k, 0)
+    require_int("h", h, 0)
     out = Form.monomial((h,) + (0,) * r, Fraction(1))
     if k:
         out = out * hyperbolic_q(r) ** k

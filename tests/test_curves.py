@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt
@@ -147,14 +148,14 @@ def factored_curves(draw):
     """(u y - p)(v y - q) = 0, integer points on many x.
 
     Its discriminant (u q - v p)**2 is a square at every x, so no x is sieved
-    out and the wheel walk and exact test are what these curves check.
+    out and the block walk and exact test are what these curves check.
     """
     u, p, v, q = (draw(_small_polys) for _ in range(4))
     b = [-s - t for s, t in zip_longest(_mul(u, q), _mul(v, p), fillvalue=0)]
     return QuadraticInY("factored", _mul(u, v), b, _mul(p, q))
 
 
-CHUNK = curves._CHUNK
+BLOCK = curves._BLOCK
 DIAGONALS = QuadraticInY("y^2 = x^2", a=(1,), b=(0,), c=(0, 0, -1))
 ANTIDIAGONAL = QuadraticInY("y + x = 0", a=(0,), b=(1,), c=(0, 1))
 
@@ -167,7 +168,7 @@ class TestSieve:
     def test_bound_zero(self, curve):
         assert curve.integral_points(0) == _loop_points(curve, 0)
 
-    @pytest.mark.parametrize("bound", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("bound", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_every_x_near_chunk_edges(self, bound):
         xs = range(-bound, bound + 1)
         assert DIAGONALS.integral_points(bound) == sorted(
@@ -212,45 +213,42 @@ class TestSieve:
         _agrees_with_loop(curve, bound)
 
 
-def _block_span(curve):
-    """x values per block of the wheel walk: whole periods, about CHUNK
-    wheel candidates."""
-    period, residues, _ = curves._wheel(curve._sieve_tables())
-    return max(1, CHUNK // residues.size) * period
-
-
 class TestWheel:
-    """The wheel of merged residue tables and the block walk over it."""
+    """The residue tables and the block walk over them."""
 
     @pytest.mark.parametrize("curve", [CURVE_ONE, CURVE_TWO, DIAGONALS,
                                        QuadraticInY("r", (3, -1), (2,), (5, 0, 1))])
     def test_residues_pass_every_wheel_table(self, curve):
         tables = curve._sieve_tables()
-        period, residues, rest = curves._wheel(tables)
-        wheel = tables[:len(tables) - len(rest)]
-        assert rest == tables[len(wheel):]
-        assert period <= curves._WHEEL_CAP
-        assert all(period % m == 0 for m, _ in wheel)
-        assert sorted(m for m, _ in wheel + rest) == sorted(curves.SIEVE_MODULI)
-        assert residues.tolist() == [r for r in range(period)
-                                     if all(t[r % m] for m, t in wheel)]
+        assert [m for m, _ in tables] == list(curves.SIEVE_MODULI)
+        for m, table in tables:
+            squares = {r * r % m for r in range(m)}
+            discs = [b * b - 4 * a * c
+                     for a, b, c in map(curve._coeffs_at, range(m))]
+            assert table.tolist() == [d % m in squares for d in discs]
 
     def test_a_wheel_with_no_residue_finds_nothing(self):
         # y**2 = 3: 12 is a non-square modulo 64, so every x is sieved out
         curve = QuadraticInY("y^2 = 3", a=(1,), b=(0,), c=(-3,))
-        assert curves._wheel(curve._sieve_tables())[1].size == 0
+        assert not dict(curve._sieve_tables())[64].any()
         assert curve.integral_points(10 ** 6) == _loop_points(curve, 50) == []
 
-    def test_shipped_wheels_are_selective(self):
+    def test_shipped_wheels_are_selective(self, monkeypatch):
+        # the SIEVE_MODULI comment: one x in a thousand or fewer survives
+        exact, calls = QuadraticInY._ys_at, []
+        monkeypatch.setattr(QuadraticInY, "_ys_at",
+                            lambda self, x: calls.append(x) or exact(self, x))
+        bound = 15 * 10 ** 5
         for curve in (CURVE_ONE, CURVE_TWO):
-            period, residues, _ = curves._wheel(curve._sieve_tables())
-            assert residues.size < period // 10
+            calls.clear()
+            curve.integral_points(bound)
+            assert len(calls) <= (2 * bound + 1) // 1000
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_every_x_near_block_edges(self, shift):
         # every residue is kept on these two curves, so each block is full
         for curve in (DIAGONALS, ANTIDIAGONAL):
-            bound = _block_span(curve) + shift
+            bound = BLOCK + shift
             xs = range(-bound, bound + 1)
             want = ([(x, -x) for x in xs] if curve is ANTIDIAGONAL
                     else sorted({(x, y) for x in xs for y in (x, -x)}))
@@ -259,8 +257,21 @@ class TestWheel:
     @pytest.mark.parametrize("curve,omega", [(CURVE_ONE, OMEGA1),
                                              (CURVE_TWO, OMEGA2)])
     def test_shipped_curves_across_two_blocks(self, curve, omega):
-        bound = 2 * _block_span(curve) + 1
+        bound = 2 * BLOCK + 1
         assert curve.integral_points(bound) == sorted(omega)
+
+    @pytest.mark.parametrize("curve", [CURVE_ONE, CURVE_TWO])
+    def test_memory_stays_flat_whatever_the_bound(self, curve):
+        peaks = []
+        tracemalloc.start()
+        try:
+            for bound in (10 ** 5, 2 * 10 ** 6):
+                tracemalloc.reset_peak()
+                curve.integral_points(bound)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestWeierstrassModels:

@@ -14,6 +14,8 @@ from hesskit import (ConeNormalForm, Form, QuadraticForm, SpecialPoint,
                      verify_closed_form, verify_family, verify_pair,
                      verify_special_point_rank)
 from hesskit.errors import InputError
+from hesskit.indeterminacy import exclusion_gate
+from hesskit.orbit_checks import hyperbolic_q, power_product
 
 X1, X2 = Form.variable(3, 1), Form.variable(3, 2)
 
@@ -87,6 +89,22 @@ def test_bad_int_argument_is_an_input_error(fn, kwargs, arg, least):
     for value in bad:
         with pytest.raises(InputError, match=f"^{arg} must be an int"):
             fn(**dict(kwargs, **{arg: value}))
+
+
+# Module-level entries outside hesskit.__all__ refuse a bad int the same way.
+@pytest.mark.parametrize("call", [
+    lambda: exclusion_gate(7.0),
+    lambda: exclusion_gate(3),
+    lambda: power_product(0, 0, 2),
+    lambda: power_product(2, -1, 0),
+    lambda: power_product(2, 1, True),
+    lambda: hyperbolic_q(True),
+    lambda: hyperbolic_q(0),
+], ids=["float-gate-d", "gate-d-3", "power-r-0", "negative-power-k",
+        "bool-power-h", "bool-quadric-r", "quadric-r-0"])
+def test_internal_int_entries_are_checked(call):
+    with pytest.raises(InputError, match="must be an int"):
+        call()
 
 
 @pytest.mark.parametrize("call", [

@@ -85,6 +85,31 @@ def test_only_curves_pairs_a_family_with_its_curve():
     assert found == []
 
 
+def _numpy_importers(trees):
+    """The modules among ``trees`` that import numpy, under any alias."""
+    return {name for name, tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] == "numpy"}
+
+
+def test_only_curves_imports_numpy():
+    """numpy serves the residue sieve alone, so dropping it is a change to
+    one module."""
+    assert _numpy_importers(_library_trees()) == {"curves.py"}
+
+
+def test_the_numpy_guard_sees_a_renamed_import():
+    by_hand = {"a.py": "import numpy as xp\n",
+               "b.py": "from numpy import flatnonzero as nz\n",
+               "c.py": "import os, numpy.linalg\n",
+               "d.py": "from numbers import Integral\nfrom . import numpy\n"}
+    trees = [(name, ast.parse(text)) for name, text in by_hand.items()]
+    assert _numpy_importers(trees) == {"a.py", "b.py", "c.py"}
+
+
 def _packing_sites(tree):
     """Lines that read a form's stored representation or pack monomials by
     hand: a ``._num`` or ``._den`` attribute; a positional weight list, that
