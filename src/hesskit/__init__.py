@@ -19,7 +19,7 @@ from .hessians import (TParameterForm, h3, h12, hess, hess_t,
 from .harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                        harmonic_basis, harmonic_decompose, recompose)
 from .orbit_checks import (closed_form_constant, verify_closed_form,
-                           verify_pair)
+                           verify_pair, verify_pairs)
 from .rank_certificates import (SpecialPoint, block_structure_check,
                                 pijk_injectivity, verify_special_point_rank)
 from .curves import (CURVE_ONE, CURVE_TWO, OMEGA1, OMEGA2, fiber_recover,
@@ -40,6 +40,7 @@ __all__ = [
     "QuadraticForm", "bombieri_weyl", "dim_harmonic", "harmonic_basis",
     "harmonic_decompose", "recompose",
     "closed_form_constant", "verify_closed_form", "verify_pair",
+    "verify_pairs",
     "SpecialPoint", "block_structure_check", "pijk_injectivity",
     "verify_special_point_rank",
     "CURVE_ONE", "CURVE_TWO", "OMEGA1", "OMEGA2", "fiber_recover",

@@ -26,8 +26,8 @@ from .curves import CONDITION_FAMILIES, CONDITIONS, FAMILIES, \
 from .errors import InputError, VerificationError
 from .indeterminacy import NAMED_FAMILIES, limit_divisibility_check, \
     sample_family
-from .orbit_checks import SPECIAL_POINTS, pair_m_range, verify_closed_form, \
-    verify_pair
+from .orbit_checks import SPECIAL_POINTS, verify_closed_form, verify_pair, \
+    verify_pairs
 from .rank_certificates import SpecialPoint, verify_special_point_rank
 from .reports import FixtureError, canonical_json, certify, run_suite
 
@@ -182,7 +182,7 @@ def _cmd_verify_prop(args, parser) -> int:
         rep = verify_pair(kind, r, k, args.m)
         _emit(rep.to_json_dict())
         return EXIT_OK if rep.matches else EXIT_VERIFICATION
-    reports = [verify_pair(kind, r, k, m) for m in pair_m_range(kind, r, k)]
+    reports = verify_pairs(kind, r, k)
     ok = all(rep.matches for rep in reports)
     _emit({"id": args.id, "kind": kind, "r": r, "k": k, "passed": ok,
            "reports": [rep.to_json_dict() for rep in reports]})

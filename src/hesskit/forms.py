@@ -27,12 +27,19 @@ sort in the same order as the tuples they pack.  A field holds exponents
 below 2**FIELD_BITS; ``Form(...)`` refuses a larger exponent and ``dot`` a
 product degree that large, so a field never carries into its neighbour.
 
+``second_partials`` is derived once per form and kept in a private slot,
+so the Hessian kernels that read the matrix of one form share one
+derivation; the matrix is a tuple of tuples, which no caller can change.
+``powers(f, top)`` lists 1, f, ..., f**top, one product per power, for
+the callers that need every power of one form.
+
 ``Form(nvars, degree, terms)`` checks ``nvars`` and ``degree`` with
 ``require_int``, refuses an exponent entry that is a bool or not an int
 (``InputError``), validates every term and converts the coefficients;
 ``Form.variable`` and ``**`` check their int arguments the same way.
 ``dot``, ``diff`` and the constant form 1 build their results with the
-trusted constructor ``Form._make``, which only restores the invariant.
+trusted constructor ``Form._make``, which only restores the invariant and
+writes the slots through their descriptors.
 Exponent tuples appear only at the edges: ``Form.terms`` is a read-only
 mapping of exponent tuples to reduced ``Fraction`` coefficients and
 ``Form.numerators`` one to the stored ints, both computed on access from
@@ -181,7 +188,7 @@ class Form:
     two zero forms compare equal regardless of nominal degree.
     """
 
-    __slots__ = ("nvars", "degree", "_num", "_den")
+    __slots__ = ("nvars", "degree", "_num", "_den", "_partials")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         require_int("nvars", nvars, 1)
@@ -206,13 +213,10 @@ class Form:
         # The least common denominator is coprime to the set of numerators.
         den = lcm(*(c.denominator for c in clean.values()))
         num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
-        self._set(nvars, degree, num, den)
-
-    def _set(self, nvars: int, degree: int, num: Dict[int, int], den: int) -> None:
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_nvars(self, nvars)
+        _set_degree(self, degree)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @staticmethod
     def _make(nvars: int, degree: int, num: Dict[int, int], den: int) -> "Form":
@@ -229,7 +233,10 @@ class Form:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
         f = object.__new__(Form)
-        f._set(nvars, degree, num, den)
+        _set_nvars(f, nvars)
+        _set_degree(f, degree)
+        _set_num(f, num)
+        _set_den(f, den)
         return f
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -352,16 +359,26 @@ class Form:
                 out[key - unit] = c * k
         return Form._make(self.nvars, max(self.degree - 1, 0), out, self._den)
 
-    def second_partials(self) -> List[List["Form"]]:
-        """The symmetric matrix of second partial derivatives."""
-        firsts = [self.diff(i) for i in range(self.nvars)]
-        mat: List[List[Form]] = [[None] * self.nvars for _ in range(self.nvars)]  # type: ignore[list-item]
-        for i in range(self.nvars):
-            for j in range(i, self.nvars):
-                fij = firsts[i].diff(j)
-                mat[i][j] = fij
-                mat[j][i] = fij
-        return mat
+    def second_partials(self) -> Tuple[Tuple["Form", ...], ...]:
+        """The symmetric matrix of second partial derivatives, row by row.
+
+        It is derived on the first call and kept in a private slot, so every
+        kernel that reads the matrix of one form shares one derivation; the
+        rows are tuples, so no caller can change what the next one reads.
+        """
+        try:
+            return self._partials
+        except AttributeError:
+            pass
+        n = self.nvars
+        firsts = [self.diff(i) for i in range(n)]
+        mat: List[List[Form]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = firsts[i].diff(j)
+        rows = tuple(map(tuple, mat))
+        _set_partials(self, rows)
+        return rows
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -410,6 +427,11 @@ class Form:
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {self.num_terms()} terms)"
 
+
+# Form blocks attribute assignment, so its slots are written through their
+# descriptors, which skip the attribute lookup of object.__setattr__.
+_set_nvars, _set_degree, _set_num, _set_den, _set_partials = (
+    vars(Form)[name].__set__ for name in Form.__slots__)
 
 _UNITS: Dict[int, Form] = {}
 
@@ -462,7 +484,8 @@ def dot(nvars: int, degree: int, terms) -> Form:
                              f"in a sum of degree {degree}")
         q *= f._den * g._den
         live.append((p, q, f._num, list(g._num.items())))
-        den = lcm(den, q)
+        if q != 1:
+            den = lcm(den, q)
     # No field of a product key exceeds the degree, so none carries and
     # multiplying two monomials is adding their keys.
     acc: Dict[int, int] = {}
@@ -480,6 +503,14 @@ def dot(nvars: int, degree: int, terms) -> Form:
 
 
 # ----- convenience builders used throughout the package -----------------
+
+
+def powers(f: Form, top: int) -> List[Form]:
+    """[1, f, f**2, ..., f**top], one product per power past f itself."""
+    out = [f ** 0, f][:top + 1]
+    while len(out) <= top:
+        out.append(out[-1] * f)
+    return out
 
 
 def random_form(nvars: int, degree: int, rng, coeff_bound: int = 9,

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import require_int
-from .forms import Form, _coerce, dim_sym, dot, monomials_of_degree
+from .forms import Form, _coerce, dim_sym, dot, monomials_of_degree, powers
 
 _ONE_HALF = Fraction(1, 2)
 
@@ -120,7 +120,7 @@ def harmonic_decompose(f: Form, q: QuadraticForm) -> List[Form]:
     if f.nvars != q.nvars:
         raise ValueError("form and quadric have different variable counts")
     n = f.nvars
-    qpows = _powers(q.polynomial(), f.degree // 2)
+    qpows = powers(q.polynomial(), f.degree // 2)
     slots: List[Form] = []
     cur = f
     for m in range(f.degree, 1, -2):
@@ -141,17 +141,9 @@ def recompose(slots: Sequence[Form], q: QuadraticForm) -> Form:
     """Inverse of harmonic_decompose: sum_i q**i * slots[i], one ``dot``."""
     if not slots:
         raise ValueError("no slots")
-    qpows = _powers(q.polynomial(), len(slots) - 1)
+    qpows = powers(q.polynomial(), len(slots) - 1)
     return dot(q.nvars, slots[0].degree,
                [(1, qpow, s) for qpow, s in zip(qpows, slots)])
-
-
-def _powers(qpoly: Form, top: int) -> List[Form]:
-    """[1, qpoly, qpoly**2, ..., qpoly**top]."""
-    out = [qpoly ** 0]
-    for _ in range(top):
-        out.append(out[-1] * qpoly)
-    return out
 
 
 def dim_harmonic(nvars: int, degree: int) -> int:

@@ -8,7 +8,9 @@ Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is read
 off Jacobi's formula as trace(adj(D2 f) * D2 g):
 ``adjugate_second_partials`` builds adj(D2 f) once and ``adjugate_trace``
 applies it to each direction; ``hess_from_adjugate`` reads Hess f itself off
-the same adjugate.
+the same adjugate.  Every kernel reads second partials through
+``Form.second_partials``, which a form derives once and keeps, so ``hess``,
+the adjugate, h12 and h3 on one form share a single derivation.
 
 For three variables the polarized operators h12 and h3 are provided; h3 is
 (1/3) * trace(A * M(B, C)) with M the polarized (mixed) adjugate, six
@@ -143,9 +145,9 @@ def hess_from_adjugate(f: Form, adj: Sequence[Sequence[Form]]) -> Form:
     products in place of a second determinant expansion.
     """
     n = f.nvars
-    row = f.diff(0)
+    row = f.second_partials()[0]
     return dot(n, max(n * (f.degree - 2), 0),
-               [(1, row.diff(j), adj[j][0]) for j in range(n)])
+               [(1, row[j], adj[j][0]) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +162,9 @@ def _require_ternary(*forms: Form) -> None:
 
 
 def _lower_partials(f: Form) -> Tuple[Form, Form, Form]:
-    """(f11, f12, f22), read off the two first partials f1 and f2."""
-    f1, f2 = f.diff(1), f.diff(2)
-    return f1.diff(1), f1.diff(2), f2.diff(2)
+    """(f11, f12, f22), read off the second-partial matrix of f."""
+    mat = f.second_partials()
+    return mat[1][1], mat[1][2], mat[2][2]
 
 
 def h12(f: Form, g: Optional[Form] = None) -> Form:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
-from .forms import Form, _coerce, dot, monomials_of_degree
+from .forms import Form, _coerce, dot, monomials_of_degree, powers
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
 from .orbit_checks import SPECIAL_POINTS, PointKind
@@ -62,9 +62,10 @@ class ConeNormalForm:
 
     def build(self) -> Form:
         d = self.d
-        x0 = Form.variable(3, 0)
-        terms = [(1, x0 ** (d - 1), x0), (1, x0 ** (d - 1), self.l)]
-        terms += [(c, x0 ** (d - i), self.m ** i)
+        xs = powers(Form.variable(3, 0), d - 1)
+        ms = powers(self.m, d)
+        terms = [(1, xs[d - 1], xs[1]), (1, xs[d - 1], self.l)]
+        terms += [(c, xs[d - i], ms[i])
                   for i, c in enumerate(self.cs, start=2) if c]
         return dot(3, d, terms)
 
@@ -248,10 +249,7 @@ def _rand_coeff(rng: random.Random, nonzero: bool = False) -> Fraction:
 def _rand_binary(rng: random.Random, x: Form, u: Form, degree: int,
                  monic_x: bool = False) -> Form:
     """Random form in the pencil spanned by x and u of the given degree."""
-    xs, us = [x ** 0], [u ** 0]
-    for _ in range(degree):
-        xs.append(xs[-1] * x)
-        us.append(us[-1] * u)
+    xs, us = powers(x, degree), powers(u, degree)
     terms = [(1, xs[degree], us[0])] if monic_x else []
     for i in range(1 if monic_x else 0, degree + 1):
         terms.append((_rand_coeff(rng), xs[degree - i], us[i]))

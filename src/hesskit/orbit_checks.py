@@ -12,7 +12,10 @@ its eps-part is the Jacobi trace of adj(D2 f) * D2 g and its constant part
 the first-row cofactor sum over the same adjugate, and both jet components
 are compared against predicted closed forms.  The scalar in front of each
 component is also re-extracted from a single monomial coefficient, which pins
-the normalization independently of the full-form comparison.
+the normalization independently of the full-form comparison.  The base f,
+its adjugate and its constant part do not depend on the direction, so
+``verify_pairs`` builds them once per point and then loops over m, one
+direction and one Jacobi trace each; ``verify_pair`` is its one-m case.
 
 ``SPECIAL_POINTS`` is the one table of the special points q**k, q**k l and
 q**(k-1) l**2, one ``PointKind`` row of strings and ints each: the point, its
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .curves import CONDITIONS, even_a, even_b, odd_c
 from .errors import InputError, VerificationError, require_int
@@ -205,26 +208,26 @@ def _coefficient_at(form: Form, img: Tuple[int, int]) -> Fraction:
     return form.terms.get(exps, Fraction(0))
 
 
-def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
-    """First-order jet of hess at a power product, against the closed forms.
+def verify_pairs(kind: str, r: int, k: int,
+                 ms: Optional[Iterable[int]] = None) -> List[PairReport]:
+    """First-order jets of hess at one power product, against the closed forms.
 
-    Both jet components are compared in full, and the leading constants are
-    re-read off single monomial coefficients.  The x0-x1 extraction monomials
-    carry coefficient one inside the relevant q-power, so the extracted value
-    is the constant itself.  A vanishing predicted constant means the
-    component must vanish identically; this covers the boundary values of m
-    where the predicted q-power would otherwise be negative.
+    One report per m of ``ms`` (default: every valid m), in order.  Every m
+    is checked before any work starts.  The base, its adjugate, its Hessian
+    h0 and the base comparison do not depend on m, so they are built once;
+    each m then costs one direction and one ``adjugate_trace``.  Both jet
+    components are compared in full, and the leading constants are re-read
+    off single monomial coefficients.  The x0-x1 extraction monomials carry
+    coefficient one inside the relevant q-power, so the extracted value is
+    the constant itself.  A vanishing predicted constant means the component
+    must vanish identically; this covers the boundary values of m where the
+    predicted q-power would otherwise be negative.
     """
-    (dk, dh), eps_img = _pair_data(kind, r, k, m)
-    c0, c1 = _predicted_constants(kind, r, k, m)
+    valid = pair_m_range(kind, r, k)
+    pairs = [(m, _pair_data(kind, r, k, m))
+             for m in (valid if ms is None else ms)]
     row = _PAIR_ROWS[kind]
-    base_img = _hess_image(r, row.powers(k))
-
-    base = power_product(r, *row.powers(k))
-    direction = power_product(r, dk, dh)
-    adj = adjugate_second_partials(base)
-    h0 = hess_from_adjugate(base, adj)
-    h1 = adjugate_trace(adj, direction)
+    point = row.powers(k)
 
     def predicted(c: Fraction, img: Tuple[int, int], like: Form) -> Form:
         if c == 0:
@@ -236,15 +239,31 @@ def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
             raise VerificationError("nonzero constant with invalid power product")
         return c * power_product(r, qp, lp)
 
+    base_img = _hess_image(r, point)
+    base = power_product(r, *point)
+    adj = adjugate_second_partials(base)
+    h0 = hess_from_adjugate(base, adj)
+    c0 = closed_form_constant(r, *point)
     base_ok = h0 == predicted(c0, base_img, h0)
-    eps_ok = h1 == predicted(c1, eps_img, h1)
+    c0_extracted = _coefficient_at(h0, base_img)
+    condition = CONDITIONS[row.condition][0]
 
-    return PairReport(
-        kind=kind, r=r, k=k, m=m,
-        c0=c0, c1=c1,
-        c0_extracted=_coefficient_at(h0, base_img),
-        c1_extracted=_coefficient_at(h1, eps_img),
-        base_matches=base_ok,
-        eps_matches=eps_ok,
-        condition_value=CONDITIONS[row.condition][0](r, k, m),
-    )
+    reports = []
+    for m, ((dk, dh), eps_img) in pairs:
+        c1 = _predicted_constants(kind, r, k, m)[1]
+        h1 = adjugate_trace(adj, power_product(r, dk, dh))
+        reports.append(PairReport(
+            kind=kind, r=r, k=k, m=m,
+            c0=c0, c1=c1,
+            c0_extracted=c0_extracted,
+            c1_extracted=_coefficient_at(h1, eps_img),
+            base_matches=base_ok,
+            eps_matches=h1 == predicted(c1, eps_img, h1),
+            condition_value=condition(r, k, m),
+        ))
+    return reports
+
+
+def verify_pair(kind: str, r: int, k: int, m: int) -> PairReport:
+    """``verify_pairs`` at the one m."""
+    return verify_pairs(kind, r, k, (m,))[0]

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
 from .forms import Exponent, Form, dim_sym, monomial_key, monomials_of_degree, \
-    packed
+    packed, powers
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, adjugate_trace, \
     hess_from_adjugate
@@ -363,6 +363,7 @@ def block_structure_check(k: int, r: int) -> BlockReport:
     f = power_product(r, k, 0)
     adj = adjugate_second_partials(f)
     qpoly = hyperbolic_q(r)
+    qpows = powers(qpoly, k)
     report = BlockReport(k=k, r=r)
     target_total = (r + 1) * (k - 1)
 
@@ -375,7 +376,7 @@ def block_structure_check(k: int, r: int) -> BlockReport:
         single = True
         scalar_ok = True
         for h in basis:
-            direction = h if i == k else (qpoly ** (k - i)) * h
+            direction = h if i == k else qpows[k - i] * h
             img = adjugate_trace(adj, direction)
             slots = harmonic_decompose(img, qform)
             nonzero = [t for t, s in enumerate(slots) if not s.is_zero()]

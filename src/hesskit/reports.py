@@ -46,7 +46,7 @@ from .indeterminacy import (ConeNormalForm, NAMED_FAMILIES, _linear,
                             sample_gated_pair, sample_gated_triple,
                             triple_divisibility_check)
 from .orbit_checks import (SPECIAL_POINTS, _predicted_constants,
-                           pair_m_range, verify_closed_form, verify_pair)
+                           pair_m_range, verify_closed_form, verify_pairs)
 from .rank_certificates import (SpecialPoint, block_structure_check,
                                 pijk_injectivity, verify_special_point_rank)
 from .records import json_dict
@@ -208,9 +208,8 @@ def _entry_pair_expansions(ctx: dict) -> dict:
             for row in SPECIAL_POINTS.values():
                 if k < row.k_min:
                     continue
-                for m in pair_m_range(row.pair, r, k):
+                for rep in verify_pairs(row.pair, r, k):
                     count += 1
-                    rep = verify_pair(row.pair, r, k, m)
                     if not rep.matches:
                         failures.append(rep.to_json_dict())
     # at m = q_shift the direction is the base, so c1 = (r + 1) * c0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -36,6 +37,18 @@ class TestVerifyProp:
                         "--r", "2", "--k", "2")
         assert code == 0
         assert doc["passed"] and len(doc["reports"]) == 2
+
+    # sha256 of the all-m JSON document at r = 3, k = 4, one point per kind,
+    # as printed before the jets at one point shared their adjugate
+    @pytest.mark.parametrize("pid,digest", [
+        ("2.8", "1b82ef4886d99755c5788ccc40a55586dd5df05f7ead997a9405e1623eb3a9be"),
+        ("2.15", "3d1b13efb0f03fb913252a362e654714c319b2cd8bf204ec35f847524ae26e70"),
+        ("2.16", "90948bed4c0ccb88b8763911861b31630944e02d96c8c1227590aa8d7beaaa4b"),
+    ])
+    def test_all_m_document_is_pinned(self, capsys, pid, digest):
+        assert main(["verify", "prop", "--id", pid, "--r", "3", "--k", "4"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_single_m(self, capsys):
         code, doc = run(capsys, "verify", "prop", "--id", "2.15",

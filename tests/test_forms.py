@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesskit.forms import (FIELD_BITS, Form, dim_sym, dot,
-                           monomials_of_degree, random_form)
+                           monomials_of_degree, powers, random_form)
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.rank_certificates import differential_matrix
 
@@ -441,6 +441,16 @@ class TestPackedKeys:
 coefficients = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 5])
+def test_powers_are_the_repeated_products(top):
+    f = random_form(3, 2, random.Random(top), coeff_bound=3)
+    got = powers(f, top)
+    assert got == [f ** k for k in range(top + 1)]
+    assert all(p.degree == 2 * k for k, p in enumerate(got))
+    for p in got:
+        assert_canonical(p)
 
 
 class TestDot:

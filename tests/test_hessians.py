@@ -373,3 +373,42 @@ class TestZeroFamily:
     def test_lowest_order_of_the_zero_family_raises(self):
         with pytest.raises(ValueError, match="zero family"):
             lowest_t_order(self.ZERO)
+
+
+class TestSharedPartials:
+    """Each form derives its second partials once, whichever kernel asks."""
+
+    def test_one_derivation_per_form(self, monkeypatch):
+        rng = random.Random(7)
+        f, g = random_form(3, 4, rng), random_form(3, 4, rng)
+        calls = []
+        real = Form.diff
+        monkeypatch.setattr(Form, "diff",
+                            lambda self, i: calls.append(self) or real(self, i))
+        h12(f), hess(f), h3(f, f, g), h12(f, g), h12(g)
+        # three first partials and six second ones, for f and for g
+        assert len(calls) == 2 * (3 + 6)
+        assert sum(1 for form in calls if form is f) == 3
+        assert sum(1 for form in calls if form is g) == 3
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_kept_matrix_is_a_fresh_derivation(self, nvars):
+        f = random_form(nvars, 3, random.Random(nvars))
+        fresh = [[f.diff(i).diff(j) for j in range(nvars)]
+                 for i in range(nvars)]
+        for _ in range(2):
+            mat = f.second_partials()
+            assert [list(row) for row in mat] == fresh
+        assert f.second_partials() is mat
+
+    def test_kept_matrix_cannot_be_changed(self):
+        f = random_form(3, 3, random.Random(1))
+        mat = f.second_partials()
+        zero = Form.zero(3, 1)
+        with pytest.raises(TypeError):
+            mat[0][0] = zero
+        with pytest.raises(TypeError):
+            mat[0] = (zero,) * 3
+        with pytest.raises(AttributeError):
+            f._partials = ((zero,) * 3,) * 3
+        assert f.second_partials() == mat and mat[0][0] == f.diff(0).diff(0)

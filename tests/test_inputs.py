@@ -12,7 +12,7 @@ from hesskit import (ConeNormalForm, Form, QuadraticForm, SpecialPoint,
                      pijk_injectivity, random_form, run_suite,
                      sample_gated_pair, sample_gated_triple, scan_condition,
                      verify_closed_form, verify_family, verify_pair,
-                     verify_special_point_rank)
+                     verify_pairs, verify_special_point_rank)
 from hesskit.errors import InputError
 from hesskit.indeterminacy import exclusion_gate
 from hesskit.orbit_checks import hyperbolic_q, power_product
@@ -45,6 +45,9 @@ ENTRIES = [
      dict(r=1, k=1, m=1)),
     ("verify_pair", verify_pair, dict(kind="odd", r=2, k=2, m=0), dict(m=0)),
     ("verify_pair", verify_pair, dict(kind="even2", r=2, k=2, m=0), dict(k=2)),
+    ("verify_pairs", verify_pairs, dict(kind="even", r=2, k=2, ms=(1, 2)),
+     dict(r=1, k=1)),
+    ("verify_pairs", verify_pairs, dict(kind="even2", r=2, k=2), dict(k=2)),
     ("SpecialPoint", SpecialPoint, dict(kind="qk", k=2), dict(k=1)),
     ("SpecialPoint", SpecialPoint, dict(kind="qk1l2", k=2), dict(k=2)),
     ("SpecialPoint.form", SpecialPoint("qk", 2).form, dict(r=2), dict(r=1)),
@@ -116,6 +119,9 @@ def test_internal_int_entries_are_checked(call):
     lambda: certify(6.0),
     lambda: verify_pair("even", 2, 2, 3),
     lambda: verify_pair("sideways", 2, 2, 1),
+    lambda: verify_pairs("even", 2, 2, [1, 3]),
+    lambda: verify_pairs("even", 2, 2, [2, True]),
+    lambda: verify_pairs("sideways", 2, 2, []),
     lambda: verify_family(3, 100),
     lambda: fiber_recover(3, 0, 0),
     lambda: SpecialPoint("qq", 2),
@@ -137,6 +143,7 @@ def test_internal_int_entries_are_checked(call):
     lambda: Form(2, 2, {(1.0, 1): 0}),
 ], ids=["bool-r", "empty-window", "negative-r", "negative-degree",
         "bool-block-r", "float-degree", "m-above-k", "unknown-kind",
+        "pairs-m-above-k", "pairs-bool-m", "pairs-unknown-kind",
         "family-3", "fiber-family-3", "unknown-point", "empty-filter",
         "float-form-degree", "bool-form-nvars", "bool-variable-index",
         "variable-index-too-big", "bool-power", "float-power", "bool-t",

@@ -14,7 +14,8 @@ from hesskit.orbit_checks import (SPECIAL_POINTS, _coefficient_at,
                                   _pair_data, _predicted_constants,
                                   closed_form_constant, hyperbolic_q,
                                   pair_m_range, power_product,
-                                  verify_closed_form, verify_pair)
+                                  verify_closed_form, verify_pair,
+                                  verify_pairs)
 
 # Spot values computed once by expanding the Hessians directly; they pin the
 # sign and scaling conventions.
@@ -132,6 +133,33 @@ class TestPerturbationPairs:
         rep = verify_pair("even", 2, 7, 3)
         assert rep.condition_value == 0
         assert rep.matches
+
+
+class TestPairsAtOnePoint:
+    @pytest.mark.parametrize("kind", ["even", "odd", "even2"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_m_at_once_matches_one_at_a_time(self, kind, r):
+        for k in range(orbit_checks._PAIR_ROWS[kind].k_min, 6):
+            ms = pair_m_range(kind, r, k)
+            assert verify_pairs(kind, r, k) == [verify_pair(kind, r, k, m)
+                                                for m in ms]
+            assert verify_pairs(kind, r, k, reversed(ms)) == \
+                verify_pairs(kind, r, k)[::-1]
+
+    def test_one_adjugate_per_point(self, monkeypatch):
+        built = []
+        real = orbit_checks.adjugate_second_partials
+        monkeypatch.setattr(orbit_checks, "adjugate_second_partials",
+                            lambda f: built.append(f) or real(f))
+        reports = verify_pairs("odd", 3, 4)
+        assert [rep.m for rep in reports] == list(pair_m_range("odd", 3, 4))
+        assert len(reports) == 5 and len(built) == 1
+
+    def test_a_bad_m_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(orbit_checks, "adjugate_second_partials",
+                            lambda f: pytest.fail("built before every m"))
+        with pytest.raises(ValueError, match="m must lie in"):
+            verify_pairs("even", 2, 3, [1, 2, 4])
 
 
 class TestValidation:
