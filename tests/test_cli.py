@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -11,6 +12,12 @@ import hesskit.cli
 import hesskit.reports
 from hesskit.cli import main
 from hesskit.errors import VerificationError
+
+# argv (space-joined) -> exit code and sha256 of stdout, plus of stderr for a
+# refused input; the stderr bytes are argparse's, so the table is per Python
+CLI_DIGESTS = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "cli_digests.json").read_text()
+).get(platform.python_version(), {})
 
 
 def run(capsys, *argv):
@@ -23,6 +30,24 @@ def raising(exc):
     def fn(*args, **kwargs):
         raise exc
     return fn
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_command_bytes_are_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    got = {"exit": code, "stdout": _sha256(out)}
+    if code == 2:
+        got["stderr"] = _sha256(err)
+    assert got == CLI_DIGESTS[command]
 
 
 class TestVerifyProp:
