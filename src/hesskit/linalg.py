@@ -22,9 +22,9 @@ singleton column always goes first and a singleton row is the pivot chosen
 in its column, both without fill-in, so the structured first step of
 LaMacchia & Odlyzko (CRYPTO '90) needs no pass of its own.
 
-For a single probe prime q = p.  ``rank_with_certificate`` runs it once for
-all probe primes, with q their lcm (about 2**62 for the default two), and
-takes a pivot only when it is a unit mod q.  Reduced mod each prime, that
+With one probe prime p, q is p itself.  ``rank_with_certificate`` runs it
+once for all probe primes, with q their lcm (about 2**62 for the default
+two), and takes a pivot only when it is a unit mod q.  Reduced mod each prime, that
 run is an elimination over GF(p) with nonzero pivots, and what it leaves is
 0 mod q, so its rank is the rank mod every probe prime.  At a pivot that is
 not a unit the run stops, and each prime gets a run of its own.  Since

@@ -2,7 +2,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -168,14 +168,6 @@ class TestSieve:
     def test_bound_zero(self, curve):
         assert curve.integral_points(0) == _loop_points(curve, 0)
 
-    @pytest.mark.parametrize("bound", [BLOCK - 1, BLOCK, BLOCK + 1])
-    def test_every_x_near_chunk_edges(self, bound):
-        xs = range(-bound, bound + 1)
-        assert DIAGONALS.integral_points(bound) == sorted(
-            {(x, y) for x in xs for y in (x, -x)})
-        # a(x) = 0 for every x: the curve is linear in y
-        assert ANTIDIAGONAL.integral_points(bound) == [(x, -x) for x in xs]
-
     def test_linear_branch_at_a_root_of_a(self):
         # (x - 3) y**2 + y - x = 0 is linear in y at x = 3, where y = 3
         curve = QuadraticInY("a-root", a=(-3, 1), b=(1,), c=(0, -1))
@@ -213,12 +205,15 @@ class TestSieve:
         _agrees_with_loop(curve, bound)
 
 
-class TestWheel:
-    """The residue tables and the block walk over them."""
+TABLE_CURVES = [CURVE_ONE, CURVE_TWO, DIAGONALS,
+                QuadraticInY("r", (3, -1), (2,), (5, 0, 1))]
 
-    @pytest.mark.parametrize("curve", [CURVE_ONE, CURVE_TWO, DIAGONALS,
-                                       QuadraticInY("r", (3, -1), (2,), (5, 0, 1))])
-    def test_residues_pass_every_wheel_table(self, curve):
+
+class TestBlockSieve:
+    """The residue tables, their periods and the block walk over them."""
+
+    @pytest.mark.parametrize("curve", TABLE_CURVES)
+    def test_residues_pass_every_sieve_table(self, curve):
         tables = curve._sieve_tables()
         assert [m for m, _ in tables] == list(curves.SIEVE_MODULI)
         for m, table in tables:
@@ -227,14 +222,31 @@ class TestWheel:
                      for a, b, c in map(curve._coeffs_at, range(m))]
             assert table.tolist() == [d % m in squares for d in discs]
 
-    def test_a_wheel_with_no_residue_finds_nothing(self):
+    def test_groups_partition_the_moduli(self):
+        members = [m for group in curves.SIEVE_GROUPS for m in group]
+        assert len(members) == len(set(members))
+        assert sorted(members) == sorted(curves.SIEVE_MODULI)
+
+    def test_every_period_is_at_most_two_to_the_fourteen(self):
+        assert all(prod(group) <= 1 << 14 for group in curves.SIEVE_GROUPS)
+
+    @pytest.mark.parametrize("curve", TABLE_CURVES)
+    def test_each_period_table_is_the_and_of_its_members(self, curve):
+        tables = {m: table.tolist() for m, table in curve._sieve_tables()}
+        periods = curve._period_tables()
+        assert [p for p, _ in periods] == [prod(g) for g in curves.SIEVE_GROUPS]
+        for group, (period, table) in zip(curves.SIEVE_GROUPS, periods):
+            assert table.tolist() == [all(tables[m][r % m] for m in group)
+                                      for r in range(period)]
+
+    def test_a_table_with_no_residue_finds_nothing(self):
         # y**2 = 3: 12 is a non-square modulo 64, so every x is sieved out
         curve = QuadraticInY("y^2 = 3", a=(1,), b=(0,), c=(-3,))
         assert not dict(curve._sieve_tables())[64].any()
         assert curve.integral_points(10 ** 6) == _loop_points(curve, 50) == []
 
-    def test_shipped_wheels_are_selective(self, monkeypatch):
-        # the SIEVE_MODULI comment: one x in a thousand or fewer survives
+    def test_shipped_tables_are_selective(self, monkeypatch):
+        # the SIEVE_GROUPS comment: one x in 10**5 or fewer survives
         exact, calls = QuadraticInY._ys_at, []
         monkeypatch.setattr(QuadraticInY, "_ys_at",
                             lambda self, x: calls.append(x) or exact(self, x))
@@ -242,17 +254,17 @@ class TestWheel:
         for curve in (CURVE_ONE, CURVE_TWO):
             calls.clear()
             curve.integral_points(bound)
-            assert len(calls) <= (2 * bound + 1) // 1000
+            assert len(calls) <= (2 * bound + 1) // 10 ** 5
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_every_x_near_block_edges(self, shift):
         # every residue is kept on these two curves, so each block is full
-        for curve in (DIAGONALS, ANTIDIAGONAL):
-            bound = BLOCK + shift
-            xs = range(-bound, bound + 1)
-            want = ([(x, -x) for x in xs] if curve is ANTIDIAGONAL
-                    else sorted({(x, y) for x in xs for y in (x, -x)}))
-            assert curve.integral_points(bound) == want
+        bound = BLOCK + shift
+        xs = range(-bound, bound + 1)
+        assert DIAGONALS.integral_points(bound) == sorted(
+            {(x, y) for x in xs for y in (x, -x)})
+        # a(x) = 0 for every x: the curve is linear in y
+        assert ANTIDIAGONAL.integral_points(bound) == [(x, -x) for x in xs]
 
     @pytest.mark.parametrize("curve,omega", [(CURVE_ONE, OMEGA1),
                                              (CURVE_TWO, OMEGA2)])
