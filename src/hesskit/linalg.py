@@ -24,13 +24,13 @@ LaMacchia & Odlyzko (CRYPTO '90) needs no pass of its own.
 
 With one probe prime p, q is p itself.  ``rank_with_certificate`` runs it
 once for all probe primes, with q their lcm (about 2**62 for the default
-two), and takes a pivot only when it is a unit mod q.  Reduced mod each prime, that
-run is an elimination over GF(p) with nonzero pivots, and what it leaves is
-0 mod q, so its rank is the rank mod every probe prime.  At a pivot that is
-not a unit the run stops, and each prime gets a run of its own.  Since
-reduction can only lower rank, a full-column-rank result mod p is already a
-proof of full column rank over the rationals, and the rank path takes it as
-the answer.  Any other modular answer is advisory and must be confirmed by
+two), and takes a pivot only when it is a unit mod q.  Reduced mod each
+prime, that run is an elimination over GF(p) with nonzero pivots, and what
+it leaves is 0 mod q, so its rank is the rank mod every probe prime.  At a
+pivot that is not a unit the run stops, and each prime gets a run of its
+own.  Since reduction can only lower rank, a full-column-rank result mod p
+is already a proof of full column rank over the rationals, and the rank
+path takes it as the answer.  Any other modular answer is advisory and must be confirmed by
 the exact path, the only place where the columns become a dense Python
 matrix.
 

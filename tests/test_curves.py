@@ -246,7 +246,8 @@ class TestBlockSieve:
         assert curve.integral_points(10 ** 6) == _loop_points(curve, 50) == []
 
     def test_shipped_tables_are_selective(self, monkeypatch):
-        # the SIEVE_GROUPS comment: one x in 10**5 or fewer survives
+        # the SIEVE_GROUPS comment: about one x in 250 000 survives, so at
+        # most one in 10**5 (30 of 3 000 001) may reach the exact test
         exact, calls = QuadraticInY._ys_at, []
         monkeypatch.setattr(QuadraticInY, "_ys_at",
                             lambda self, x: calls.append(x) or exact(self, x))
