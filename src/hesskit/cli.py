@@ -7,8 +7,10 @@ failure, 2 on usage errors, 3 on fixture problems.  Argument values are
 checked by the library alone: an ``InputError`` it raises becomes a usage
 error with the library's message.  The front end only checks which flags go
 together, and that a ``suite --out`` path can be written before the suite
-runs.  A config file holds ``key = value`` lines for the shared int knobs
-(``CONFIG_KEYS``, none of which picks a rank route); explicit flags win.
+runs.  A usage error in a verb's arguments, from argparse, a handler or the
+library, prints that verb's own usage line.  A config file holds
+``key = value`` lines for the shared int knobs (``CONFIG_KEYS``, none of
+which picks a rank route); explicit flags win.
 """
 
 from __future__ import annotations
@@ -119,18 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="perturbation index; omitted = every valid m")
     p_prop.add_argument("--h", type=int, default=0,
                         help="power of the linear factor (id 2.7 only)")
+    p_prop.set_defaults(handler=_cmd_verify_prop, verb_parser=p_prop)
 
     p_rank = sub.add_parser("rank", help="injectivity certificate at a special point")
     p_rank.add_argument("--point", required=True, choices=tuple(SPECIAL_POINTS))
     p_rank.add_argument("--d", type=int, required=True, help="degree of the form")
     p_rank.add_argument("--r", type=int, default=2)
     p_rank.add_argument("--seed", type=int, default=None)
+    p_rank.set_defaults(handler=_cmd_rank, verb_parser=p_rank)
 
     p_scan = sub.add_parser("scan", help="integer-condition vanishing scan")
     p_scan.add_argument("--condition", required=True, choices=tuple(CONDITIONS))
     p_scan.add_argument("--r", type=int, default=2)
     p_scan.add_argument("--kmin", type=int, default=None)
     p_scan.add_argument("--kmax", type=int, default=None)
+    p_scan.set_defaults(handler=_cmd_scan, verb_parser=p_scan)
 
     p_curves = sub.add_parser("curves", help="auxiliary curve point sets")
     c_sub = p_curves.add_subparsers(dest="curves_what", required=True)
@@ -139,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=tuple(FAMILIES))
     p_cv.add_argument("--bound", type=int, default=None,
                       help="brute-force search box half-width")
+    p_cv.set_defaults(handler=_cmd_curves_verify, verb_parser=p_cv)
 
     p_limit = sub.add_parser("limit", help="Hessian limit divisibility along a family")
     p_limit.add_argument("--fixture", default=None,
@@ -146,9 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--d", type=int, default=None,
                          help="degree for a seeded random family instead")
     p_limit.add_argument("--seed", type=int, default=None)
+    p_limit.set_defaults(handler=_cmd_limit, verb_parser=p_limit)
 
     p_cert = sub.add_parser("certify", help="full certificate for one degree")
     p_cert.add_argument("--d", type=int, required=True)
+    p_cert.set_defaults(handler=_cmd_certify, verb_parser=p_cert)
 
     p_suite = sub.add_parser("suite", help="run the registered verification battery")
     p_suite.add_argument("--filter", default=None,
@@ -158,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--bound", type=int, default=None)
     p_suite.add_argument("--out", metavar="PATH", default=None,
                          help="also write the JSON document to a file")
+    p_suite.set_defaults(handler=_cmd_suite, verb_parser=p_suite)
     return parser
 
 
@@ -287,28 +296,17 @@ def _cmd_suite(args, parser) -> int:
     return EXIT_OK if result.passed() else EXIT_VERIFICATION
 
 
-_HANDLERS = {
-    "verify": _cmd_verify_prop,
-    "rank": _cmd_rank,
-    "scan": _cmd_scan,
-    "curves": _cmd_curves_verify,
-    "limit": _cmd_limit,
-    "certify": _cmd_certify,
-    "suite": _cmd_suite,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config(args, parser)
     try:
-        return _HANDLERS[args.command](args, parser)
+        return args.handler(args, args.verb_parser)
     except FixtureError as exc:
         _log(str(exc))
         return EXIT_FIXTURE
     except InputError as exc:
-        parser.error(str(exc))
+        args.verb_parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, plus a mod-p fast path.
+"""Exact linear algebra over the rationals, plus a modular fast path.
 
 Every exact routine works on dense integer matrices.  ``clear_denominators``
 is the one step from a dense input to integers: it checks that the rows have
@@ -6,33 +6,33 @@ one length and that every entry is an int or a ``Fraction``, then scales each
 row by the lcm of its denominators, which keeps the rank, the row space and
 the solutions of A X = B.  One fraction-free Gauss-Jordan routine
 (``_echelon``, Bareiss's integer-preserving elimination carried through to
-the reduced form) then gives the exact rank, solutions, inverse and
-nullspace; every division in it is exact.
+the reduced form) then gives the exact rank, inverse and nullspace; every
+division in it is exact.
 
 The rank path works on ``IntColumns``, a sparse integer matrix stored as one
 ``{row: value}`` dict per column.  Callers that build their matrix column by
 column (the differential matrices) hand it over as is; a dense rational
 input is cleared once and turned into the same columns.  ``rank_mod_p`` is
-the one modular elimination: it reduces the columns mod q and eliminates
-the residues as they are, one sparse Gaussian elimination on Python dicts
-under the original row and column indices.  Its pivot rule is
+the one modular elimination: it reduces the columns mod q, any int q >= 2,
+and eliminates the residues as they are, one sparse Gaussian elimination on
+Python dicts under the original row and column indices.  Its pivot rule is
 Markowitz's, not ``_echelon``'s: the column with the fewest live rows, then
 the row in it with the fewest entries, ties to the lower index.  A
 singleton column always goes first and a singleton row is the pivot chosen
 in its column, both without fill-in, so the structured first step of
 LaMacchia & Odlyzko (CRYPTO '90) needs no pass of its own.
 
-With one probe prime p, q is p itself.  ``rank_with_certificate`` runs it
-once for all probe primes, with q their lcm (about 2**62 for the default
-two), and takes a pivot only when it is a unit mod q.  Reduced mod each
-prime, that run is an elimination over GF(p) with nonzero pivots, and what
-it leaves is 0 mod q, so its rank is the rank mod every probe prime.  At a
-pivot that is not a unit the run stops, and each prime gets a run of its
-own.  Since reduction can only lower rank, a full-column-rank result mod p
-is already a proof of full column rank over the rationals, and the rank
-path takes it as the answer.  Any other modular answer is advisory and must be confirmed by
-the exact path, the only place where the columns become a dense Python
-matrix.
+The elimination takes a pivot only when it is a unit mod q and stops at
+the first one that is not.  So a run that ends with r pivots shows an
+r x r minor, on the pivot rows and columns, whose determinant is up to sign
+the product of the pivots mod q: a unit mod q, hence a nonzero integer, and
+the rational rank is at least r.  This holds for any modulus q >= 2, prime
+or not, so no primality test is needed.  ``rank_with_certificate`` runs it
+once, with q the product of the two ``PROBE_PRIMES`` (about 2**62).  A
+result equal to the column count is a proof of full column rank over the
+rationals, and the rank path takes it as the answer.  Any other result,
+a stopped run included, goes to the exact path, the only place where the
+columns become a dense Python matrix.
 
 Pivoting is deterministic throughout; ``_echelon`` takes the first row with
 a nonzero entry in the leftmost unfinished column.  No randomness, no
@@ -43,51 +43,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import VerificationError
+from .errors import VerificationError, require_int
 
 Matrix = List[List[Fraction]]
 IntMatrix = List[List[int]]
 
-# Default probe primes for the modular path: distinct primes above 2**30.
+# The probe primes: distinct primes above 2**30.  The rank path eliminates
+# modulo their product and names them in every report.
 PROBE_PRIMES = (2147483647, 2147483629)
-
-
-def _is_probe_prime(p) -> bool:
-    """True for an int (not a bool) that is a prime below 2**31.
-
-    Miller-Rabin with the bases 2, 3, 5, 7 has no strong pseudoprime below
-    3 215 031 751 (Pomerance, Selfridge & Wagstaff, Math. Comp. 35, 1980),
-    so on this range the test is exact.
-    """
-    if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p < 1 << 31:
-        return False
-    for a in (2, 3, 5, 7):
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _check_probe_primes(primes: Sequence) -> None:
-    for p in primes:
-        if not _is_probe_prime(p):
-            raise ValueError(f"probe {p!r} is not a prime below 2**31")
 
 
 def clear_denominators(rows: Sequence[Sequence]) -> IntMatrix:
@@ -196,19 +162,21 @@ def _residues(columns: Sequence[Dict[int, int]], q: int) -> List[Dict[int, int]]
     return [{i: r for i, x in col.items() if (r := x % q)} for col in columns]
 
 
-def rank_mod_p(m: IntColumns, p: int, *more: int) -> Optional[int]:
-    """Rank of the integer matrix ``m`` modulo each probe prime, by one
-    sparse elimination.
+def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
+    """Rank of the integer matrix ``m`` modulo q, an int >= 2, by one sparse
+    elimination that takes only unit pivots; ``None`` at the first pivot
+    that is not a unit mod q.
 
-    Always a lower bound for the rational rank.  Every probe must be a prime
-    below 2**31, the range on which ``_is_probe_prime`` is exact.  The
-    elimination runs modulo q, the lcm of the probes, and takes a pivot only
-    if it is a unit mod q; at the first one that is not, it stops and
-    returns ``None``.  A run that ends gives the rank modulo every probe:
-    reduced mod a probe, each step is a step over that prime field with a
-    nonzero pivot, and every entry left is 0 mod q, so 0 mod the probe.
-    With one probe q = p, every nonzero residue is a unit and the run always
-    ends.
+    Always a lower bound for the rational rank.  A pivot row is only ever
+    changed by adding multiples of earlier pivot rows, and when it is taken
+    it is 0 in every earlier pivot column.  So, mod q, the minor of ``m`` on
+    the r pivot rows and columns of a run that ends is up to sign the
+    product of the r pivots, a unit mod q.  That minor is then a nonzero
+    integer, and the rational rank is at least r.  Nothing here needs q to
+    be prime.  For every prime p dividing q the run, reduced mod p, is an
+    elimination over GF(p) with nonzero pivots that leaves every other entry
+    0 mod q, so 0 mod p: r is also the rank mod p.  For a prime q every
+    nonzero residue is a unit and the run always ends.
 
     Rows are ``{col: residue}`` dicts and columns sets of live rows, both
     under the original indices; ``m`` is not touched.  Each step pivots in
@@ -225,9 +193,7 @@ def rank_mod_p(m: IntColumns, p: int, *more: int) -> Optional[int]:
     mod one prime, where a vectorized int64 loop takes 4 and 15 ms (2 cores,
     Python 3.11).
     """
-    primes = (p, *more)
-    _check_probe_primes(primes)
-    q = lcm(*primes)
+    require_int("q", q, 2)
     rows: Dict[int, Dict[int, int]] = {}
     cols: List[set] = []
     for c, col in enumerate(_residues(m.columns, q)):
@@ -277,66 +243,45 @@ def rank_mod_p(m: IntColumns, p: int, *more: int) -> Optional[int]:
     return rank
 
 
-def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]],
-                          primes: Sequence[int] = PROBE_PRIMES
+def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]]
                           ) -> Tuple[int, str, List[int]]:
     """Rank plus a record of how it was certified.
 
-    ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions; every
-    probe must be a prime below 2**31.  Returns (rank, method, primes_used).
-    The modular ranks come from one ``rank_mod_p`` run modulo the lcm of
-    all probes, which gives the rank modulo each of them; only if that run
-    meets a pivot that is not a unit does each probe prime get a run of its
-    own.  One rule, with no option to bypass it: when every probe prime
-    reports full column rank that is already the proof
-    ("modular-full-rank"); any other outcome goes to the Bareiss path,
-    which decides, and the modular answers are checked against it.  A
-    disagreement between a probe prime and the exact rank is tolerated only
-    downward (an unlucky prime can drop rank, never raise it).
+    ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions.
+    Returns (rank, method, probe primes).  One rule, with no option to
+    bypass it: one ``rank_mod_p`` run modulo the product of ``PROBE_PRIMES``
+    that reports full column rank is already the proof
+    ("modular-full-rank"); any other outcome goes to the Bareiss path, which
+    decides, and the modular rank is checked against it.  A modular rank
+    below the exact one can happen (reduction can drop rank); one above it
+    is a fault.
     """
-    _check_probe_primes(primes)
+    primes = list(PROBE_PRIMES)
     m = matrix if isinstance(matrix, IntColumns) else IntColumns.from_rows(matrix)
-    fused = rank_mod_p(m, *primes) if primes else None
-    mod_ranks = ([fused] * len(primes) if fused is not None
-                 else [rank_mod_p(m, p) for p in primes])
-    if mod_ranks and all(r == m.ncols for r in mod_ranks):
-        return m.ncols, "modular-full-rank", list(primes)
+    q = prod(primes)
+    mod_rank = rank_mod_p(m, q)
+    if mod_rank == m.ncols:
+        return m.ncols, "modular-full-rank", primes
     exact = rank_bareiss(m)
-    for p, rp in zip(primes, mod_ranks):
-        if rp > exact:
-            raise VerificationError(f"mod-{p} rank {rp} exceeds exact rank {exact}")
-    return exact, "bareiss", list(primes)
-
-
-def _square(a: Sequence[Sequence]) -> int:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    return n
-
-
-def solve_exact(a: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> Matrix:
-    """Solve A X = B exactly for square invertible A.
-
-    ``rhs_cols`` is given column-wise: rhs_cols[k] is the k-th right-hand
-    side.  The result is returned column-wise as well.  Raises ValueError on a
-    singular matrix.
-    """
-    n = _square(a)
-    if any(len(c) != n for c in rhs_cols):
-        raise ValueError("right-hand side has wrong length")
-    m = clear_denominators([list(a[i]) + [c[i] for c in rhs_cols] for i in range(n)])
-    pivots, den = _echelon(m, n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return [[Fraction(m[i][n + k], den) for i in range(n)] for k in range(len(rhs_cols))]
+    if mod_rank is not None and mod_rank > exact:
+        raise VerificationError(f"mod-{q} rank {mod_rank} exceeds exact rank {exact}")
+    return exact, "bareiss", primes
 
 
 def invert(a: Sequence[Sequence]) -> Matrix:
-    """Exact inverse of a square matrix (row-major)."""
+    """Exact inverse of a square matrix (row-major).
+
+    Raises ValueError on a matrix that is not square or is singular.
+    """
     n = len(a)
-    cols = solve_exact(a, [[int(i == k) for i in range(n)] for k in range(n)])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    m = clear_denominators([list(row) + [int(i == k) for k in range(n)]
+                            for i, row in enumerate(a)])
+    pivots, den = _echelon(m, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [[Fraction(x, den) for x in row[n:]] for row in m]
 
 
 def nullspace(a: Sequence[Sequence]) -> Matrix:

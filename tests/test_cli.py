@@ -50,6 +50,22 @@ def test_command_bytes_are_pinned(command, capsys, monkeypatch):
     assert got == CLI_DIGESTS[command]
 
 
+@pytest.mark.parametrize("argv, usage", [
+    ("curves verify --family 3", "hesskit curves verify"),  # argparse
+    ("curves verify --family 1 --bound 9", "hesskit curves verify"),  # library
+    ("limit", "hesskit limit"),  # handler
+    ("verify prop --id 2.7 --r 2 --k 2 --m 1", "hesskit verify prop"),
+    ("suite --jobs 0", "hesskit suite"),
+])
+def test_refused_input_prints_the_verbs_usage_line(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {usage} [-h]")
+    assert f"\n{usage}: error: " in err
+
+
 class TestVerifyProp:
     def test_closed_form_id(self, capsys):
         code, doc = run(capsys, "verify", "prop", "--id", "2.7",

@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import hesskit
+from hesskit import linalg
 from hesskit.orbit_checks import SPECIAL_POINTS
 from test_inputs import ENTRIES
 
@@ -209,21 +210,54 @@ def _heappop_callers(tree):
 
 
 def test_one_elimination_kernel():
-    """``rank_mod_p`` is the one elimination loop: the run modulo the
-    probes' lcm and each per-prime run both go through it."""
+    """``rank_mod_p`` is the one elimination loop."""
     found = {(name, owner) for name, tree in _library_trees()
              for owner in _heappop_callers(tree)}
     assert found == {("linalg.py", "rank_mod_p")}
 
 
 def test_the_kernel_guard_sees_a_second_loop():
-    by_hand = ("def rank_mod_p(m, p, *more):\n"
+    by_hand = ("def rank_mod_p(m, q):\n"
                "    while heap:\n"
                "        n, c = heappop(heap)\n"
                "def rank_mod_pq(m, q):\n"
                "    while heap:\n"
                "        n, c = heapq.heappop(heap)\n")
     assert _heappop_callers(ast.parse(by_hand)) == {"rank_mod_p", "rank_mod_pq"}
+
+
+def test_the_rank_path_takes_one_matrix_and_no_option():
+    params = inspect.signature(linalg.rank_with_certificate).parameters
+    assert list(params) == ["matrix"]
+
+
+def _prime_list_calls(tree):
+    """Calls of ``rank_mod_p`` that pass anything but a matrix and one
+    modulus: a third argument, a starred list or a keyword."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "rank_mod_p" in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))
+            and (len(node.args) != 2 or node.keywords
+                 or any(isinstance(a, ast.Starred) for a in node.args))]
+
+
+def test_the_rank_path_passes_one_modulus():
+    found = [f"{name}:{line}" for name, tree in _library_trees()
+             for line in _prime_list_calls(tree)]
+    assert found == []
+    assert any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "rank_mod_p"
+               for name, tree in _library_trees() if name == "linalg.py"
+               for node in ast.walk(tree))
+
+
+def test_the_modulus_guard_sees_a_prime_list():
+    by_hand = ("rank_mod_p(m, prod(primes))\n"
+               "rank_mod_p(m, *PROBE_PRIMES)\n"
+               "linalg.rank_mod_p(m, 5, 7)\n"
+               "rank_mod_p(m, q=35)\n")
+    assert _prime_list_calls(ast.parse(by_hand)) == [2, 3, 4]
 
 
 _KIND_LITERALS = (set(SPECIAL_POINTS)
