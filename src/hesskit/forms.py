@@ -15,7 +15,8 @@ the one loop that builds a form from other forms: a whole sum of products
 costs one dict and one gcd.  ``f * g`` is its one-term case, and ``f + g``,
 ``f - g``, ``-f`` and ``f.scale(c)`` are its cases with the constant form 1
 as every second factor.  ``diff`` keeps its own loop: a derivative is no
-sum.
+sum.  So does ``exact_quotient``, which divides by a monomial times a form
+monic in the last variable and returns None at a remainder.
 
 A key packs an exponent tuple into one int with a fixed ``FIELD_BITS``-bit
 field per exponent, x0 in the most significant field (Monagan & Pearce,
@@ -37,9 +38,9 @@ the callers that need every power of one form.
 ``require_int``, refuses an exponent entry that is a bool or not an int
 (``InputError``), validates every term and converts the coefficients;
 ``Form.variable`` and ``**`` check their int arguments the same way.
-``dot``, ``diff`` and the constant form 1 build their results with the
-trusted constructor ``Form._make``, which only restores the invariant and
-writes the slots through their descriptors.
+``dot``, ``diff``, ``exact_quotient`` and the constant form 1 build their
+results with the trusted constructor ``Form._make``, which only restores the
+invariant and writes the slots through their descriptors.
 Exponent tuples appear only at the edges: ``Form.terms`` is a read-only
 mapping of exponent tuples to reduced ``Fraction`` coefficients and
 ``Form.numerators`` one to the stored ints, both computed on access from
@@ -500,6 +501,60 @@ def dot(nvars: int, degree: int, terms) -> Form:
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
     return Form._make(nvars, degree, acc, den)
+
+
+def exact_quotient(f: Form, g: Form) -> Optional[Form]:
+    """f / g when g divides f, else None.
+
+    g must have exactly one term of top degree e in the last variable
+    x_{n-1}, with coefficient 1 and g's other coefficients integers: a
+    monomial, or a form monic in x_{n-1} such as x0*x1 + x2**2, or a product
+    of the two.  Read as polynomials in x_{n-1}, g = m x_{n-1}**e + R with m
+    a monomial in the other variables, and f = sum_t c_t x_{n-1}**t divides
+    level by level from the top: the quotient's level t - e is c_t / m, and
+    that times R is taken off the levels below t.  Dividing by the monomial
+    m checks each exponent, and any term left below level e is a
+    remainder; either way g does not divide f.  Every step is integer
+    arithmetic on packed keys: x_{n-1} is the lowest field, so a key's level
+    is ``key & _MASK``.
+    """
+    if f.nvars != g.nvars:
+        raise ValueError("forms live in different variable counts")
+    top = max((k & _MASK for k in g._num), default=-1)
+    leads = [k for k in g._num if k & _MASK == top]
+    if g._den != 1 or len(leads) != 1 or g._num[leads[0]] != 1:
+        raise ValueError("the divisor needs one top term in the last "
+                         "variable, with coefficient 1, and integer "
+                         "coefficients")
+    lead = leads[0]
+    degree = f.degree - g.degree
+    if degree < 0:
+        return None
+    rest = [(k, c) for k, c in g._num.items() if k != lead]
+    # the exponents of m, which every divided key must reach
+    floors = [(shift, e) for shift in range(FIELD_BITS, FIELD_BITS * f.nvars,
+                                            FIELD_BITS)
+              if (e := lead >> shift & _MASK)]
+    levels: Dict[int, Dict[int, int]] = {}
+    for k, c in f._num.items():
+        levels.setdefault(k & _MASK, {})[k] = c
+    out: Dict[int, int] = {}
+    for t in range(max(levels, default=-1), top - 1, -1):
+        for k, c in levels.pop(t, {}).items():
+            if not c:
+                continue
+            for shift, e in floors:
+                if k >> shift & _MASK < e:
+                    return None
+            k -= lead
+            out[k] = c
+            for k2, c2 in rest:
+                key = k + k2
+                level = levels.setdefault(key & _MASK, {})
+                level[key] = level.get(key, 0) - c * c2
+    if any(c for level in levels.values() for c in level.values()):
+        return None
+    return Form._make(f.nvars, degree, out, f._den)
 
 
 # ----- convenience builders used throughout the package -----------------

@@ -142,11 +142,13 @@ def hess_from_adjugate(f: Form, adj: Sequence[Sequence[Form]]) -> Form:
     """hess(f) as the first-row cofactor sum, sum over j of f_0j * adj[j][0].
 
     With ``adj = adjugate_second_partials(f)`` this is one ``dot`` of nvars
-    products in place of a second determinant expansion.
+    products in place of a second determinant expansion.  The degree is read
+    off the factors, so an adjugate with a common factor P divided out gives
+    hess(f) / P.
     """
     n = f.nvars
     row = f.second_partials()[0]
-    return dot(n, max(n * (f.degree - 2), 0),
+    return dot(n, row[0].degree + adj[0][0].degree,
                [(1, row[j], adj[j][0]) for j in range(n)])
 
 

@@ -13,6 +13,31 @@ column, the span of [M' | hess] equals the span of [M | hess], making the
 choice of complement immaterial; a randomized second complement re-checks
 that on demand.
 
+The image of g is trace(adj(D2 f) * D2 g), so a factor P of every adjugate
+entry divides every image and Hess f.  At the special points q is invariant
+and P is large: 16 q**5 at q**4 and 24 x0**2 q**9 at q**9 l**2 (r = 2).
+``differential_matrix`` divides P = x**beta * q**alpha out of the adjugate:
+beta is the entries' largest common monomial, alpha the largest power of
+q = ``orbit_checks.hyperbolic_q`` dividing every entry (in three or more
+variables; in two, q is a monomial).  Constants stay.  q is monic of degree
+2 in the last variable, so ``forms.exact_quotient`` divides level by level
+in integers, and a nonzero remainder, which means P does not divide, lowers
+alpha: every factor divided out is confirmed exact.  The columns and,
+through ``hess_from_adjugate``, the Hessian column are then read off the
+reduced adjugate adj / P, over the monomials of degree n (d - 2) - deg P,
+and ``DifferentialMatrix`` records beta and alpha.  At q**9 l**2 the matrix
+shrinks from 1540 x 231 to 276 x 231; a form with no common factor keeps
+the full matrix.
+
+Soundness: multiplication by P != 0 is an injective linear map T_P from the
+forms of degree n (d - 2) - deg P into those of degree n (d - 2), and each
+column of the full matrix M is T_P of the same column of the reduced
+matrix N times a positive rational.  So M = T_P N D with D diagonal and
+invertible, and any set of columns, the Hessian column included, has the
+same rank in M as in N: a modular full column rank of N's columns is a
+proof for M's.  ``RankReport.matrix_shape`` is the shape of M, read off the
+two dimensions.
+
 Each column is an image form's integer numerators, that is the rational
 column times its own positive denominator, which keeps the rank and the zero
 pattern.  ``DifferentialMatrix`` indexes the target monomials once, by the
@@ -22,7 +47,7 @@ every column as a sparse ``{row: numerator}`` dict, so the matrices handed to
 clearing, no ``Fraction`` and no dense matrix on the rank path unless the
 exact fallback runs.  The column of a monomial direction x**e needs no form
 of its own: d_i d_j x**e is one monomial, so the column is a weighted sum
-of the adjugate entries of D2 f shifted by e - i - j, read off integer
+of the reduced adjugate entries shifted by e - i - j, read off integer
 tables built once per f.
 
 Injectivity at the special points q**k, q**k l, q**(k-1) l**2 is conditional
@@ -40,8 +65,8 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
-from .forms import Exponent, Form, dim_sym, monomial_key, monomials_of_degree, \
-    packed, powers
+from .forms import Exponent, Form, dim_sym, exact_quotient, monomial_key, \
+    monomials_of_degree, packed, powers
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
 from .hessians import adjugate_second_partials, adjugate_trace, \
     hess_from_adjugate
@@ -124,6 +149,10 @@ class DifferentialMatrix:
     col_monomials: List[Exponent]
     columns: List[Dict[int, int]]  # image numerators, keyed by row index
     hess_column: Dict[int, int]
+    # the factor x**monomial * q**q_power divided out of every column and
+    # of the Hessian column
+    monomial: Exponent
+    q_power: int
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -193,21 +222,61 @@ def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponen
     return columns
 
 
+def _divide_common_factor(adj: Sequence[Sequence[Form]]
+                          ) -> Tuple[Exponent, int, List[List[Form]]]:
+    """(beta, alpha, adj / P) for P = x**beta * q**alpha, the largest such
+    factor of every adjugate entry, with q = ``hyperbolic_q`` in three or
+    more variables (alpha = 0 in fewer).
+
+    beta is the exponent-wise least exponent over the entries' terms.  alpha
+    is first read off the entry with the fewest terms, by dividing it by q
+    while the division is exact; every entry is then divided once by P, and
+    a remainder anywhere lowers alpha by one and divides again.  Each entry
+    of the result times P is the adjugate entry, confirmed by
+    ``exact_quotient``'s zero remainder.
+    """
+    n = len(adj)
+    live = [adj[i][j] for i in range(n) for j in range(i, n)
+            if not adj[i][j].is_zero()]
+    beta = tuple(map(min, zip(*(e for entry in live
+                                for e in entry.numerators)))) or (0,) * n
+    factor = Form.monomial(beta)
+    q = hyperbolic_q(n - 1) if n >= 3 else None
+    alpha = 0
+    if q is not None and live:
+        g = exact_quotient(min(live, key=Form.num_terms), factor)
+        while (g := exact_quotient(g, q)) is not None:
+            alpha += 1
+    while True:
+        divisor = factor * q ** alpha if alpha else factor
+        quotients = {(i, j): exact_quotient(adj[i][j], divisor)
+                     for i in range(n) for j in range(i, n)}
+        if None not in quotients.values():
+            return beta, alpha, [[quotients[min(i, j), max(i, j)]
+                                  for j in range(n)] for i in range(n)]
+        alpha -= 1
+
+
 def differential_matrix(f: Form) -> DifferentialMatrix:
-    """Matrix of the Hessian differential at f over monomial bases, with
-    each column scaled to integers by its own positive denominator."""
-    adj = adjugate_second_partials(f)
+    """Matrix of the Hessian differential at f over monomial bases, with the
+    adjugate's common factor P divided out and each column scaled to
+    integers by its own positive denominator.
+
+    Column j is D_f(x**e_j) / P and the Hessian column Hess f / P, over the
+    monomials of degree n (d - 2) - deg P; ``monomial`` and ``q_power``
+    record P.
+    """
+    beta, alpha, adj = _divide_common_factor(adjugate_second_partials(f))
     H = hess_from_adjugate(f, adj)
     if H.is_zero():
         raise ValueError("differential is not certified at a vanishing Hessian")
-    n, d = f.nvars, f.degree
-    col_monos = monomials_of_degree(n, d)
-    row_monos = monomials_of_degree(n, n * (d - 2))
+    col_monos = monomials_of_degree(f.nvars, f.degree)
+    row_monos = monomials_of_degree(f.nvars, H.degree)
     row_of = {monomial_key(mono): i for i, mono in enumerate(row_monos)}
     return DifferentialMatrix(
         row_monomials=row_monos, col_monomials=col_monos,
         columns=_monomial_images(adj, col_monos, row_of),
-        hess_column=_indexed(H, row_of),
+        hess_column=_indexed(H, row_of), monomial=beta, q_power=alpha,
     )
 
 
@@ -280,7 +349,7 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
         point=label or "form",
         r=n - 1, d=d,
         domain_dim=domain_dim,
-        matrix_shape=(matrix.nrows, matrix.ncols),
+        matrix_shape=(dim_sym(n, n * (d - 2)), dim_sym(n, d)),
         rank=projective_rank,
         injective=projective_rank == domain_dim,
         method=method,

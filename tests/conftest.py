@@ -3,7 +3,11 @@ from fractions import Fraction
 import sympy
 from hypothesis import strategies as st
 
+from hesskit.errors import InputError
 from hesskit.forms import Form, monomials_of_degree
+from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.orbit_checks import SPECIAL_POINTS
+from hesskit.rank_certificates import DifferentialMatrix, SpecialPoint
 
 SYMS = sympy.symbols("x0 x1 x2 x3 x4")
 
@@ -59,3 +63,31 @@ def forms(draw, nvars=3, min_degree=1, max_degree=4, coeff_bound=6,
     return Form.from_coeffs(
         nvars, d,
         {e: Fraction(c, q) for e, c, q in zip(monos, coeffs, dens) if c})
+
+
+def form_route_matrix(f: Form) -> DifferentialMatrix:
+    """The differential at f with no factor divided out, through ``Form``
+    arithmetic: one ``adjugate_trace`` per monomial direction and ``hess``,
+    over the monomials of degree nvars * (d - 2)."""
+    n, d = f.nvars, f.degree
+    rows = monomials_of_degree(n, n * (d - 2))
+    row_of = {e: i for i, e in enumerate(rows)}
+
+    def column(g):
+        return {row_of[e]: v for e, v in g.numerators.items()}
+
+    adj = adjugate_second_partials(f)
+    cols = monomials_of_degree(n, d)
+    return DifferentialMatrix(
+        rows, cols, [column(adjugate_trace(adj, Form.monomial(e))) for e in cols],
+        column(hess(f)), monomial=(0,) * n, q_power=0)
+
+
+def special_points(degrees):
+    """Every special point whose form has one of the given degrees."""
+    for d in degrees:
+        for kind in SPECIAL_POINTS:
+            try:
+                yield SpecialPoint.at_degree(kind, d)
+            except InputError:  # wrong parity or below the kind's least degree
+                pass

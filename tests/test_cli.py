@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import subprocess
 import sys
 
@@ -144,6 +145,28 @@ class TestRank:
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--point", "qk", "--d", "4", "--r", r])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("config,seed", [(None, 0), ("seed = 5\n", 5)])
+    def test_the_recheck_is_seeded_without_seed(self, config, seed, tmp_path,
+                                                capsys, monkeypatch):
+        """Without --seed the complement re-check is seeded with 0, or with
+        the config file's seed, never from OS entropy."""
+        states = []
+        real = hesskit.cli.verify_special_point_rank
+
+        def recording(point, r, rng=None):
+            states.append(rng.getstate())
+            return real(point, r=r, rng=rng)
+
+        monkeypatch.setattr(hesskit.cli, "verify_special_point_rank", recording)
+        argv = ["rank", "--point", "qk", "--d", "4"]
+        if config:
+            cfg = tmp_path / "rank.cfg"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg)] + argv
+        code, doc = run(capsys, *argv)
+        assert code == 0 and doc["passed"] and doc["complement_checked"]
+        assert states == [random.Random(seed).getstate()]
 
     def test_failed_verification_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(hesskit.cli, "verify_special_point_rank",

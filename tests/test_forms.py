@@ -8,9 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import (FIELD_BITS, Form, dim_sym, dot,
+from hesskit.forms import (FIELD_BITS, Form, dim_sym, dot, exact_quotient,
                            monomials_of_degree, powers, random_form)
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
+from hesskit.orbit_checks import hyperbolic_q
 from hesskit.rank_certificates import differential_matrix
 
 from conftest import RATIONAL, SYMS, forms, to_sympy
@@ -531,6 +532,54 @@ class TestDot:
         for c in (1.5, 0.0, True, False, "1", None):
             with pytest.raises(TypeError, match="int or Fraction"):
                 dot(3, 2, [(c, x3, x3)])
+
+
+class TestExactQuotient:
+    """Division by q, by a monomial and by their products: a product
+    divides back to its factor, and a remainder gives None."""
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_product_divides_back(self, nvars, data):
+        g = data.draw(forms(nvars=nvars, min_degree=0, max_degree=4,
+                            denominators=RATIONAL,
+                            sparse=data.draw(st.booleans())))
+        q = hyperbolic_q(nvars - 1)
+        assert exact_quotient(q * g, q) == g
+        exps = data.draw(st.lists(st.integers(0, 2), min_size=nvars,
+                                  max_size=nvars))
+        P = Form.monomial(exps) * q ** data.draw(st.integers(0, 3))
+        assert exact_quotient(g * P, P) == g
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_remainder_returns_none(self, nvars, data):
+        g = data.draw(forms(nvars=nvars, min_degree=0, max_degree=4,
+                            denominators=RATIONAL,
+                            sparse=data.draw(st.booleans())))
+        q = hyperbolic_q(nvars - 1)
+        # q is irreducible and no monomial, so it divides no q*g + c x**e
+        e = data.draw(st.sampled_from(monomials_of_degree(nvars, g.degree + 2)))
+        c = data.draw(st.integers(1, 5))
+        assert exact_quotient(q * g + Form.monomial(e, c), q) is None
+        # x0 * q does not divide a term free of x0
+        x0 = Form.variable(nvars, 0)
+        free = Form.monomial((0,) * (nvars - 1) + (g.degree + 3,))
+        assert exact_quotient(x0 * q * g + free, x0 * q) is None
+
+    def test_lower_degree_or_a_bad_divisor(self):
+        q = hyperbolic_q(2)
+        assert exact_quotient(Form.variable(3, 0), q) is None
+        assert exact_quotient(q, Form.monomial((0, 0, 0))) == q
+        assert exact_quotient(Form.zero(3, 2), q) == Form.zero(3, 0)
+        two_tops = Form.from_coeffs(3, 2, {(1, 0, 1): 1, (0, 1, 1): 1})
+        for bad in (q * 2, two_tops, q.scale(Fraction(1, 2)), Form.zero(3, 2)):
+            with pytest.raises(ValueError, match="top term"):
+                exact_quotient(q * q, bad)
+        with pytest.raises(ValueError, match="variable counts"):
+            exact_quotient(q, hyperbolic_q(3))
 
 
 class TestRandomAndJson:

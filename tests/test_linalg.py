@@ -12,8 +12,9 @@ from hesskit import linalg, rank_certificates
 from hesskit.errors import InputError, VerificationError
 from hesskit.linalg import (PROBE_PRIMES, IntColumns, invert, nullspace,
                             rank_bareiss, rank_with_certificate)
-from hesskit.orbit_checks import SPECIAL_POINTS
-from hesskit.rank_certificates import SpecialPoint, differential_matrix
+from hesskit.rank_certificates import SpecialPoint
+
+from conftest import form_route_matrix, special_points
 
 
 @st.composite
@@ -200,15 +201,6 @@ class TestRank:
 ONE = IntColumns(1, [{0: 1}])
 
 
-def special_points(degrees):
-    for d in degrees:
-        for kind in SPECIAL_POINTS:
-            try:
-                yield SpecialPoint.at_degree(kind, d)
-            except InputError:  # wrong parity or below the kind's least degree
-                pass
-
-
 SPECIAL_POINTS_4_TO_9 = list(special_points(range(4, 10)))
 
 # Mod 7 the first pivot (column 0, row 0) fills row 2 in column 2, and the
@@ -369,7 +361,7 @@ class TestIntColumns:
         # every entry is even, so mod 2 the rank is 0; mod 3 to 13 the ranks
         # drop part way (qk1l2 at d = 8: 36 mod 5, 0 mod 7, 44 mod 11)
         f = point.form(2)
-        M = differential_matrix(f)
+        M = form_route_matrix(f)
         lead = rank_certificates._largest_coefficient_monomial(f)
         for m in (M.with_hess(range(len(M.col_monomials))),
                   M.with_hess([j for j, mono in enumerate(M.col_monomials)
@@ -411,7 +403,7 @@ class TestFusedRank:
     @pytest.mark.parametrize("point", SPECIAL_POINTS_4_TO_9, ids=str)
     def test_differential_matrices(self, point):
         f = point.form(2)
-        M = differential_matrix(f)
+        M = form_route_matrix(f)
         lead = rank_certificates._largest_coefficient_monomial(f)
         for m in (M.with_hess(range(len(M.col_monomials))),
                   M.with_hess([j for j, mono in enumerate(M.col_monomials)
@@ -424,7 +416,7 @@ class TestFusedRank:
     def test_both_outcomes_at_degree_four(self):
         # qk: 15 modulo 5 and 7 alike; qk1l2: 9 modulo 5 and 10 modulo 7, so
         # the run modulo 35 cannot end
-        qk, qk1l2 = (differential_matrix(SpecialPoint(kind, 2).form(2))
+        qk, qk1l2 = (form_route_matrix(SpecialPoint(kind, 2).form(2))
                      for kind in ("qk", "qk1l2"))
         assert fused_rank(qk.with_hess(range(len(qk.col_monomials))), 5, 7) == 15
         m = qk1l2.with_hess(range(len(qk1l2.col_monomials)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hesskit.forms
 import hesskit.hessians
-from conftest import RATIONAL, forms
+from conftest import RATIONAL, form_route_matrix, forms, special_points
 from hesskit import linalg, rank_certificates
 from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, monomials_of_degree
@@ -15,7 +15,7 @@ from hesskit.harmonic import (QuadraticForm, harmonic_basis,
                               harmonic_decompose)
 from hesskit.hessians import (adjugate_second_partials, adjugate_trace, hess,
                               hess_from_adjugate)
-from hesskit.orbit_checks import SPECIAL_POINTS, pair_m_range
+from hesskit.orbit_checks import SPECIAL_POINTS, hyperbolic_q, pair_m_range
 from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
                                        block_structure_check,
@@ -28,8 +28,9 @@ def bareiss_quotient_ranks(f):
     """Exact oracle for ``projective_injectivity``: Bareiss rank minus one of
     [M' | hess] over the complement it uses, its shape, and of [M | hess] over
     every column, which must agree since the f-column lies in the span of the
-    Hessian column."""
-    M = differential_matrix(f)
+    Hessian column.  M is the full matrix of the Form route, with no factor
+    divided out."""
+    M = form_route_matrix(f)
     lead = rank_certificates._largest_coefficient_monomial(f)
     selected = M.with_hess(
         [j for j, mono in enumerate(M.col_monomials) if mono != lead])
@@ -195,38 +196,45 @@ class TestCertifyDeepRanks:
         assert rep["injective"] and rep["claim"] == "injective"
 
 
-def form_route_matrix(f):
-    """The differential's columns and Hessian column through ``Form``
-    arithmetic: one ``adjugate_trace`` per monomial direction."""
-    n, d = f.nvars, f.degree
-    row_of = {e: i for i, e in enumerate(monomials_of_degree(n, n * (d - 2)))}
-
-    def column(g):
-        return {row_of[e]: v for e, v in g.numerators.items()}
-
-    adj = adjugate_second_partials(f)
-    columns = [column(adjugate_trace(adj, Form.monomial(e)))
-               for e in monomials_of_degree(n, d)]
-    return columns, column(hess(f))
+def times_factor(M, column):
+    """The numerators of ``column`` of M, a sparse column over
+    ``M.row_monomials``, times the factor x**monomial * q**q_power that M
+    records."""
+    n = len(M.monomial)
+    P = Form.monomial(M.monomial)
+    if M.q_power:
+        P = P * hyperbolic_q(n - 1) ** M.q_power
+    g = Form.from_coeffs(n, sum(M.row_monomials[0]),
+                         {M.row_monomials[i]: v for i, v in column.items()})
+    return dict((g * P).numerators)
 
 
 def assert_matches_form_route(f):
-    columns, hess_column = form_route_matrix(f)
-    if not hess_column:
+    """P times each column of ``differential_matrix(f)``, and P times its
+    Hessian column, equal the Form route's full columns dict for dict."""
+    full = form_route_matrix(f)
+    if not full.hess_column:
         with pytest.raises(ValueError, match="vanishing Hessian"):
             differential_matrix(f)
         return
     M = differential_matrix(f)
-    assert M.columns == columns
-    assert M.hess_column == hess_column
+    assert M.col_monomials == full.col_monomials
+    row_of = {e: i for i, e in enumerate(full.row_monomials)}
+
+    def full_rows(numerators):
+        return {row_of[e]: v for e, v in numerators.items()}
+
+    assert [full_rows(times_factor(M, col)) for col in M.columns] == full.columns
+    assert full_rows(times_factor(M, M.hess_column)) == full.hess_column
 
 
 CERTIFY_DEEP_POINTS = [("qkl", 8), ("qk1l2", 9), ("qkl", 9), ("qk1l2", 10)]
 
 
 class TestMonomialShiftColumns:
-    """``differential_matrix`` against the Form route, dict for dict: the
-    mod-p outcome depends on the exact integers, not only on the rank."""
+    """``differential_matrix`` times its recorded factor against the Form
+    route, dict for dict: the mod-p outcome depends on the exact integers,
+    not only on the rank."""
 
     @pytest.mark.parametrize("nvars,examples", [(2, 60), (3, 60), (4, 12)])
     def test_random_forms(self, nvars, examples):
@@ -282,6 +290,116 @@ class TestMonomialShiftColumns:
         assert counts[0][0] == counts[0][1]
 
 
+def component_rank(m):
+    """Exact rank of the IntColumns ``m``: Bareiss on each component of
+    columns joined through shared rows.  No row meets two components, so
+    the rank is the sum, and Bareiss never sees a whole matrix: the full
+    one at r = 3, d = 9 has 4 495 rows."""
+    parent = list(range(m.ncols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    owner = {}
+    for j, col in enumerate(m.columns):
+        for i in col:
+            parent[find(j)] = find(owner.setdefault(i, j))
+    groups = {}
+    for j in range(m.ncols):
+        groups.setdefault(find(j), []).append(j)
+    total = 0
+    for cols in groups.values():
+        rows = {i: k for k, i in enumerate(sorted({i for j in cols
+                                                   for i in m.columns[j]}))}
+        total += linalg.rank_bareiss(linalg.IntColumns(len(rows), [
+            {rows[i]: v for i, v in m.columns[j].items()} for j in cols]))
+    return total
+
+
+# (kind, d) -> (q_power, monomial, shape of the reduced matrix) at r = 2,
+# computed once and frozen: P = x**monomial * q**q_power is the adjugate's
+# largest common factor, and the full matrices are 5-6 times taller.
+REDUCED_FACTORS = {
+    ("qk", 8): (5, (0, 0, 0), (45, 45)),
+    ("qk", 12): (9, (0, 0, 0), (91, 91)),
+    ("qk1l2", 14): (9, (2, 0, 0), (153, 120)),
+    ("qkl", 17): (13, (0, 0, 0), (210, 171)),
+    ("qk1l2", 18): (13, (2, 0, 0), (231, 190)),
+    ("qkl", 19): (15, (0, 0, 0), (253, 210)),
+    ("qk1l2", 20): (15, (2, 0, 0), (276, 231)),
+}
+
+
+class TestReducedDifferential:
+    """The rank path ranks D_f / P, for P the adjugate's common factor."""
+
+    @pytest.mark.parametrize("kind,d", sorted(REDUCED_FACTORS))
+    def test_frozen_factors(self, kind, d):
+        M = differential_matrix(SpecialPoint.at_degree(kind, d).form(2))
+        assert (M.q_power, M.monomial, M.shape) == REDUCED_FACTORS[kind, d]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("point", list(special_points(range(4, 10))), ids=str)
+    def test_reduced_rank_is_the_full_bareiss_rank(self, point, r):
+        f = point.form(r)
+        full, M = form_route_matrix(f), differential_matrix(f)
+        lead = rank_certificates._largest_coefficient_monomial(f)
+        selected = [j for j, mono in enumerate(M.col_monomials) if mono != lead]
+        rank = component_rank(full.with_hess(selected))
+        assert component_rank(M.with_hess(selected)) == rank
+        assert projective_injectivity(f).rank == rank - 1
+        every = range(len(M.col_monomials))
+        assert component_rank(M.with_hess(every)) == rank
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_factor_is_the_largest(self, data):
+        """Dividing the reduced adjugate again finds nothing left."""
+        nvars = data.draw(st.integers(2, 4))
+        if data.draw(st.booleans()):
+            kind = data.draw(st.sampled_from(sorted(SPECIAL_POINTS)))
+            f = SpecialPoint(kind, data.draw(st.integers(2, 5))).form(nvars - 1)
+        else:
+            f = data.draw(forms(nvars=nvars, min_degree=2, max_degree=5,
+                                sparse=True))
+        adj = adjugate_second_partials(f)
+        beta, alpha, reduced = rank_certificates._divide_common_factor(adj)
+        again = rank_certificates._divide_common_factor(reduced)
+        assert again == ((0,) * nvars, 0, reduced)
+
+    def test_a_remainder_lowers_the_q_power(self):
+        """The entry with the fewest terms has q**2, another only q: every
+        entry is divided by q once."""
+        q = hyperbolic_q(2)
+        A = q * q  # three terms
+        B = q * Form.from_coeffs(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1,
+                                        (0, 0, 2): 1, (1, 0, 1): 1})
+        assert A.num_terms() < B.num_terms()
+        adj = [[A, B, A], [B, A, B], [A, B, A]]
+        beta, alpha, reduced = rank_certificates._divide_common_factor(adj)
+        assert (beta, alpha) == ((0, 0, 0), 1)
+        assert reduced[0][0] == q and reduced[0][1] * q == B
+
+    def test_forced_fallback_ranks_the_reduced_matrix(self, monkeypatch):
+        """With the modular answer forced short of full, Bareiss decides on
+        the 91 x 91 reduced matrix at q**6, not the 496 x 91 full one."""
+        shapes = []
+        exact = linalg.rank_bareiss
+
+        def recording(m):
+            shapes.append((m.nrows, m.ncols))
+            return exact(m)
+
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, q: None)
+        monkeypatch.setattr(linalg, "rank_bareiss", recording)
+        rep = projective_injectivity(SpecialPoint.at_degree("qk", 12).form(2))
+        assert shapes == [(91, 91)]
+        assert (rep.rank + 1, rep.method) == (91, "bareiss")
+        assert rep.matrix_shape == (496, 91) and rep.injective
+
+
 SPARSE_CUBICS = (
     {(2, 0, 1): 2, (0, 3, 0): -3, (0, 0, 3): 1},
     {(3, 0, 0): -2, (0, 2, 1): 3, (0, 1, 2): 1},
@@ -329,7 +447,8 @@ class TestSparseCubics:
             for row in plain]
         assert all(all(col.values()) for col in shifted.columns)
         # an entry that cancels is dropped, not stored as 0
-        tiny = DifferentialMatrix([(0,), (1,)], [(1,)], [{0: -2, 1: 1}], {0: 1})
+        tiny = DifferentialMatrix([(0,), (1,)], [(1,)], [{0: -2, 1: 1}], {0: 1},
+                                  monomial=(0,), q_power=0)
         assert tiny.with_hess([0], [2]).columns == [{1: 1}, {0: 1}]
 
     def test_complement_rank_change_is_a_verification_error(self, monkeypatch):

@@ -185,12 +185,13 @@ def _make_callers(tree):
 
 
 def test_only_dot_diff_and_the_unit_build_forms():
-    """``dot`` is the one loop that builds a form from other forms; only it,
-    ``diff`` and the constant form 1 reach the trusted constructor."""
+    """``dot`` is the one loop that builds a form from sums of products;
+    only it, ``diff``, ``exact_quotient`` and the constant form 1 reach the
+    trusted constructor."""
     found = {(name, owner) for name, tree in _library_trees()
              for owner in _make_callers(tree)}
     assert found == {("forms.py", "dot"), ("forms.py", "diff"),
-                     ("forms.py", "_unit")}
+                     ("forms.py", "exact_quotient"), ("forms.py", "_unit")}
 
 
 def test_the_constructor_guard_sees_a_second_loop():
