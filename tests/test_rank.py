@@ -10,7 +10,7 @@ import hesskit.hessians
 from conftest import RATIONAL, form_route_matrix, forms, special_points
 from hesskit import linalg, rank_certificates
 from hesskit.errors import InputError, VerificationError
-from hesskit.forms import Form, dim_sym, monomials_of_degree
+from hesskit.forms import Form, dim_sym, exact_quotient, monomials_of_degree
 from hesskit.harmonic import (QuadraticForm, harmonic_basis,
                               harmonic_decompose)
 from hesskit.hessians import (adjugate_second_partials, adjugate_trace, hess,
@@ -356,7 +356,8 @@ class TestReducedDifferential:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_the_factor_is_the_largest(self, data):
-        """Dividing the reduced adjugate again finds nothing left."""
+        """P times each reduced entry is the adjugate entry, and the reduced
+        entries share no variable and, in three or more variables, no q."""
         nvars = data.draw(st.integers(2, 4))
         if data.draw(st.booleans()):
             kind = data.draw(st.sampled_from(sorted(SPECIAL_POINTS)))
@@ -366,8 +367,17 @@ class TestReducedDifferential:
                                 sparse=True))
         adj = adjugate_second_partials(f)
         beta, alpha, reduced = rank_certificates._divide_common_factor(adj)
-        again = rank_certificates._divide_common_factor(reduced)
-        assert again == ((0,) * nvars, 0, reduced)
+        q = hyperbolic_q(nvars - 1)
+        P = Form.monomial(beta) * q ** alpha
+        assert [[g * P for g in row] for row in reduced] == adj
+        live = [g for row in reduced for g in row if not g.is_zero()]
+        if not live:  # as at f = x0**2: nothing to divide
+            assert (beta, alpha) == ((0,) * nvars, 0)
+            return
+        for i in range(nvars):
+            assert any(e[i] == 0 for g in live for e in g.numerators)
+        if nvars >= 3:
+            assert any(exact_quotient(g, q) is None for g in live)
 
     def test_a_remainder_lowers_the_q_power(self):
         """The entry with the fewest terms has q**2, another only q: every
