@@ -186,9 +186,9 @@ def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
     first.  A singleton column always goes first, and a singleton row is the
     choice in its column; neither makes fill-in.
 
-    Built for the sparse matrices the library makes: the 1540 x 231 matrix
-    of ``certify(20)`` is 1.2% nonzero, and none with 5 000 cells or more in
-    ``certify(4..30)`` or the seed-0 suite is above 8.5%.  Dense input is
+    Built for the sparse matrices the library makes: the 276 x 231 matrix
+    of ``certify(20)`` is 1.3% nonzero, and none with 5 000 cells or more in
+    ``certify(4..30)`` or the seed-0 suite is above 3.1%.  Dense input is
     slow: a random 60 x 60 takes about 25 ms and a 120 x 120 about 190 ms
     mod one prime, where a vectorized int64 loop takes 4 and 15 ms (2 cores,
     Python 3.11).

@@ -13,8 +13,7 @@ from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, exact_quotient, monomials_of_degree
 from hesskit.harmonic import (QuadraticForm, harmonic_basis,
                               harmonic_decompose)
-from hesskit.hessians import (adjugate_second_partials, adjugate_trace, hess,
-                              hess_from_adjugate)
+from hesskit.hessians import adjugate_second_partials, hess_from_adjugate
 from hesskit.orbit_checks import SPECIAL_POINTS, hyperbolic_q, pair_m_range
 from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
