@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from . import linalg
 from .errors import require_int
@@ -29,12 +29,14 @@ _ONE_HALF = Fraction(1, 2)
 
 
 class QuadraticForm:
-    """Nondegenerate quadratic form given by its symmetric Gram matrix."""
+    """Nondegenerate quadratic form given by its symmetric Gram matrix A;
+    its polynomial x^T A x is one ``dot`` of the terms (A_ij, x_i, x_j)."""
 
     __slots__ = ("nvars", "dual", "_poly")
 
     def __init__(self, gram: Sequence[Sequence]):
         n = len(gram)
+        require_int("nvars", n, 1)
         g = [[_coerce(x) for x in row] for row in gram]
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
@@ -48,17 +50,9 @@ class QuadraticForm:
             raise ValueError("Gram matrix is degenerate") from err
         self.nvars = n
         self.dual = tuple(tuple(row) for row in dual)
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] == 0:
-                    continue
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                key = tuple(e)
-                terms[key] = terms.get(key, Fraction(0)) + g[i][j]
-        self._poly = Form(n, 2, terms)
+        xs = [Form.variable(n, i) for i in range(n)]
+        self._poly = dot(n, 2, [(g[i][j], xs[i], xs[j])
+                                for i in range(n) for j in range(n)])
 
     @staticmethod
     def identity(r: int) -> "QuadraticForm":

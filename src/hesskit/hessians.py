@@ -125,7 +125,9 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
 
 
 def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
-    """trace(adj * D2 g), the sum over i, j of adj[i][j] * d_i d_j g.
+    """trace(adj * D2 g) for a symmetric ``adj``, as the adjugate of a
+    symmetric matrix is: the sum over i <= j of adj[i][j] * d_i d_j g, doubled
+    off the diagonal, n (n + 1) / 2 products.
 
     With ``adj = adjugate_second_partials(f)`` this is the jet of Hess along
     g at f (Jacobi's formula); taking the adjugate as an argument lets a
@@ -135,7 +137,8 @@ def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:
     n = g.nvars
     gm = g.second_partials()
     return dot(n, adj[0][0].degree + gm[0][0].degree,
-               [(1, adj[i][j], gm[i][j]) for i in range(n) for j in range(n)])
+               [(1 if i == j else 2, adj[i][j], gm[i][j])
+                for i in range(n) for j in range(i, n)])
 
 
 def hess_from_adjugate(f: Form, adj: Sequence[Sequence[Form]]) -> Form:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
 from .forms import Form, _coerce, dot, monomials_of_degree, powers
@@ -139,32 +139,18 @@ def multiplicity_profile(n: ConeNormalForm) -> dict:
     For l = x2 and m = x1 the curve has a point of multiplicity d-1 there;
     every derivative of order <= d-2 vanishes and exactly one derivative of
     order d-1 survives.  The report names the surviving multi-indices so the
-    caller can pin which one it is.
+    caller can pin which one it is.  Each is read off a Taylor coefficient:
+    for |a| < d, d^a f vanishes at (0:0:1) unless x0**a0 x1**a1 x2**(d-a0-a1)
+    has a nonzero coefficient.
     """
-    f = n.build()
-    d = n.d
-    point = (Fraction(0), Fraction(0), Fraction(1))
-
-    def survivors(order: int) -> List[Tuple[int, int, int]]:
-        alive = []
-        for exps in monomials_of_degree(3, order):
-            g = f
-            for var, cnt in enumerate(exps):
-                for _ in range(cnt):
-                    g = g.diff(var)
-            if g.evaluate(point) != 0:
-                alive.append(exps)
-        return alive
-
-    per_order = [survivors(o) for o in range(d)]
-    through = -1
-    for o, alive in enumerate(per_order):
-        if alive:
-            break
-        through = o
+    f, d = n.build(), n.d
+    per_order = [[a for a in monomials_of_degree(3, o)
+                  if f.coefficient((a[0], a[1], d - a[0] - a[1]))]
+                 for o in range(d)]
+    first = next((o for o, alive in enumerate(per_order) if alive), d)
     return {
         "d": d,
-        "vanishing_through_order": through,
+        "vanishing_through_order": first - 1,
         "nonzero_at_order_d_minus_1": per_order[d - 1],
     }
 

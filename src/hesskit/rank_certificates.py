@@ -73,7 +73,7 @@ from .hessians import adjugate_second_partials, adjugate_trace, \
 from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
 from .orbit_checks import (SPECIAL_POINTS, _predicted_constants, hyperbolic_q,
-                           pair_m_range, power_product)
+                           power_product)
 from .records import json_dict
 
 
@@ -359,15 +359,14 @@ def projective_injectivity(f: Form, label: Optional[str] = None,
 
 
 def precondition_report(point: SpecialPoint, r: int) -> dict:
-    ms = pair_m_range(SPECIAL_POINTS[point.kind].pair, r, point.k)
-    fn = curves.CONDITIONS[point.condition][0]
-    violations = [m for m in ms if fn(r, point.k, m) == 0]
+    """The point's condition over its m-range: row k of ``scan_condition``."""
+    scan = curves.scan_condition(point.condition, r, point.k, point.k)
     return {
         "condition": point.condition,
         "k": point.k,
-        "m_range": [ms.start, point.k],
-        "violations": violations,
-        "holds": not violations,
+        "m_range": [curves.CONDITIONS[point.condition][1], point.k],
+        "violations": [m for _, m in scan.violations],
+        "holds": scan.clean,
     }
 
 
@@ -421,38 +420,34 @@ def block_structure_check(k: int, r: int) -> BlockReport:
     """The differential at q**k acts by a scalar on each harmonic block.
 
     For each i the directions q**(k-i) h with h harmonic of degree 2i must map
-    to lam_i * q**((r+1)(k-1)-i) h with one scalar lam_i for the whole block.
-    For i >= 1 that scalar is the first-order coefficient of the even
-    perturbation family at m = i; at i = 0 the direction is q**k itself and
-    the scalar is (r+1) times the Hessian constant.
+    to lam_i * q**((r+1)(k-1)-i) h with one scalar lam_i for the whole block,
+    the first-order coefficient of the even perturbation family at m = i (at
+    m = 0, by scaling, (r+1) times the Hessian constant).  As in
+    ``verify_pairs``, a zero lam_i means the block maps to the zero form, in
+    no slot, which covers the slot -1 of i = k = 1.
     """
     require_int("k", k, 1)
     require_int("r", r, 1)
     qform = QuadraticForm.canonical_hyperbolic(r)
-    f = power_product(r, k, 0)
-    adj = adjugate_second_partials(f)
-    qpoly = hyperbolic_q(r)
+    qpoly = qform.polynomial()
+    adj = adjugate_second_partials(power_product(r, k, 0))
     qpows = powers(qpoly, k)
     report = BlockReport(k=k, r=r)
     target_total = (r + 1) * (k - 1)
 
     for i in range(0, k + 1):
         slot = target_total - i
-        basis = harmonic_basis(2 * i, qform) if i else [Form.monomial((0,) * (r + 1))]
-        c0, c1 = _predicted_constants("even", r, k, max(i, 1))
-        lam = (r + 1) * c0 if i == 0 else c1
-        qpow = qpoly ** slot if slot else None
-        single = True
-        scalar_ok = True
+        basis = harmonic_basis(2 * i, qform)
+        lam = _predicted_constants("even", r, k, i)[1]
+        scale = lam * qpoly ** slot if lam else None
+        single = scalar_ok = True
         for h in basis:
-            direction = h if i == k else qpows[k - i] * h
-            img = adjugate_trace(adj, direction)
+            img = adjugate_trace(adj, qpows[k - i] * h)
             slots = harmonic_decompose(img, qform)
             nonzero = [t for t, s in enumerate(slots) if not s.is_zero()]
-            if nonzero != [slot]:
+            if nonzero != ([slot] if lam else []):
                 single = False
-            expected = lam * (qpow * h if qpow is not None else h)
-            if img != expected:
+            if not (img == scale * h if lam else img.is_zero()):
                 scalar_ok = False
         report.blocks.append({
             "i": i,

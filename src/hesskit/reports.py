@@ -533,8 +533,8 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
     must be at least 1; more than one distributes entries over processes.
     ``bound`` must be an int of at least 10, as on the command line: below
     that the curve-family check fails for want of range, a failure that
-    says nothing about the curves.  Reports are merged in registration
-    order whatever the completion order.
+    says nothing about the curves.  Reports come in registration order, as
+    ``Executor.map`` returns them whatever the completion order.
     """
     require_int("jobs", jobs, 1)
     require_int("bound", bound, 10)
@@ -545,19 +545,13 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
                          + ", ".join(name for name, _ in REGISTRY))
     digest = check_fixtures()
     ctx = {"seed": seed, "bound": bound}
-    entries: Dict[str, dict] = {}
-    timings: Dict[str, float] = {}
+    tasks = [(name, ctx) for name, _ in selected]
     if jobs > 1 and len(selected) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for name, report, took in pool.map(
-                    _run_one, [(name, ctx) for name, _ in selected]):
-                entries[name] = report
-                timings[name] = took
+            results = list(pool.map(_run_one, tasks))
     else:
-        for name, _ in selected:
-            got, report, took = _run_one((name, ctx))
-            entries[got] = report
-            timings[got] = took
-    ordered = {name: entries[name] for name, _ in selected}
+        results = [_run_one(task) for task in tasks]
     return SuiteResult(seed=seed, bound=bound, name_filter=name_filter,
-                       fixture_sha256=digest, entries=ordered, timings=timings)
+                       fixture_sha256=digest,
+                       entries={name: report for name, report, _ in results},
+                       timings={name: took for name, _, took in results})

@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import isqrt, prod
 
 import pytest
@@ -95,11 +95,26 @@ def _horner(coeffs, x):
     return total
 
 
+def _values_from(coeffs, x):
+    """p(x), p(x + 1), p(x + 2), ... without end, by exact integer forward
+    differences: each difference level is the running sum of the next one,
+    started at its value at x, and the top level is constant."""
+    diffs = [_horner(coeffs, x + i) for i in range(max(len(coeffs), 1))]
+    for level in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    values = repeat(diffs[-1])
+    for start in reversed(diffs[:-1]):
+        values = accumulate(values, initial=start)
+    return values
+
+
 def _loop_points(curve, bound):
-    """Reference search: the exact discriminant test on every x, no sieve."""
+    """Reference search: the exact discriminant test on every x, no sieve,
+    with a, b and c stepped along x by ``_values_from``."""
     found = set()
-    for x in range(-bound, bound + 1):
-        a, b, c = (_horner(p, x) for p in (curve.a, curve.b, curve.c))
+    abc = (_values_from(p, -bound) for p in (curve.a, curve.b, curve.c))
+    for x, a, b, c in zip(range(-bound, bound + 1), *abc):
         if a == 0:
             if b == 0:
                 if c == 0:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hesskit.hessians
-from hesskit.forms import Form
+from hesskit.forms import Form, monomials_of_degree
 from hesskit.hessians import (TParameterForm, hess, hess_t, hess_t_leading,
                               lowest_t_order)
 from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES,
@@ -28,6 +28,39 @@ X2 = _linear(Fraction(0), Fraction(1))
 def standard_form(d, cs=None):
     cs = cs if cs is not None else tuple(Fraction(i) for i in range(1, d))
     return ConeNormalForm(d, X2, X1, cs)
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def cone_normal_forms(draw):
+    """Cone data of degree 3..7 with small coefficients, so zero and
+    proportional (degenerate) data are drawn too."""
+    d = draw(st.integers(3, 7))
+    l, m = (_linear(draw(_small), draw(_small)) for _ in range(2))
+    return ConeNormalForm(d, l, m, draw(st.lists(_small, min_size=d - 1,
+                                                 max_size=d - 1)))
+
+
+def profile_by_differentiation(n):
+    """``multiplicity_profile`` by its former route: each derivative by
+    repeated ``diff``, then evaluated at (0:0:1)."""
+    f, d = n.build(), n.d
+    point = (Fraction(0), Fraction(0), Fraction(1))
+
+    def survives(exps):
+        g = f
+        for var, cnt in enumerate(exps):
+            for _ in range(cnt):
+                g = g.diff(var)
+        return g.evaluate(point) != 0
+
+    per_order = [[a for a in monomials_of_degree(3, o) if survives(a)]
+                 for o in range(d)]
+    first = next((o for o, alive in enumerate(per_order) if alive), d)
+    return {"d": d, "vanishing_through_order": first - 1,
+            "nonzero_at_order_d_minus_1": per_order[d - 1]}
 
 
 class TestNormalForms:
@@ -62,6 +95,21 @@ class TestNormalForms:
         prof = multiplicity_profile(standard_form(d))
         assert prof["vanishing_through_order"] == d - 2
         assert prof["nonzero_at_order_d_minus_1"] == [(d - 1, 0, 0)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=cone_normal_forms())
+    def test_multiplicity_profile_matches_differentiation(self, n):
+        assert multiplicity_profile(n) == profile_by_differentiation(n)
+
+    @pytest.mark.parametrize("l,m,cs", [
+        (X2, X1, (0, 0, 0, 0)),  # every c zero: a cone
+        (X1, 3 * X1, (2, -1, 1, 4)),  # l and m proportional
+        (_linear(0, 0), X2, (1, 0, 2, 0)),  # l zero, m through (0:0:1)
+        (X2, _linear(0, 0), (1, 2, 3, 4)),  # m zero
+    ])
+    def test_multiplicity_profile_of_degenerate_data(self, l, m, cs):
+        n = ConeNormalForm(5, l, m, cs)
+        assert multiplicity_profile(n) == profile_by_differentiation(n)
 
     def test_surviving_derivative_value(self):
         """The one order-(d-1) derivative at (0:0:1) evaluates to (d-1)!."""

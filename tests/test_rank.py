@@ -9,12 +9,14 @@ import hesskit.forms
 import hesskit.hessians
 from conftest import RATIONAL, form_route_matrix, forms, special_points
 from hesskit import linalg, rank_certificates
+from hesskit.curves import CONDITIONS, even_a
 from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, exact_quotient, monomials_of_degree
 from hesskit.harmonic import (QuadraticForm, harmonic_basis,
                               harmonic_decompose)
 from hesskit.hessians import adjugate_second_partials, hess_from_adjugate
-from hesskit.orbit_checks import SPECIAL_POINTS, hyperbolic_q, pair_m_range
+from hesskit.orbit_checks import (SPECIAL_POINTS, closed_form_constant,
+                                  hyperbolic_q, pair_m_range)
 from hesskit.reports import certify
 from hesskit.rank_certificates import (DifferentialMatrix, SpecialPoint,
                                        block_structure_check,
@@ -159,6 +161,24 @@ class TestSpecialPointRanks:
             assert point.condition == condition
             assert pair_m_range(pair, 2, k) == range(m_min, k + 1)
             assert precondition_report(point, 2)["m_range"] == [m_min, k]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_precondition_matches_a_loop_over_m(self, r):
+        """The report against the loop over the pair's m-range it replaced."""
+        held = set()
+        for point in special_points(range(2, 31)):
+            ms = pair_m_range(SPECIAL_POINTS[point.kind].pair, r, point.k)
+            fn = CONDITIONS[point.condition][0]
+            violations = [m for m in ms if fn(r, point.k, m) == 0]
+            assert precondition_report(point, r) == {
+                "condition": point.condition,
+                "k": point.k,
+                "m_range": [ms.start, point.k],
+                "violations": violations,
+                "holds": not violations,
+            }
+            held.add(not violations)
+        assert held == {True, False}
 
     def test_invalid_points_rejected(self):
         with pytest.raises(ValueError):
@@ -501,6 +521,28 @@ class TestBlockStructure:
     def test_rank_one_case_rejected(self):
         with pytest.raises(ValueError):
             block_structure_check(0, 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_k_one_top_block_maps_to_zero(self, r):
+        # at q the block i = 1 has slot -1, no power of q: its scalar
+        # vanishes and the block must map to the zero form
+        rep = block_structure_check(1, r)
+        assert rep.passed()
+        top = rep.blocks[1]
+        assert (top["i"], top["target_slot"], top["scalar"]) == (1, -1, "0")
+        assert top["single_slot"] and top["scalar_holds"]
+
+    def test_zero_scalar_block_lands_in_no_slot(self):
+        assert even_a(3, 3, 2) == 0
+        rep = block_structure_check(3, 3)
+        assert rep.passed()
+        assert [b["scalar"] for b in rep.blocks] == ["-6480", "-4320", "0", "6480"]
+
+    @pytest.mark.parametrize("k,r", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 1)])
+    def test_block_i_zero_scalar_is_the_scaled_hessian_constant(self, k, r):
+        # the direction q**k at q**k: scaling gives (r+1) times the constant
+        scalar = block_structure_check(k, r).blocks[0]["scalar"]
+        assert scalar == str((r + 1) * closed_form_constant(r, k, 0))
 
 
 class TestMultiplicationProjection:
