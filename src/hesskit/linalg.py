@@ -14,25 +14,23 @@ The rank path works on ``IntColumns``, a sparse integer matrix stored as one
 column (the differential matrices) hand it over as is; a dense rational
 input is cleared once and turned into the same columns.  ``rank_mod_p`` is
 the one modular elimination: it reduces the columns mod q, any int q >= 2,
-and eliminates the residues as they are, one sparse Gaussian elimination on
-Python dicts under the original row and column indices.  Its pivot rule is
-Markowitz's, not ``_echelon``'s: the column with the fewest live rows, then
-the row in it with the fewest entries, ties to the lower index.  A
-singleton column always goes first and a singleton row is the pivot chosen
-in its column, both without fill-in, so the structured first step of
-LaMacchia & Odlyzko (CRYPTO '90) needs no pass of its own.
+and eliminates the residues left-looking, under the original row indices:
+each column in turn, densest first, is reduced against the pivot columns
+already taken by fraction-free steps v <- c*v - f*b, then takes its pivot
+on the row that the fewest columns touch.  On these very sparse matrices
+this is the usual choice over finite fields (Dumas & Villard, CASC 2002):
+it keeps no row dicts and takes no inverse.
 
 The elimination takes a pivot only when it is a unit mod q and stops at
 the first one that is not.  So a run that ends with r pivots shows an
-r x r minor, on the pivot rows and columns, whose determinant is up to sign
-the product of the pivots mod q: a unit mod q, hence a nonzero integer, and
-the rational rank is at least r.  This holds for any modulus q >= 2, prime
-or not, so no primality test is needed.  ``rank_with_certificate`` runs it
-once, with q the product of the two ``PROBE_PRIMES`` (about 2**62).  A
-result equal to the column count is a proof of full column rank over the
-rationals, and the rank path takes it as the answer.  Any other result,
-a stopped run included, goes to the exact path, the only place where the
-columns become a dense Python matrix.
+r x r minor, on the pivot rows and columns, that is a unit mod q, hence a
+nonzero integer, and the rational rank is at least r.  This holds for any
+modulus q >= 2, prime or not, so no primality test is needed.
+``rank_with_certificate`` runs it once, with q the product of the two
+``PROBE_PRIMES`` (about 2**62).  A result equal to the column count is a
+proof of full column rank over the rationals, and the rank path takes it
+as the answer.  Any other result, a stopped run included, goes to the
+exact path, the only place where the columns become a dense Python matrix.
 
 Pivoting is deterministic throughout; ``_echelon`` takes the first row with
 a nonzero entry in the leftmost unfinished column.  No randomness, no
@@ -41,6 +39,7 @@ floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
@@ -163,84 +162,74 @@ def _residues(columns: Sequence[Dict[int, int]], q: int) -> List[Dict[int, int]]
 
 
 def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
-    """Rank of the integer matrix ``m`` modulo q, an int >= 2, by one sparse
-    elimination that takes only unit pivots; ``None`` at the first pivot
-    that is not a unit mod q.
+    """Rank of the integer matrix ``m`` modulo q, an int >= 2, by one
+    fraction-free column elimination that takes only unit pivots; ``None``
+    at the first pivot that is not a unit mod q.
 
-    Always a lower bound for the rational rank.  A pivot row is only ever
-    changed by adding multiples of earlier pivot rows, and when it is taken
-    it is 0 in every earlier pivot column.  So, mod q, the minor of ``m`` on
-    the r pivot rows and columns of a run that ends is up to sign the
-    product of the r pivots, a unit mod q.  That minor is then a nonzero
-    integer, and the rational rank is at least r.  Nothing here needs q to
-    be prime.  For every prime p dividing q the run, reduced mod p, is an
-    elimination over GF(p) with nonzero pivots that leaves every other entry
-    0 mod q, so 0 mod p: r is also the rank mod p.  For a prime q every
-    nonzero residue is a unit and the run always ends.
+    Always a lower bound for the rational rank.  Each residue column v is
+    reduced against the columns b already taken, in the order they were
+    taken, by v <- c*v - f*b, with c the unit pivot of b and f the entry of
+    v on b's pivot row: a unit times v minus an earlier column, so no
+    inverse is taken.  A taken column is 0 on every earlier pivot row, so
+    the taken columns restricted to the pivot rows, in the order taken, are
+    triangular with the pivots on the diagonal.  The minor of ``m`` on the
+    r pivot rows and columns of a run that ends is that triangle's
+    determinant times a unit: a unit mod q, so a nonzero integer, and the
+    rational rank is at least r.  Nothing here needs q to be prime.  A
+    column that reduces to 0 is, times a unit, a combination of the taken
+    ones, so for every prime p dividing q, r is the rank mod p.  For a prime
+    q every nonzero residue is a unit and the run always ends.
 
-    Rows are ``{col: residue}`` dicts and columns sets of live rows, both
-    under the original indices; ``m`` is not touched.  Each step pivots in
-    the column with the fewest live rows (a heap of counts whose stale
-    entries are skipped), on the row there with the fewest entries, ties to
-    the lower index: Markowitz's rule (Management Sci. 3, 1957) taken column
-    first.  A singleton column always goes first, and a singleton row is the
-    choice in its column; neither makes fill-in.
+    The columns go densest first (a stable sort by entry count), and a
+    column's pivot is its entry on the row that the fewest residue columns
+    touch, ties to the lower index.  Both are measured: on the complement
+    re-check matrix of ``qk1l2`` at d = 30 the run takes about 11 ms, 27 ms
+    in input order, 510 ms with each column's lowest row as its pivot and
+    220 ms with neither (Markowitz's elimination, which this replaced: 16).
+    Reducing by an earlier column can put an entry on a later pivot row, so
+    each column walks the positions of its pivot rows through a heap.  ``m``
+    is not touched.
 
     Built for the sparse matrices the library makes: the 276 x 231 matrix
-    of ``certify(20)`` is 1.3% nonzero, and none with 5 000 cells or more in
-    ``certify(4..30)`` or the seed-0 suite is above 3.1%.  Dense input is
-    slow: a random 60 x 60 takes about 25 ms and a 120 x 120 about 190 ms
-    mod one prime, where a vectorized int64 loop takes 4 and 15 ms (2 cores,
-    Python 3.11).
+    of ``certify(20)`` is 1.3% nonzero, about 3.6 entries per column, and
+    none with 5 000 cells or more in ``certify(4..30)`` or the seed-0 suite
+    is above 3.1%.  Dense input is slow, and slower than under the
+    Markowitz elimination, for the scaling by c at every step: modulo the
+    probes' product a random 60 x 60 takes about 42 ms (Markowitz 25) and a
+    120 x 120 about 330 ms (Markowitz 185) on 2 cores, Python 3.11.
     """
     require_int("q", q, 2)
-    rows: Dict[int, Dict[int, int]] = {}
-    cols: List[set] = []
-    for c, col in enumerate(_residues(m.columns, q)):
-        cols.append(set(col))
-        for r, x in col.items():
-            if r in rows:
-                rows[r][c] = x
-            else:
-                rows[r] = {c: x}
-    heap = [(len(live), c) for c, live in enumerate(cols) if live]
-    heapify(heap)
-    rank = 0
-    while heap:
-        n, c = heappop(heap)
-        live = cols[c]
-        if n != len(live):
-            continue
-        r = min([(len(rows[i]), i) for i in live])[1]
-        prow = rows.pop(r)
-        pivot = prow.pop(c)
-        if gcd(pivot, q) != 1:
-            return None
-        cols[c] = set()
-        live.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        if live:
-            # row i becomes row i - f / pivot * (pivot row), f its entry in c
-            neg = q - pow(pivot, -1, q)
-            scaled = [(j, y * neg % q) for j, y in prow.items()]
-            for i in live:
-                row = rows[i]
-                f = row.pop(c)
-                for j, y in scaled:
-                    if j not in row:
-                        row[j] = f * y % q
-                        cols[j].add(i)
-                    elif x := (row[j] + f * y) % q:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-        for j in prow:
-            if cols[j]:
-                heappush(heap, (len(cols[j]), j))
-        rank += 1
-    return rank
+    columns = sorted(_residues(m.columns, q), key=len, reverse=True)
+    touched = Counter(i for col in columns for i in col)
+    position: Dict[int, int] = {}
+    taken: List[Tuple[int, int, Dict[int, int]]] = []
+    for v in columns:
+        heap = [position[i] for i in v if i in position]
+        heapify(heap)
+        while heap:
+            r, c, b = taken[heappop(heap)]
+            f = v.pop(r, 0)
+            if not f:
+                continue
+            # v <- c*v - f*b, whose entry on r cancels
+            v = {i: x * c % q for i, x in v.items()}
+            for i, y in b.items():
+                if i not in v:
+                    v[i] = -f * y % q
+                    if i in position:
+                        heappush(heap, position[i])
+                elif x := (v[i] - f * y) % q:
+                    v[i] = x
+                else:
+                    del v[i]
+        if v:
+            r = min(v, key=lambda i: (touched[i], i))
+            c = v.pop(r)
+            if gcd(c, q) != 1:
+                return None
+            position[r] = len(taken)
+            taken.append((r, c, v))
+    return len(taken)
 
 
 def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]]

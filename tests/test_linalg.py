@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
-from math import prod
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -49,11 +51,12 @@ def int_columns(draw, max_dim=6):
 
 @st.composite
 def peelable(draw, p):
-    """``IntColumns`` built to exercise singleton peeling mod p: a random
-    core about two thirds full, a chain of two-entry columns whose singleton
-    rows appear only one removal at a time, forced singleton columns and
-    rows, empty rows and columns, and entries that are multiples of p; rows
-    and columns shuffled.
+    """``IntColumns`` with the structure singleton peeling feeds on, mod p:
+    a random core about two thirds full, a chain of two-entry columns whose
+    singleton rows appear only one removal at a time, forced singleton
+    columns and rows, empty rows and columns, and entries that are multiples
+    of p; rows and columns shuffled.  ``markowitz_rank_mod_p`` peels such
+    matrices; ``rank_mod_p`` meets them as one more column order.
     """
     entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p),
                       st.integers(2 ** 63, 2 ** 70)).filter(bool)
@@ -93,7 +96,7 @@ def fill_cores(draw, p):
     """``IntColumns`` whose eliminations make fill-in that matters: in an
     n x n core two permutations, one a cyclic shift of the other, give every
     row and column two entries, so no singleton peels the core and each
-    pivot fills in the row it clears.  The cycle's entries are 1 or -1, so
+    reduction fills in an entry the next one must clear.  The cycle's entries are 1 or -1, so
     its determinant is 0 or 2 and the core is singular over the rationals
     about half the time: only the filled entries show it.  Up to two extra
     cells (multiples of p among them) and up to two extra rows; rows and
@@ -130,6 +133,61 @@ def dense_rank_mod_p(m, p):
             if rows[i][c]:
                 f = rows[i][c] * inv % p
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def markowitz_rank_mod_p(m, q):
+    """The sparse elimination ``rank_mod_p`` replaced, kept as an oracle:
+    rows as ``{col: residue}`` dicts, columns as sets of live rows, the
+    column with the fewest live rows pivoted on its row with the fewest
+    entries (Markowitz's rule taken column first), ties to the lower index;
+    ``None`` at the first pivot that is not a unit mod q."""
+    rows = {}
+    cols = []
+    for c, col in enumerate(linalg._residues(m.columns, q)):
+        cols.append(set(col))
+        for r, x in col.items():
+            if r in rows:
+                rows[r][c] = x
+            else:
+                rows[r] = {c: x}
+    heap = [(len(live), c) for c, live in enumerate(cols) if live]
+    heapify(heap)
+    rank = 0
+    while heap:
+        n, c = heappop(heap)
+        live = cols[c]
+        if n != len(live):
+            continue
+        r = min([(len(rows[i]), i) for i in live])[1]
+        prow = rows.pop(r)
+        pivot = prow.pop(c)
+        if gcd(pivot, q) != 1:
+            return None
+        cols[c] = set()
+        live.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        if live:
+            # row i becomes row i - f / pivot * (pivot row), f its entry in c
+            neg = q - pow(pivot, -1, q)
+            scaled = [(j, y * neg % q) for j, y in prow.items()]
+            for i in live:
+                row = rows[i]
+                f = row.pop(c)
+                for j, y in scaled:
+                    if j not in row:
+                        row[j] = f * y % q
+                        cols[j].add(i)
+                    elif x := (row[j] + f * y) % q:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+        for j in prow:
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
         rank += 1
     return rank
 
@@ -244,8 +302,9 @@ class TestProbePrimes:
         (PROBE_PRIMES[0], None), (PROBE_PRIMES[1], None),
         (PROBE_PRIMES[0] * PROBE_PRIMES[1], 0)])
     def test_entry_divisible_by_a_probe_goes_to_bareiss(self, entry, fused):
-        # a singleton pivot that is no unit modulo the probes' product stops
-        # the run, though no inverse is taken; their product itself is 0
+        # a lone entry that is no unit modulo the probes' product is a pivot
+        # that stops the run, though nothing is reduced by it; their product
+        # itself is 0
         q = prod(PROBE_PRIMES)
         assert linalg.rank_mod_p(IntColumns(1, [{0: entry}]), q) == fused
         assert rank_with_certificate([[entry]]) == (
@@ -317,16 +376,17 @@ class TestIntColumns:
         assert m.columns == before
 
     def test_singleton_only_modulo_p(self):
-        # mod 3 the first column is x at row 1 alone, a singleton pivot that
-        # leaves the second column empty.  Mod 5 neither column nor row is a
-        # singleton and the 2 x 2 block has determinant 0.
+        # mod 3 each column is one entry on row 1, and the second reduces to
+        # 0 against the first.  Mod 5 both columns have two entries and the
+        # 2 x 2 block has determinant 0, so again one column reduces to 0.
         m = IntColumns(2, [{0: 3, 1: 1}, {0: 6, 1: 2}])
         for p in (3, 5, 7) + PROBE_PRIMES:
             assert linalg.rank_mod_p(m, p) == dense_rank_mod_p(m, p) == 1
 
     def test_chain_of_singletons_peels_completely(self):
-        # rows 0 and 3 are the only singletons at first; each removal
-        # exposes the next row (mod 3 the entries 3 and 6 vanish)
+        # rows 0 and 3 are the only singletons at first, and peeling exposes
+        # one row at a time; a column order must get the same rank (mod 3
+        # the entries 3 and 6 vanish)
         m = IntColumns(4, [{0: 1, 1: 2}, {1: 3, 2: 4}, {2: 5, 3: 6}])
         assert linalg.rank_mod_p(m, 7) == 3
         for p in (3, 5, 7) + PROBE_PRIMES:
@@ -441,6 +501,53 @@ class TestFusedRank:
             assert rank <= rank_bareiss(m)
             assert all(linalg.rank_mod_p(m, p) == rank
                        for p in sympy.primefactors(q))
+
+
+SMALL_AND_PROBE = (2, 3, 5, 7, PROBE_PRIMES[0])
+
+
+def ranked_special_point_matrices(point):
+    """The matrices ``verify_special_point_rank`` ranks at ``point``, r = 2:
+    [M' | hess] and its randomized-complement re-check."""
+    seen = []
+    rank_mod_p = linalg.rank_mod_p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rank_mod_p",
+                   lambda m, q: seen.append(m) or rank_mod_p(m, q))
+        rank_certificates.verify_special_point_rank(
+            point, 2, rng=random.Random(7))
+    assert len(seen) == 2
+    return seen
+
+
+class TestAgainstMarkowitz:
+    """``rank_mod_p`` against the Markowitz elimination it replaced."""
+
+    @pytest.mark.parametrize("p", SMALL_AND_PROBE)
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_random_matrices(self, p, data):
+        m = data.draw(st.one_of(int_columns(), peelable(p), fill_cores(p)))
+        before = [dict(col) for col in m.columns]
+        assert linalg.rank_mod_p(m, p) == markowitz_rank_mod_p(m, p)
+        assert m.columns == before
+
+    @pytest.mark.parametrize("point", list(special_points(range(4, 21))), ids=str)
+    def test_special_point_matrices(self, point):
+        # modulo the probes' product both runs end, at the same rank; the
+        # complement re-check matrix is compared up to d = 12
+        q = prod(PROBE_PRIMES)
+        matrices = ranked_special_point_matrices(point)
+        for m in matrices if point.degree <= 12 else matrices[:1]:
+            rank = linalg.rank_mod_p(m, q)
+            assert rank is not None and rank == markowitz_rank_mod_p(m, q)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), p=st.sampled_from(SMALL_AND_PROBE))
+    def test_column_order_does_not_change_the_rank(self, data, p):
+        m = data.draw(st.one_of(int_columns(), peelable(p), fill_cores(p)))
+        shuffled = IntColumns(m.nrows, data.draw(st.permutations(m.columns)))
+        assert linalg.rank_mod_p(shuffled, p) == linalg.rank_mod_p(m, p)
 
 
 class TestDetSolve:
