@@ -19,7 +19,7 @@ each column in turn, densest first, is reduced against the pivot columns
 already taken by fraction-free steps v <- c*v - f*b, then takes its pivot
 on the row that the fewest columns touch.  On these very sparse matrices
 this is the usual choice over finite fields (Dumas & Villard, CASC 2002):
-it keeps no row dicts and takes no inverse.
+it stores only the taken columns and takes no inverse.
 
 The elimination takes a pivot only when it is a unit mod q and stops at
 the first one that is not.  So a run that ends with r pivots shows an
@@ -183,20 +183,20 @@ def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
     The columns go densest first (a stable sort by entry count), and a
     column's pivot is its entry on the row that the fewest residue columns
     touch, ties to the lower index.  Both are measured: on the complement
-    re-check matrix of ``qk1l2`` at d = 30 the run takes about 11 ms, 27 ms
+    re-check matrix of ``qk1l2`` at d = 30 the run takes about 10 ms, 27 ms
     in input order, 510 ms with each column's lowest row as its pivot and
-    220 ms with neither (Markowitz's elimination, which this replaced: 16).
-    Reducing by an earlier column can put an entry on a later pivot row, so
-    each column walks the positions of its pivot rows through a heap.  ``m``
-    is not touched.
+    220 ms with neither (Markowitz's elimination, which this replaced:
+    15-24 ms).  Reducing by an earlier column can put an entry on a later
+    pivot row, so each column walks the positions of its pivot rows through
+    a heap.  ``m`` is not touched.
 
     Built for the sparse matrices the library makes: the 276 x 231 matrix
     of ``certify(20)`` is 1.3% nonzero, about 3.6 entries per column, and
     none with 5 000 cells or more in ``certify(4..30)`` or the seed-0 suite
     is above 3.1%.  Dense input is slow, and slower than under the
     Markowitz elimination, for the scaling by c at every step: modulo the
-    probes' product a random 60 x 60 takes about 42 ms (Markowitz 25) and a
-    120 x 120 about 330 ms (Markowitz 185) on 2 cores, Python 3.11.
+    probes' product a random 60 x 60 takes 36-44 ms (Markowitz 21-34) and
+    a 120 x 120 280-345 ms (Markowitz 160-190), 2 cores, Python 3.11.
     """
     require_int("q", q, 2)
     columns = sorted(_residues(m.columns, q), key=len, reverse=True)

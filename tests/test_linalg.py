@@ -96,11 +96,11 @@ def fill_cores(draw, p):
     """``IntColumns`` whose eliminations make fill-in that matters: in an
     n x n core two permutations, one a cyclic shift of the other, give every
     row and column two entries, so no singleton peels the core and each
-    reduction fills in an entry the next one must clear.  The cycle's entries are 1 or -1, so
-    its determinant is 0 or 2 and the core is singular over the rationals
-    about half the time: only the filled entries show it.  Up to two extra
-    cells (multiples of p among them) and up to two extra rows; rows and
-    columns shuffled.
+    reduction fills in an entry the next one must clear.  The cycle's
+    entries are 1 or -1, so its determinant is 0 or 2 and the core is
+    singular over the rationals about half the time: only the filled
+    entries show it.  Up to two extra cells (multiples of p among them) and
+    up to two extra rows; rows and columns shuffled.
     """
     entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p),
                       st.integers(2 ** 63, 2 ** 70)).filter(bool)
