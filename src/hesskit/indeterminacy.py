@@ -40,6 +40,20 @@ def _linear(a, b) -> Form:
     return Form.from_coeffs(3, 1, {(0, 1, 0): a, (0, 0, 1): b})
 
 
+def _x12(u: Form) -> Tuple[Fraction, Fraction]:
+    """The coefficients (a, b) of x1 and x2 in u; a zero form reads (0, 0)."""
+    return u.coefficient((0, 1, 0)), u.coefficient((0, 0, 1))
+
+
+def _cone_form(d: int, l: Form, m: Form, cs) -> Form:
+    """x0**d + x0**(d-1) l + sum_{i>=2} c_i x0**(d-i) m**i, cs = (c_2, ...)."""
+    xs = powers(Form.variable(3, 0), d - 1)
+    ms = powers(m, len(cs) + 1)
+    terms = [(1, xs[d - 1], xs[1]), (1, xs[d - 1], l)]
+    terms += [(c, xs[d - i], ms[i]) for i, c in enumerate(cs, start=2)]
+    return dot(3, d, terms)
+
+
 @dataclass(frozen=True)
 class ConeNormalForm:
     """Data (d, l, m, c2..cd) realizing the h12-degenerate normal shape."""
@@ -61,13 +75,7 @@ class ConeNormalForm:
                 raise ValueError("l and m must not involve x0")
 
     def build(self) -> Form:
-        d = self.d
-        xs = powers(Form.variable(3, 0), d - 1)
-        ms = powers(self.m, d)
-        terms = [(1, xs[d - 1], xs[1]), (1, xs[d - 1], self.l)]
-        terms += [(c, xs[d - i], ms[i])
-                  for i, c in enumerate(self.cs, start=2) if c]
-        return dot(3, d, terms)
+        return _cone_form(self.d, self.l, self.m, self.cs)
 
     def degenerate(self) -> bool:
         """True when the construction forces a vanishing Hessian."""
@@ -77,12 +85,7 @@ class ConeNormalForm:
 
 
 def _proportional(u: Form, v: Form) -> bool:
-    if u.is_zero() or v.is_zero():
-        return True
-    ua = u.terms.get((0, 1, 0), Fraction(0))
-    ub = u.terms.get((0, 0, 1), Fraction(0))
-    va = v.terms.get((0, 1, 0), Fraction(0))
-    vb = v.terms.get((0, 0, 1), Fraction(0))
+    (ua, ub), (va, vb) = _x12(u), _x12(v)
     return ua * vb - ub * va == 0
 
 
@@ -114,7 +117,7 @@ def normal_form_check(n: ConeNormalForm) -> NormalFormReport:
     f = n.build()
     H = hess(f)
     h12_ok = h12(f).is_zero()
-    divisible = H.is_zero() or f_divisible_by_x0(H, 2 * n.d - 4)
+    divisible = f_divisible_by_x0(H, 2 * n.d - 4)
     hess_zero = H.is_zero()
     deg = n.degenerate()
     return NormalFormReport(
@@ -128,8 +131,6 @@ def normal_form_check(n: ConeNormalForm) -> NormalFormReport:
 
 
 def f_divisible_by_x0(f: Form, power: int) -> bool:
-    if power <= 0:
-        return True
     return all(e[0] >= power for e in f.terms)
 
 
@@ -190,15 +191,10 @@ def pair_divisibility_check(f: Form, g: Form, case: str = "input") -> GateReport
     gates = h12(f).is_zero() and h12(f, g).is_zero() and hess(f).is_zero()
     if not gates:
         return GateReport("pair-divisibility", d, case, False, False, None, None)
-    power = 2 * d - 4
-    ffg = h3(f, f, g)
-    ok = f_divisible_by_x0(ffg, power)
-    nonzero = not ffg.is_zero()
+    values = [h3(f, f, g)]
     if h12(g).is_zero():
-        fgg = h3(f, g, g)
-        ok = ok and f_divisible_by_x0(fgg, power)
-        nonzero = nonzero or not fgg.is_zero()
-    return GateReport("pair-divisibility", d, case, True, True, ok, nonzero)
+        values.append(h3(f, g, g))
+    return _verdict("pair-divisibility", d, case, values, 2 * d - 4)
 
 
 def triple_divisibility_check(f: Form, g: Form, h: Form,
@@ -214,10 +210,15 @@ def triple_divisibility_check(f: Form, g: Form, h: Form,
              and hess(f).is_zero())
     if not gates:
         return GateReport("triple-divisibility", d, case, False, False, None, None)
-    val = h3(f, g, h)
-    ok = f_divisible_by_x0(val, d - 3)
-    return GateReport("triple-divisibility", d, case, True, True, ok,
-                      not val.is_zero())
+    return _verdict("triple-divisibility", d, case, [h3(f, g, h)], d - 3)
+
+
+def _verdict(name: str, d: int, case: str, values, power: int) -> GateReport:
+    """The report once the gates hold: divisible when x0**power divides every
+    value, nonzero when some value is nonzero."""
+    return GateReport(name, d, case, True, True,
+                      all(f_divisible_by_x0(v, power) for v in values),
+                      any(not v.is_zero() for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +233,21 @@ def _rand_coeff(rng: random.Random, nonzero: bool = False) -> Fraction:
             return Fraction(v)
 
 
-def _rand_binary(rng: random.Random, x: Form, u: Form, degree: int,
-                 monic_x: bool = False) -> Form:
-    """Random form in the pencil spanned by x and u of the given degree."""
-    xs, us = powers(x, degree), powers(u, degree)
-    terms = [(1, xs[degree], us[0])] if monic_x else []
-    for i in range(1 if monic_x else 0, degree + 1):
-        terms.append((_rand_coeff(rng), xs[degree - i], us[i]))
-    out = dot(3, degree, terms)
-    if out.is_zero():
-        out = xs[degree]
-    return out
+def _rand_binary(rng: random.Random, u: Form, degree: int) -> Form:
+    """Random nonzero form of the given degree in the pencil of x0 and u."""
+    xs, us = powers(Form.variable(3, 0), degree), powers(u, degree)
+    out = dot(3, degree, [(_rand_coeff(rng), xs[degree - i], us[i])
+                          for i in range(degree + 1)])
+    return xs[degree] if out.is_zero() else out
+
+
+def _off_cone(rng: random.Random, u: Form, d: int) -> Form:
+    """g0 + v g1 with g0, g1 random in the pencil of x0 and u and v spanning
+    the kernel of u on the (x1, x2) plane; its h12 pairing with any cone
+    along u vanishes."""
+    a, b = _x12(u)
+    g0 = _rand_binary(rng, u, d)
+    return g0 + _linear(b, -a) * _rand_binary(rng, u, d - 1)
 
 
 def sample_cone(d: int, rng: random.Random,
@@ -250,21 +255,20 @@ def sample_cone(d: int, rng: random.Random,
     """A binary-in-(x0, u) cone of degree d with monic x0**d; returns (f, u).
 
     Cones of this shape satisfy h12(f) = 0 and hess(f) = 0 for every choice
-    of the direction u = a x1 + b x2.
+    of the direction u = a x1 + b x2.  With c_1..c_d drawn in order, f is
+    the normal shape with l = c_1 u and m = u.
     """
     a = _rand_coeff(rng, nonzero=True)
     b = Fraction(0) if x2_free else _rand_coeff(rng)
     u = _linear(a, b)
-    x0 = Form.variable(3, 0)
-    f = _rand_binary(rng, x0, u, d, monic_x=True)
-    return f, u
+    cs = [_rand_coeff(rng) for _ in range(d)]
+    return _cone_form(d, cs[0] * u, u, cs[1:]), u
 
 
-def _transverse_direction(u: Form) -> Tuple[Fraction, Fraction]:
-    """(w1, w2) spanning the kernel of u on the (x1, x2) plane."""
-    a = u.terms.get((0, 1, 0), Fraction(0))
-    b = u.terms.get((0, 0, 1), Fraction(0))
-    return (b, -a)
+def _linear_tail(d: int, rng: random.Random) -> Form:
+    """x0**d + c x0**(d-1) u with c nonzero and u = a x1 + b x2, a nonzero."""
+    u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
+    return _cone_form(d, _rand_coeff(rng, nonzero=True) * u, u, ())
 
 
 def sample_gated_pair(d: int, rng: random.Random) -> Tuple[Form, Form, str]:
@@ -278,20 +282,11 @@ def sample_gated_pair(d: int, rng: random.Random) -> Tuple[Form, Form, str]:
     """
     require_int("d", d, 4)
     branch = rng.choice(["f11-zero", "directional-g", "shared-direction"])
-    x0 = Form.variable(3, 0)
     if branch == "f11-zero":
-        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
-        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
-        g = _rand_dense(rng, d)
-        return f, g, branch
+        return _linear_tail(d, rng), _rand_dense(rng, d), branch
     if branch == "directional-g":
         f, u = sample_cone(d, rng)
-        w = _transverse_direction(u)
-        v = _linear(*w)
-        g0 = _rand_binary(rng, x0, u, d)
-        g1 = _rand_binary(rng, x0, u, d - 1)
-        g = g0 + v * g1
-        return f, g, branch
+        return f, _off_cone(rng, u, d), branch
     f, _ = sample_cone(d, rng, x2_free=True)
     g = _normal_form_sample(d, rng).build()
     return f, g, branch
@@ -327,20 +322,15 @@ def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, s
     """
     require_int("d", d, 4)
     branch = rng.choice(["g11-zero", "b-zero-h22", "c-zero"])
-    x0 = Form.variable(3, 0)
     if branch == "g11-zero":
         f, u = sample_cone(d, rng)
         l = _linear(_rand_coeff(rng), _rand_coeff(rng))
-        g = x0 ** d + (x0 ** (d - 1)) * l
-        w = _transverse_direction(u)
-        v = _linear(*w)
-        h = _rand_binary(rng, x0, u, d) + v * _rand_binary(rng, x0, u, d - 1)
-        return f, g, h, branch
+        g = _cone_form(d, l, u, ())
+        return f, g, _off_cone(rng, u, d), branch
     if branch == "b-zero-h22":
         f, _ = sample_cone(d, rng, x2_free=True)
     else:
-        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
-        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
+        f = _linear_tail(d, rng)
     g = _normal_form_sample(d, rng).build()
     h = _no_x2sq_sample(d, rng)
     return f, g, h, branch

@@ -380,35 +380,28 @@ def _entry_cone_normal_forms(ctx: dict) -> dict:
 
 
 def _entry_gated_divisibility(ctx: dict) -> dict:
-    pair_cases: Dict[str, int] = {}
-    triple_cases: Dict[str, int] = {}
-    pair_nonzero = triple_nonzero = 0
+    counts: Dict[str, object] = {}
     failures = []
-    for seed in range(100):
-        rng = random.Random(f"{ctx['seed']}:pair:{seed}")
-        d = rng.choice([4, 5, 6])
-        f, g, case = sample_gated_pair(d, rng)
-        rep = pair_divisibility_check(f, g, case)
-        if not (rep.hypotheses_ok and rep.divisible):
-            failures.append(rep.to_json_dict())
-        pair_cases[case] = pair_cases.get(case, 0) + 1
-        pair_nonzero += 1 if rep.value_nonzero else 0
-    for seed in range(100):
-        rng = random.Random(f"{ctx['seed']}:triple:{seed}")
-        d = rng.choice([4, 5])
-        f, g, h, case = sample_gated_triple(d, rng)
-        rep = triple_divisibility_check(f, g, h, case)
-        if not (rep.hypotheses_ok and rep.divisible):
-            failures.append(rep.to_json_dict())
-        triple_cases[case] = triple_cases.get(case, 0) + 1
-        triple_nonzero += 1 if rep.value_nonzero else 0
-    coverage = len(pair_cases) == 3 and len(triple_cases) == 3
-    ok = not failures and coverage and pair_nonzero > 30 and triple_nonzero > 60
-    return {"passed": ok,
-            "pair_cases": dict(sorted(pair_cases.items())),
-            "triple_cases": dict(sorted(triple_cases.items())),
-            "pair_nonzero": pair_nonzero, "triple_nonzero": triple_nonzero,
-            "failures": failures}
+    covered = True
+    for row, degrees, sample, check, least_nonzero in (
+            ("pair", (4, 5, 6), sample_gated_pair,
+             pair_divisibility_check, 30),
+            ("triple", (4, 5), sample_gated_triple,
+             triple_divisibility_check, 60)):
+        cases: Dict[str, int] = {}
+        nonzero = 0
+        for seed in range(100):
+            rng = random.Random(f"{ctx['seed']}:{row}:{seed}")
+            *forms, case = sample(rng.choice(degrees), rng)
+            rep = check(*forms, case)
+            if not (rep.hypotheses_ok and rep.divisible):
+                failures.append(rep.to_json_dict())
+            cases[case] = cases.get(case, 0) + 1
+            nonzero += 1 if rep.value_nonzero else 0
+        covered = covered and len(cases) == 3 and nonzero > least_nonzero
+        counts[row + "_cases"] = dict(sorted(cases.items()))
+        counts[row + "_nonzero"] = nonzero
+    return {"passed": covered and not failures, **counts, "failures": failures}
 
 
 def _entry_limit_divisibility(ctx: dict) -> dict:

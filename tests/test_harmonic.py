@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import Form, dim_sym, monomials_of_degree
+from hesskit.forms import Form, dim_sym, monomials_of_degree, random_form
 from hesskit.harmonic import (QuadraticForm, bombieri_weyl, dim_harmonic,
                               harmonic_basis, harmonic_decompose, recompose)
 
@@ -217,6 +217,24 @@ class TestBombieriWeyl:
         if f.degree != g.degree:
             g = f
         assert bombieri_weyl(f, g) == bombieri_weyl(g, f)
+
+    def test_identity_summands_are_orthogonal(self):
+        """The summands q**i * f_(d-2i) of the decomposition relative to the
+        identity quadric are pairwise orthogonal, and some of the compared
+        pairs share monomials, so the multinomial weights are exercised."""
+        qid = QuadraticForm.identity(2)
+        q = qid.polynomial()
+        shared = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            f = random_form(3, rng.randint(2, 6), rng)
+            summands = [q ** i * h
+                        for i, h in enumerate(harmonic_decompose(f, qid))]
+            for i, a in enumerate(summands):
+                for b in summands[i + 1:]:
+                    shared += bool(set(a.terms) & set(b.terms))
+                    assert bombieri_weyl(a, b) == 0
+        assert shared > 0
 
     def test_pairing_on_monomials(self):
         """<x0^2, x0^2> at degree 2 carries weight 1 over the multinomial."""

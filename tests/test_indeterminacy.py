@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hesskit.hessians
-from hesskit.forms import Form, monomials_of_degree
+from hesskit import indeterminacy
+from hesskit.forms import Form, dot, monomials_of_degree, powers
 from hesskit.hessians import (TParameterForm, hess, hess_t, hess_t_leading,
                               lowest_t_order)
 from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES,
-                                   _gate_record, _linear,
+                                   _gate_record, _linear, _normal_form_sample,
+                                   _no_x2sq_sample, _rand_coeff, _rand_dense,
                                    exclusion_gate, f_divisible_by_x0,
                                    limit_divisibility_check,
                                    multiplicity_profile, normal_form_check,
-                                   pair_divisibility_check, sample_family,
-                                   sample_gated_pair, sample_gated_triple,
+                                   pair_divisibility_check, sample_cone,
+                                   sample_family, sample_gated_pair,
+                                   sample_gated_triple,
                                    triple_divisibility_check)
 from hesskit.orbit_checks import SPECIAL_POINTS, hyperbolic_q
 from hesskit.rank_certificates import SpecialPoint
@@ -153,6 +156,17 @@ class TestGatedPairs:
         assert not rep.applicable
         assert rep.passed()
 
+    def test_every_value_must_divide(self, monkeypatch):
+        # f = x0**4 and g = x1**4 pass every gate, h12(g, g) included, so
+        # both H(f,f,g) and H(f,g,g) are read; one indivisible value fails
+        f, g = Form.monomial((4, 0, 0)), Form.monomial((0, 4, 0))
+        for values in ([f, g], [g, f]):
+            it = iter(values)
+            monkeypatch.setattr(indeterminacy, "h3", lambda *forms: next(it))
+            rep = pair_divisibility_check(f, g, "manual")
+            assert rep.applicable and rep.value_nonzero
+            assert not rep.divisible and not rep.passed()
+
 
 class TestGatedTriples:
     @pytest.mark.parametrize("seed", range(12))
@@ -170,6 +184,119 @@ class TestGatedTriples:
             rng = random.Random(seed)
             seen.add(sample_gated_triple(5, rng)[3])
         assert seen == {"g11-zero", "b-zero-h22", "c-zero"}
+
+
+def reference_build(n):
+    """``ConeNormalForm.build`` by its former route: one ``dot`` over the
+    nonzero c_i, with every power of m up to m**d."""
+    d = n.d
+    xs = powers(Form.variable(3, 0), d - 1)
+    ms = powers(n.m, d)
+    terms = [(1, xs[d - 1], xs[1]), (1, xs[d - 1], n.l)]
+    terms += [(c, xs[d - i], ms[i]) for i, c in enumerate(n.cs, start=2) if c]
+    return dot(3, d, terms)
+
+
+def reference_binary(rng, x, u, degree, monic_x=False):
+    """The pencil sampler with its former monic switch."""
+    xs, us = powers(x, degree), powers(u, degree)
+    terms = [(1, xs[degree], us[0])] if monic_x else []
+    for i in range(1 if monic_x else 0, degree + 1):
+        terms.append((_rand_coeff(rng), xs[degree - i], us[i]))
+    out = dot(3, degree, terms)
+    return xs[degree] if out.is_zero() else out
+
+
+def reference_cone(d, rng, x2_free=False):
+    a = _rand_coeff(rng, nonzero=True)
+    b = Fraction(0) if x2_free else _rand_coeff(rng)
+    u = _linear(a, b)
+    return reference_binary(rng, Form.variable(3, 0), u, d, monic_x=True), u
+
+
+def reference_transverse_direction(u):
+    a = u.terms.get((0, 1, 0), Fraction(0))
+    b = u.terms.get((0, 0, 1), Fraction(0))
+    return (b, -a)
+
+
+def reference_pair(d, rng):
+    """``sample_gated_pair`` with each shape written out inline."""
+    branch = rng.choice(["f11-zero", "directional-g", "shared-direction"])
+    x0 = Form.variable(3, 0)
+    if branch == "f11-zero":
+        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
+        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
+        return f, _rand_dense(rng, d), branch
+    if branch == "directional-g":
+        f, u = reference_cone(d, rng)
+        v = _linear(*reference_transverse_direction(u))
+        g0 = reference_binary(rng, x0, u, d)
+        g1 = reference_binary(rng, x0, u, d - 1)
+        return f, g0 + v * g1, branch
+    f, _ = reference_cone(d, rng, x2_free=True)
+    return f, reference_build(_normal_form_sample(d, rng)), branch
+
+
+def reference_triple(d, rng):
+    """``sample_gated_triple`` with each shape written out inline."""
+    branch = rng.choice(["g11-zero", "b-zero-h22", "c-zero"])
+    x0 = Form.variable(3, 0)
+    if branch == "g11-zero":
+        f, u = reference_cone(d, rng)
+        l = _linear(_rand_coeff(rng), _rand_coeff(rng))
+        g = x0 ** d + (x0 ** (d - 1)) * l
+        v = _linear(*reference_transverse_direction(u))
+        h = (reference_binary(rng, x0, u, d)
+             + v * reference_binary(rng, x0, u, d - 1))
+        return f, g, h, branch
+    if branch == "b-zero-h22":
+        f, _ = reference_cone(d, rng, x2_free=True)
+    else:
+        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
+        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
+    g = reference_build(_normal_form_sample(d, rng))
+    return f, g, _no_x2sq_sample(d, rng), branch
+
+
+class TestSamplersAgainstReference:
+    """Each sampler returns the forms of its inline reference and leaves the
+    generator in the same state, for every branch it takes."""
+
+    PER_BRANCH = 200
+
+    def assert_same_draws(self, sample, reference, d, branches):
+        seen = {}
+        seed = 0
+        while len(seen) < branches or min(seen.values()) < self.PER_BRANCH:
+            ours, theirs = (random.Random(f"{d}:{seed}") for _ in range(2))
+            got, want = sample(d, ours), reference(d, theirs)
+            assert got == want, (d, seed)
+            assert ours.getstate() == theirs.getstate(), (d, seed)
+            seen[got[-1]] = seen.get(got[-1], 0) + 1
+            seed += 1
+        assert len(seen) == branches
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_pair_sampler(self, d):
+        self.assert_same_draws(sample_gated_pair, reference_pair, d, 3)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_triple_sampler(self, d):
+        self.assert_same_draws(sample_gated_triple, reference_triple, d, 3)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    @pytest.mark.parametrize("x2_free", [False, True])
+    def test_cone_sampler(self, d, x2_free):
+        def tagged(sample):
+            return lambda d, rng: (*sample(d, rng, x2_free), "cone")
+        self.assert_same_draws(tagged(sample_cone), tagged(reference_cone),
+                               d, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=cone_normal_forms())
+    def test_build_matches_the_reference(self, n):
+        assert n.build() == reference_build(n)
 
 
 class TestLimits:
