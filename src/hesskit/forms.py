@@ -46,9 +46,9 @@ mapping of exponent tuples to reduced ``Fraction`` coefficients and
 ``Form.numerators`` one to the stored ints, both computed on access from
 ``_num`` and ``_den``; a lookup with anything but a tuple of ``nvars`` ints
 a field can hold finds nothing.
-``coefficient``, ``sorted_terms``, ``evaluate`` and ``str`` unpack keys the
-same way.  ``packed`` hands the keys themselves to the rank path, which
-indexes its rows by ``monomial_key``.  Nothing in this module touches
+``coefficient``, ``sorted_terms``, ``evaluate``, ``str`` and
+``common_monomial`` unpack keys the same way.  ``packed`` hands the keys
+themselves to the rank path, which indexes its rows by ``monomial_key``.  Nothing in this module touches
 floating point.
 
 The canonical term order used everywhere (printing, iteration, matrix
@@ -451,6 +451,16 @@ def packed(f: Form) -> Tuple[Mapping[int, int], int]:
     """``f`` as stored: its numerators under packed monomial keys (read-only)
     and their one positive denominator."""
     return MappingProxyType(f._num), f._den
+
+
+def common_monomial(fs: Sequence[Form], nvars: int) -> Exponent:
+    """The largest monomial dividing every term of the forms ``fs``, read
+    off the packed keys field by field; all zeros when they have no term."""
+    keys = [k for f in fs for k in f._num]
+    if not keys:
+        return (0,) * nvars
+    return tuple(min(map((_MASK << shift).__and__, keys)) >> shift
+                 for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS))
 
 
 def dot(nvars: int, degree: int, terms) -> Form:

@@ -6,7 +6,8 @@ of ``forms.dot``: one dict over one common denominator, one ``_make``.
 with one ``dot`` per memoised row expansion.  The first-order jet of the
 Hessian map at f in direction g, d/deps Hess(f + eps*g) at eps = 0, is read
 off Jacobi's formula as trace(adj(D2 f) * D2 g):
-``adjugate_second_partials`` builds adj(D2 f) once and ``adjugate_trace``
+``adjugate_second_partials`` builds adj(D2 f) once, through the generic
+``adjugate`` of a symmetric matrix of forms, and ``adjugate_trace``
 applies it to each direction; ``hess_from_adjugate`` reads Hess f itself off
 the same adjugate.  Every kernel reads second partials through
 ``Form.second_partials``, which a form derives once and keeps, so ``hess``,
@@ -98,16 +99,16 @@ def hess(f: Form) -> Form:
     return _det_by_expansion(f.second_partials())
 
 
-def adjugate_second_partials(f: Form) -> List[List[Form]]:
-    """Adjugate of the matrix of second partials of f.
+def adjugate(mat: Sequence[Sequence[Form]]) -> List[List[Form]]:
+    """Adjugate of a symmetric n x n matrix of forms.
 
     adj[i][j] is (-1)**(i+j) times the (j,i) minor, one expansion with the
     sign in its top row; since the matrix is symmetric the adjugate is
-    symmetric too.  The adjugate of a 1x1 matrix is the constant 1, and for
-    a binary form each cofactor is one second partial.
+    symmetric too.  The adjugate of a 1x1 matrix is the constant 1, and of
+    a 2x2 each cofactor is one entry.  Each cofactor is a minor of order
+    n - 1, so adjugate(c * A) = c**(n - 1) * adjugate(A) for a form c.
     """
-    mat = f.second_partials()
-    n = f.nvars
+    n = len(mat)
     adj: List[List[Optional[Form]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -118,10 +119,15 @@ def adjugate_second_partials(f: Form) -> List[List[Form]]:
             elif minor:
                 entry = minor[0][0] if sign == 1 else -minor[0][0]
             else:
-                entry = Form.monomial((0,))
+                entry = Form.monomial((0,) * mat[0][0].nvars)
             adj[i][j] = entry
             adj[j][i] = entry
     return adj  # type: ignore[return-value]
+
+
+def adjugate_second_partials(f: Form) -> List[List[Form]]:
+    """Adjugate of the (symmetric) matrix of second partials of f."""
+    return adjugate(f.second_partials())
 
 
 def adjugate_trace(adj: Sequence[Sequence[Form]], g: Form) -> Form:

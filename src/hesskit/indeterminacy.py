@@ -69,7 +69,7 @@ class ConeNormalForm:
         if len(self.cs) != self.d - 1:
             raise ValueError("need exactly d-1 coefficients c_2..c_d")
         for g in (self.l, self.m):
-            if g.nvars != 3 or g.degree > 1:
+            if g.nvars != 3 or g.degree != 1 and not g.is_zero():
                 raise ValueError("l and m must be linear in three variables")
             if any(e[0] for e in g.terms):
                 raise ValueError("l and m must not involve x0")

@@ -182,30 +182,37 @@ def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
 
     The columns go densest first (a stable sort by entry count), and a
     column's pivot is its entry on the row that the fewest residue columns
-    touch, ties to the lower index.  Both are measured: on the complement
-    re-check matrix of ``qk1l2`` at d = 30 the run takes about 10 ms, 27 ms
-    in input order, 510 ms with each column's lowest row as its pivot and
-    220 ms with neither (Markowitz's elimination, which this replaced:
-    15-24 ms).  Reducing by an earlier column can put an entry on a later
-    pivot row, so each column walks the positions of its pivot rows through
-    a heap.  ``m`` is not touched.
+    touch, ties to the lower index: one int per row, computed once, orders
+    the rows that way.  Both rules are measured: on the complement re-check
+    matrix of ``qk1l2`` at d = 30 the run takes about 6 ms; when the rules
+    were chosen it took 10 ms against 27 ms in input order, 510 ms with each
+    column's lowest row as its pivot and 220 ms with neither (Markowitz's
+    elimination, which this replaced: 15-24 ms).  Reducing by an earlier
+    column can put an entry on a later pivot row, so a column that meets
+    pivot rows walks their positions through a heap; one that meets none,
+    more than half of them at ``certify(17..20)``, builds no heap.  ``m``
+    is not touched.
 
     Built for the sparse matrices the library makes: the 276 x 231 matrix
     of ``certify(20)`` is 1.3% nonzero, about 3.6 entries per column, and
-    none with 5 000 cells or more in ``certify(4..30)`` or the seed-0 suite
-    is above 3.1%.  Dense input is slow, and slower than under the
-    Markowitz elimination, for the scaling by c at every step: modulo the
-    probes' product a random 60 x 60 takes 36-44 ms (Markowitz 21-34) and
-    a 120 x 120 280-345 ms (Markowitz 160-190), 2 cores, Python 3.11.
+    takes about 0.8 ms; none with 5 000 cells or more in ``certify(4..30)``
+    or the seed-0 suite is above 3.1%.  Dense input is slow, and slower
+    than under the Markowitz elimination, for the scaling by c at every
+    step: modulo the probes' product a random 60 x 60 takes about 31 ms
+    (Markowitz 21-34) and a 120 x 120 250 ms (Markowitz 160-190), 2 cores,
+    Python 3.11.
     """
     require_int("q", q, 2)
     columns = sorted(_residues(m.columns, q), key=len, reverse=True)
     touched = Counter(i for col in columns for i in col)
+    # one int per row that orders the pivot rows: fewest columns, then lower row
+    order = {i: t * m.nrows + i for i, t in touched.items()}
     position: Dict[int, int] = {}
     taken: List[Tuple[int, int, Dict[int, int]]] = []
     for v in columns:
         heap = [position[i] for i in v if i in position]
-        heapify(heap)
+        if heap:
+            heapify(heap)
         while heap:
             r, c, b = taken[heappop(heap)]
             f = v.pop(r, 0)
@@ -223,7 +230,7 @@ def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
                 else:
                     del v[i]
         if v:
-            r = min(v, key=lambda i: (touched[i], i))
+            r = min(v, key=order.__getitem__)
             c = v.pop(r)
             if gcd(c, q) != 1:
                 return None

@@ -16,18 +16,25 @@ that on demand.
 The image of g is trace(adj(D2 f) * D2 g), so a factor P of every adjugate
 entry divides every image and Hess f.  At the special points q is invariant
 and P is large: 16 q**5 at q**4 and 24 x0**2 q**9 at q**9 l**2 (r = 2).
-``differential_matrix`` divides P = x**beta * q**alpha out of the adjugate:
-beta is the entries' largest common monomial, alpha the largest power of
-q = ``orbit_checks.hyperbolic_q`` dividing every entry (in three or more
-variables; in two, q is a monomial).  Constants stay.  q is monic of degree
-2 in the last variable, so ``forms.exact_quotient`` divides level by level
-in integers, and a nonzero remainder, which means P does not divide, lowers
-alpha: every factor divided out is confirmed exact.  The columns and,
-through ``hess_from_adjugate``, the Hessian column are then read off the
-reduced adjugate adj / P, over the monomials of degree n (d - 2) - deg P,
-and ``DifferentialMatrix`` records beta and alpha.  At q**9 l**2 the matrix
-shrinks from 1540 x 231 to 276 x 231; a form with no common factor keeps
-the full matrix.
+``differential_matrix`` divides P = x**beta * q**alpha out without forming
+adj(D2 f), since adj(P2 * S) = P2**(n - 1) * adj(S) for n x n matrices.
+The largest factor P2 = x**gamma * q**sigma of the second partials is
+divided out first, then the largest factor P' = x**beta' * q**alpha' of
+the adjugate of the quotient S (``hessians.adjugate``): beta =
+(n - 1) gamma + beta' and alpha = (n - 1) sigma + alpha', and, as the
+variables and q are primes, P is the largest such factor of adj(D2 f).
+Each monomial part is the entries' largest common monomial and each q
+power the largest dividing every entry, with q the quadric
+``orbit_checks.hyperbolic_q`` in three or more variables (in two, q is a
+monomial).
+Constants stay.  q is monic of degree 2 in the last variable, so
+``forms.exact_quotient`` divides level by level in integers, and a nonzero
+remainder lowers the power: every division is confirmed exact.  The
+columns and, through ``hess_from_adjugate``, the Hessian column are then
+read off the reduced adjugate adj / P, over the monomials of degree
+n (d - 2) - deg P, and ``DifferentialMatrix`` records beta and alpha.  At
+q**9 l**2 the matrix shrinks from 1540 x 231 to 276 x 231; a form with no
+common factor keeps the full matrix.
 
 Soundness: multiplication by P != 0 is an injective linear map T_P from the
 forms of degree n (d - 2) - deg P into those of degree n (d - 2), and each
@@ -35,8 +42,10 @@ column of the full matrix M is T_P of the same column of the reduced
 matrix N times a positive rational.  So M = T_P N D with D diagonal and
 invertible, and any set of columns, the Hessian column included, has the
 same rank in M as in N: a modular full column rank of N's columns is a
-proof for M's.  ``RankReport.matrix_shape`` is the shape of M, read off the
-two dimensions.
+proof for M's.  It needs only P * (adj / P) = adj(D2 f), which the
+identity adj(P2 * S) = P2**(n - 1) * adj(S) and the two exact divisions
+give.  ``RankReport.matrix_shape`` is the shape of M, read off the two
+dimensions.
 
 Each column is an image form's integer numerators, that is the rational
 column times its own positive denominator, which keeps the rank and the zero
@@ -65,10 +74,10 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curves
-from .forms import Exponent, Form, dim_sym, exact_quotient, monomial_key, \
-    monomials_of_degree, packed, powers
+from .forms import Exponent, Form, common_monomial, dim_sym, \
+    exact_quotient, monomial_key, monomials_of_degree, packed, powers
 from .harmonic import QuadraticForm, dim_harmonic, harmonic_basis, harmonic_decompose
-from .hessians import adjugate_second_partials, adjugate_trace, \
+from .hessians import adjugate, adjugate_second_partials, adjugate_trace, \
     hess_from_adjugate
 from .errors import InputError, VerificationError, require_int
 from .linalg import IntColumns, rank_with_certificate
@@ -190,71 +199,92 @@ def _monomial_images(adj: Sequence[Sequence[Form]], directions: Sequence[Exponen
     entries' integer numerators under the forms' own packed keys (``packed``
     and ``monomial_key``; packing is linear, so a shift is one addition, and
     a nonzero weight leaves no field below zero), reduced by gcd(D, *column)
-    as ``Form._make`` would reduce the image.  ``row_of`` maps each target
-    monomial's key to its row.
+    as ``Form._make`` would reduce the image, which at D = 1 is no
+    reduction.  Each entry is added into every column in one pass over the
+    directions.  ``row_of`` maps each target monomial's key to its row.
     """
     n = len(directions[0])
     units = [monomial_key([int(k == i) for k in range(n)]) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     entries = [packed(adj[i][j]) for i, j in pairs]
     den = lcm(*(entry_den for _, entry_den in entries))
-    tables = []
+    keys = [monomial_key(e) for e in directions]
+    accs: List[Dict[int, int]] = [{} for _ in directions]
     for (i, j), (num, entry_den) in zip(pairs, entries):
+        if not num:
+            continue
         scale = (den // entry_den) * (2 if i != j else 1)
-        table = [(k, c * scale) for k, c in num.items()]
-        if table:
-            tables.append((i, j, units[i] + units[j], table))
-
-    columns = []
-    for e in directions:
-        ke = monomial_key(e)
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for i, j, drop, table in tables:
-            w = e[i] * (e[j] - (i == j))
+        drop = units[i] + units[j]
+        table = [(k - drop, c * scale) for k, c in num.items()]
+        diagonal = i == j
+        for e, ke, acc in zip(directions, keys, accs):
+            w = e[i] * (e[j] - diagonal)
             if w:
-                shift = ke - drop
                 for k, c in table:
-                    k += shift
-                    acc[k] = get(k, 0) + w * c
+                    k += ke
+                    acc[k] = acc.get(k, 0) + w * c
+    if den == 1:
+        return [{row_of[k]: v for k, v in acc.items() if v} for acc in accs]
+    columns = []
+    for acc in accs:
         g = gcd(den, *acc.values())
         columns.append({row_of[k]: v // g for k, v in acc.items() if v})
     return columns
 
 
-def _divide_common_factor(adj: Sequence[Sequence[Form]]
-                          ) -> Tuple[Exponent, int, List[List[Form]]]:
-    """(beta, alpha, adj / P) for P = x**beta * q**alpha, the largest such
-    factor of every adjugate entry, with q = ``hyperbolic_q`` in three or
-    more variables (alpha = 0 in fewer).
+def _divide_common_factor(mat: Sequence[Sequence[Form]], q: Optional[Form]
+                          ) -> Tuple[Exponent, int, Sequence[Sequence[Form]]]:
+    """(beta, alpha, mat / P) for P = x**beta * q**alpha, the largest such
+    factor of every entry of the symmetric matrix of forms ``mat``; q is
+    ``hyperbolic_q`` in three or more variables and None in fewer, where
+    alpha = 0.
 
-    beta is the exponent-wise least exponent over the entries' terms.  alpha
-    is first read off the entry with the fewest terms, by dividing it by q
-    while the division is exact; every entry is then divided once by P, and
-    a remainder anywhere lowers alpha by one and divides again.  Each entry
-    of the result times P is the adjugate entry, confirmed by
-    ``exact_quotient``'s zero remainder.
+    beta is the entries' ``common_monomial``.  alpha is first read off the
+    entry with the fewest terms, by dividing it by q while the division is
+    exact; every entry is then divided once by P, and a remainder anywhere
+    lowers alpha by one and divides again.  Each entry of the result times
+    P is the entry of ``mat``, confirmed by ``exact_quotient``'s zero
+    remainder; at P = 1 ``mat`` itself is the result.
     """
-    n = len(adj)
-    live = [adj[i][j] for i in range(n) for j in range(i, n)
-            if not adj[i][j].is_zero()]
-    beta = tuple(map(min, zip(*(e for entry in live
-                                for e in entry.numerators)))) or (0,) * n
+    n = len(mat)
+    live = [mat[i][j] for i in range(n) for j in range(i, n)
+            if not mat[i][j].is_zero()]
+    beta = common_monomial(live, n)
     factor = Form.monomial(beta)
-    q = hyperbolic_q(n - 1) if n >= 3 else None
     alpha = 0
     if q is not None and live:
-        g = exact_quotient(min(live, key=Form.num_terms), factor)
+        g = min(live, key=Form.num_terms)
+        if any(beta):
+            g = exact_quotient(g, factor)
         while (g := exact_quotient(g, q)) is not None:
             alpha += 1
-    while True:
+    while alpha or any(beta):
         divisor = factor * q ** alpha if alpha else factor
-        quotients = {(i, j): exact_quotient(adj[i][j], divisor)
+        quotients = {(i, j): exact_quotient(mat[i][j], divisor)
                      for i in range(n) for j in range(i, n)}
         if None not in quotients.values():
             return beta, alpha, [[quotients[min(i, j), max(i, j)]
                                   for j in range(n)] for i in range(n)]
         alpha -= 1
+    return beta, 0, mat
+
+
+def _reduced_adjugate(f: Form
+                      ) -> Tuple[Exponent, int, Sequence[Sequence[Form]]]:
+    """(beta, alpha, adj(D2 f) / P) for P = x**beta * q**alpha, the largest
+    such factor of every adjugate entry.
+
+    The factor P2 = x**gamma * q**sigma of the second partials goes first,
+    then the factor P' of the adjugate of the quotient S: adj(D2 f) =
+    adj(P2 * S) = P2**(n - 1) * adj(S), so by unique factorisation
+    P = P2**(n - 1) * P' and adj(S) / P' is adj(D2 f) / P.
+    """
+    n1 = f.nvars - 1
+    q = hyperbolic_q(n1) if n1 >= 2 else None
+    gamma, sigma, small = _divide_common_factor(f.second_partials(), q)
+    beta, alpha, adj = _divide_common_factor(adjugate(small), q)
+    return (tuple(n1 * g + b for g, b in zip(gamma, beta)),
+            n1 * sigma + alpha, adj)
 
 
 def differential_matrix(f: Form) -> DifferentialMatrix:
@@ -266,7 +296,7 @@ def differential_matrix(f: Form) -> DifferentialMatrix:
     monomials of degree n (d - 2) - deg P; ``monomial`` and ``q_power``
     record P.
     """
-    beta, alpha, adj = _divide_common_factor(adjugate_second_partials(f))
+    beta, alpha, adj = _reduced_adjugate(f)
     H = hess_from_adjugate(f, adj)
     if H.is_zero():
         raise ValueError("differential is not certified at a vanishing Hessian")

@@ -10,11 +10,12 @@ from sympy.polys.matrices import DomainMatrix
 
 import hesskit.hessians
 from hesskit.forms import Form, random_form
-from hesskit.hessians import (TParameterForm, _det_by_expansion,
+from hesskit.hessians import (TParameterForm, _det_by_expansion, adjugate,
                               adjugate_second_partials, adjugate_trace, h3,
                               h12, hess, hess_from_adjugate, hess_t,
                               hessian_expansion, lowest_t_order)
 from hesskit.indeterminacy import sample_family
+from hesskit.orbit_checks import hyperbolic_q
 
 from conftest import RATIONAL, SYMS, forms, to_sympy
 
@@ -151,6 +152,27 @@ class TestFirstOrderJet:
         f = data.draw(forms(nvars=nvars, min_degree=1,
                             max_degree=4 if nvars < 4 else 3, coeff_bound=4))
         assert hess_from_adjugate(f, adjugate_second_partials(f)) == hess(f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nvars=st.integers(1, 4), data=st.data())
+    def test_adjugate_of_a_multiple(self, nvars, data):
+        """adjugate(c A) = c**(n - 1) adjugate(A) for c a monomial times a
+        power of q, on A = D2 f, where adjugate(A) is also
+        ``adjugate_second_partials(f)``."""
+        f = data.draw(forms(
+            nvars=nvars, min_degree=2, max_degree=4 if nvars < 4 else 3,
+            coeff_bound=4,
+            denominators=data.draw(st.sampled_from([(1,), RATIONAL])),
+            sparse=data.draw(st.booleans())))
+        c = Form.monomial(data.draw(st.lists(
+            st.integers(0, 2), min_size=nvars, max_size=nvars)))
+        if nvars >= 2:
+            c = c * hyperbolic_q(nvars - 1) ** data.draw(st.integers(0, 2))
+        A = f.second_partials()
+        adj = adjugate(A)
+        assert adj == adjugate_second_partials(f)
+        assert adjugate([[c * a for a in row] for row in A]) == \
+            [[c ** (nvars - 1) * e for e in row] for row in adj]
 
     @settings(max_examples=15, deadline=None)
     @given(f=forms(nvars=1, min_degree=2, max_degree=6, denominators=RATIONAL))

@@ -114,6 +114,27 @@ class TestNormalForms:
         n = ConeNormalForm(5, l, m, cs)
         assert multiplicity_profile(n) == profile_by_differentiation(n)
 
+    @pytest.mark.parametrize("slot", ["l", "m"])
+    def test_a_constant_linear_part_is_refused(self, slot):
+        """A nonzero form of degree 0 (or 2) in l or m is refused when the
+        data is made, not later inside ``build``."""
+        for bad in (Form.from_coeffs(3, 0, {(0, 0, 0): 5}),
+                    Form.from_coeffs(3, 2, {(0, 1, 1): 1})):
+            data = {"d": 4, "l": X2, "m": X1, "cs": (1, 1, 1), slot: bad}
+            with pytest.raises(ValueError,
+                               match="l and m must be linear in three"):
+                ConeNormalForm(**data)
+
+    @pytest.mark.parametrize("slot", ["l", "m"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5])
+    def test_a_zero_linear_part_of_any_degree_is_accepted(self, slot, degree):
+        """A zero l or m builds the same form whatever its degree."""
+        n, same = (ConeNormalForm(**{"d": 4, "l": X2, "m": X1,
+                                     "cs": (1, 2, 3), slot: zero})
+                   for zero in (Form.zero(3, degree), _linear(0, 0)))
+        assert n.build() == same.build()
+        assert normal_form_check(n).iff_holds
+
     def test_surviving_derivative_value(self):
         """The one order-(d-1) derivative at (0:0:1) evaluates to (d-1)!."""
         d = 5

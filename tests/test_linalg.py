@@ -294,6 +294,15 @@ class TestProbePrimes:
         assert rank_with_certificate([[7, 0], [0, 1]]) == (
             2, "bareiss", [7, 7])
 
+    @pytest.mark.parametrize("columns, rank", [
+        ([{0: 1, 1: 2}], 1), ([{0: 2, 1: 1}], None),
+        ([{0: 1, 1: 2}, {0: 3}], None)])
+    def test_the_pivot_rule_decides_where_a_run_stops(self, columns, rank):
+        # mod 6, 1 is a unit and 2 is not.  One column: both rows are
+        # touched once and the tie goes to row 0.  With a second column on
+        # row 0, row 1 is the less touched and takes the pivot 2.
+        assert linalg.rank_mod_p(IntColumns(2, columns), 6) == rank
+
     def test_default_primes_pass(self):
         for p in PROBE_PRIMES:
             assert linalg.rank_mod_p(ONE, p) == 1

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 import sympy
@@ -14,7 +15,8 @@ from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form, dim_sym, exact_quotient, monomials_of_degree
 from hesskit.harmonic import (QuadraticForm, harmonic_basis,
                               harmonic_decompose)
-from hesskit.hessians import adjugate_second_partials, hess_from_adjugate
+from hesskit.hessians import (adjugate, adjugate_second_partials,
+                              hess_from_adjugate)
 from hesskit.orbit_checks import (SPECIAL_POINTS, closed_form_constant,
                                   hyperbolic_q, pair_m_range)
 from hesskit.reports import certify
@@ -348,6 +350,10 @@ REDUCED_FACTORS = {
     ("qk1l2", 18): (13, (2, 0, 0), (231, 190)),
     ("qkl", 19): (15, (0, 0, 0), (253, 210)),
     ("qk1l2", 20): (15, (2, 0, 0), (276, 231)),
+    ("qk", 32): (29, (0, 0, 0), (561, 561)),
+    ("qk1l2", 32): (27, (2, 0, 0), (630, 561)),
+    ("qk", 64): (61, (0, 0, 0), (2145, 2145)),
+    ("qk1l2", 64): (59, (2, 0, 0), (2278, 2145)),
 }
 
 
@@ -375,8 +381,10 @@ class TestReducedDifferential:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_the_factor_is_the_largest(self, data):
-        """P times each reduced entry is the adjugate entry, and the reduced
-        entries share no variable and, in three or more variables, no q."""
+        """On both matrices the library divides, the second partials and
+        the adjugate of their quotient, P times each reduced entry is the
+        entry, and the reduced entries share no variable and, in three or
+        more variables, no q."""
         nvars = data.draw(st.integers(2, 4))
         if data.draw(st.booleans()):
             kind = data.draw(st.sampled_from(sorted(SPECIAL_POINTS)))
@@ -384,19 +392,23 @@ class TestReducedDifferential:
         else:
             f = data.draw(forms(nvars=nvars, min_degree=2, max_degree=5,
                                 sparse=True))
-        adj = adjugate_second_partials(f)
-        beta, alpha, reduced = rank_certificates._divide_common_factor(adj)
         q = hyperbolic_q(nvars - 1)
-        P = Form.monomial(beta) * q ** alpha
-        assert [[g * P for g in row] for row in reduced] == adj
-        live = [g for row in reduced for g in row if not g.is_zero()]
-        if not live:  # as at f = x0**2: nothing to divide
-            assert (beta, alpha) == ((0,) * nvars, 0)
-            return
-        for i in range(nvars):
-            assert any(e[i] == 0 for g in live for e in g.numerators)
-        if nvars >= 3:
-            assert any(exact_quotient(g, q) is None for g in live)
+        divide = partial(rank_certificates._divide_common_factor,
+                         q=q if nvars >= 3 else None)
+        small = divide(f.second_partials())[2]
+        for mat in (f.second_partials(), adjugate(small)):
+            beta, alpha, reduced = divide(mat)
+            P = Form.monomial(beta) * q ** alpha
+            assert [[g * P for g in row] for row in reduced] == \
+                [list(row) for row in mat]
+            live = [g for row in reduced for g in row if not g.is_zero()]
+            if not live:  # as at f = x0**2: nothing to divide
+                assert (beta, alpha) == ((0,) * nvars, 0)
+                continue
+            for i in range(nvars):
+                assert any(e[i] == 0 for g in live for e in g.numerators)
+            if nvars >= 3:
+                assert any(exact_quotient(g, q) is None for g in live)
 
     def test_a_remainder_lowers_the_q_power(self):
         """The entry with the fewest terms has q**2, another only q: every
@@ -407,7 +419,7 @@ class TestReducedDifferential:
                                         (0, 0, 2): 1, (1, 0, 1): 1})
         assert A.num_terms() < B.num_terms()
         adj = [[A, B, A], [B, A, B], [A, B, A]]
-        beta, alpha, reduced = rank_certificates._divide_common_factor(adj)
+        beta, alpha, reduced = rank_certificates._divide_common_factor(adj, q)
         assert (beta, alpha) == ((0, 0, 0), 1)
         assert reduced[0][0] == q and reduced[0][1] * q == B
 
@@ -427,6 +439,96 @@ class TestReducedDifferential:
         assert shapes == [(91, 91)]
         assert (rep.rank + 1, rep.method) == (91, "bareiss")
         assert rep.matrix_shape == (496, 91) and rep.injective
+
+
+def adjugate_first(f):
+    """The route the library left, kept as an oracle: (beta, alpha, adj / P)
+    for P = x**beta * q**alpha found on the full adjugate of the second
+    partials.  beta is read off exponent tuples; alpha off the entry with
+    the fewest terms, lowered while any entry leaves a remainder."""
+    adj = adjugate_second_partials(f)
+    n = len(adj)
+    live = [adj[i][j] for i in range(n) for j in range(i, n)
+            if not adj[i][j].is_zero()]
+    beta = tuple(map(min, zip(*(e for entry in live
+                                for e in entry.numerators)))) or (0,) * n
+    factor = Form.monomial(beta)
+    q = hyperbolic_q(n - 1) if n >= 3 else None
+    alpha = 0
+    if q is not None and live:
+        g = exact_quotient(min(live, key=Form.num_terms), factor)
+        while (g := exact_quotient(g, q)) is not None:
+            alpha += 1
+    while True:
+        divisor = factor * q ** alpha if alpha else factor
+        quotients = {(i, j): exact_quotient(adj[i][j], divisor)
+                     for i in range(n) for j in range(i, n)}
+        if None not in quotients.values():
+            return beta, alpha, [[quotients[min(i, j), max(i, j)]
+                                  for j in range(n)] for i in range(n)]
+        alpha -= 1
+
+
+def assert_matches_adjugate_first(f):
+    """The library's (beta, alpha, reduced adjugate) is the oracle's.  A
+    zero adjugate, as at f = x0**3, has no largest factor and never reaches
+    a matrix (its Hessian vanishes): both routes must then give zeros."""
+    beta, alpha, reduced = rank_certificates._reduced_adjugate(f)
+    expected = adjugate_first(f)
+    if all(g.is_zero() for row in expected[2] for g in row):
+        assert all(g.is_zero() for row in reduced for g in row)
+        return
+    assert (beta, alpha, [list(row) for row in reduced]) == expected
+
+
+class TestFactoredPartials:
+    """The factor taken out of the second partials before the adjugate is
+    built gives the same (beta, alpha, reduced adjugate) as dividing the
+    full adjugate.  At r = 3 the oracle's full adjugate grows fast (4.8 s
+    over d = 4...32), so r = 3 stops at d = 14."""
+
+    @pytest.mark.parametrize("r,top", [(2, 64), (3, 14)])
+    def test_special_points(self, r, top):
+        for point in special_points(range(4, top + 1)):
+            assert_matches_adjugate_first(point.form(r))
+
+    def test_a_remainder_in_the_second_partials_lowers_sigma(self):
+        """At q * (-x0**2 x1 x2 - 2 x0 x2**3 - x1**2 x2**2) the second
+        partial with the fewest terms, d0 d0 f, is divisible by q and the
+        others are not: sigma is 0, and the result is the oracle's."""
+        q = hyperbolic_q(2)
+        f = q * Form.from_coeffs(3, 4, {(2, 1, 1): -1, (1, 0, 3): -2,
+                                        (0, 2, 2): -1})
+        partials = f.second_partials()
+        assert min((g.num_terms(), i, j) for i, row in enumerate(partials)
+                   for j, g in enumerate(row)) == (2, 0, 0)
+        assert exact_quotient(partials[0][0], q) is not None
+        assert rank_certificates._divide_common_factor(partials, q)[:2] == \
+            ((0, 0, 0), 0)
+        assert_matches_adjugate_first(f)
+
+    @pytest.mark.parametrize("nvars,examples,top", [(2, 30, 2), (3, 30, 2),
+                                                    (4, 8, 1)])
+    def test_random_forms(self, nvars, examples, top):
+        """Random forms, integer or rational, sparse or dense, times a
+        random monomial and power of q, so that both divisions have work;
+        ``top`` bounds each exponent and the power of q."""
+        q = hyperbolic_q(nvars - 1)
+
+        @settings(max_examples=examples, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            g = data.draw(forms(
+                nvars=nvars, min_degree=0, max_degree=2 + top,
+                denominators=data.draw(st.sampled_from([(1,), RATIONAL])),
+                sparse=data.draw(st.booleans())))
+            e = data.draw(st.lists(st.integers(0, top), min_size=nvars,
+                                   max_size=nvars))
+            f = g * Form.monomial(e) * q ** data.draw(st.integers(0, top))
+            if f.degree >= 2:
+                assert_matches_adjugate_first(f)
+
+        check()
 
 
 SPARSE_CUBICS = (
