@@ -48,8 +48,8 @@ mapping of exponent tuples to reduced ``Fraction`` coefficients and
 a field can hold finds nothing.
 ``coefficient``, ``sorted_terms``, ``evaluate``, ``str`` and
 ``common_monomial`` unpack keys the same way.  ``packed`` hands the keys
-themselves to the rank path, which indexes its rows by ``monomial_key``.  Nothing in this module touches
-floating point.
+themselves to the rank path, which indexes its rows by ``monomial_key``.
+Nothing in this module touches floating point.
 
 The canonical term order used everywhere (printing, iteration, matrix
 column indexing) is descending lexicographic on exponent tuples with x0 most

@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -204,7 +205,7 @@ def rank_mod_p(m: IntColumns, q: int) -> Optional[int]:
     """
     require_int("q", q, 2)
     columns = sorted(_residues(m.columns, q), key=len, reverse=True)
-    touched = Counter(i for col in columns for i in col)
+    touched = Counter(chain.from_iterable(columns))
     # one int per row that orders the pivot rows: fewest columns, then lower row
     order = {i: t * m.nrows + i for i, t in touched.items()}
     position: Dict[int, int] = {}

@@ -26,15 +26,15 @@ variables and q are primes, P is the largest such factor of adj(D2 f).
 Each monomial part is the entries' largest common monomial and each q
 power the largest dividing every entry, with q the quadric
 ``orbit_checks.hyperbolic_q`` in three or more variables (in two, q is a
-monomial).
-Constants stay.  q is monic of degree 2 in the last variable, so
-``forms.exact_quotient`` divides level by level in integers, and a nonzero
-remainder lowers the power: every division is confirmed exact.  The
-columns and, through ``hess_from_adjugate``, the Hessian column are then
-read off the reduced adjugate adj / P, over the monomials of degree
-n (d - 2) - deg P, and ``DifferentialMatrix`` records beta and alpha.  At
-q**9 l**2 the matrix shrinks from 1540 x 231 to 276 x 231; a form with no
-common factor keeps the full matrix.
+monomial); a factor of 1 is not divided.  Constants stay.  q is monic of
+degree 2 in the last variable, so ``forms.exact_quotient`` divides level
+by level in integers, and a nonzero remainder lowers the power: every
+division is confirmed exact.  The columns and, through
+``hess_from_adjugate``, the Hessian column are then read off the reduced
+adjugate adj / P, over the monomials of degree n (d - 2) - deg P, and
+``DifferentialMatrix`` records beta and alpha.  At q**9 l**2 the matrix
+shrinks from 1540 x 231 to 276 x 231; a form with no common factor keeps
+the full matrix.
 
 Soundness: multiplication by P != 0 is an injective linear map T_P from the
 forms of degree n (d - 2) - deg P into those of degree n (d - 2), and each
@@ -272,13 +272,8 @@ def _divide_common_factor(mat: Sequence[Sequence[Form]], q: Optional[Form]
 def _reduced_adjugate(f: Form
                       ) -> Tuple[Exponent, int, Sequence[Sequence[Form]]]:
     """(beta, alpha, adj(D2 f) / P) for P = x**beta * q**alpha, the largest
-    such factor of every adjugate entry.
-
-    The factor P2 = x**gamma * q**sigma of the second partials goes first,
-    then the factor P' of the adjugate of the quotient S: adj(D2 f) =
-    adj(P2 * S) = P2**(n - 1) * adj(S), so by unique factorisation
-    P = P2**(n - 1) * P' and adj(S) / P' is adj(D2 f) / P.
-    """
+    such factor of every adjugate entry, as P2**(n - 1) * P' for P2 the
+    factor of the second partials and P' that of adj(D2 f / P2)."""
     n1 = f.nvars - 1
     q = hyperbolic_q(n1) if n1 >= 2 else None
     gamma, sigma, small = _divide_common_factor(f.second_partials(), q)
