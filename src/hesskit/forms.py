@@ -35,8 +35,13 @@ derivation; the matrix is a tuple of tuples, which no caller can change.
 the callers that need every power of one form.
 
 ``Form(nvars, degree, terms)`` checks ``nvars`` and ``degree`` with
-``require_int``, refuses an exponent entry that is a bool or not an int
-(``InputError``), validates every term and converts the coefficients;
+``require_int`` and then makes one pass per exponent tuple, which refuses
+an entry that is a bool or not an int (``InputError``), a negative entry
+and one a field cannot hold, and packs the key as it goes; the tuple's
+degree is checked after it.  An ``int`` coefficient is stored as it is;
+any other goes through ``Fraction``, and the numerators are brought over
+a common denominator only when some coefficient has one.  A zero
+coefficient is dropped after its monomial passed the checks.
 ``Form.variable`` and ``**`` check their int arguments the same way.
 ``dot``, ``diff``, ``exact_quotient`` and the constant form 1 build their
 results with the trusted constructor ``Form._make``, which only restores the
@@ -194,26 +199,35 @@ class Form:
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         require_int("nvars", nvars, 1)
         require_int("degree", degree, 0)
-        clean: Dict[int, Fraction] = {}
+        num: Dict[int, object] = {}
+        den = 1
         for exps, c in terms.items():
-            c = _coerce(c)
+            if type(c) is not int:
+                c = _coerce(c)
+                if c.denominator == 1:
+                    c = c.numerator
+                else:
+                    den = lcm(den, c.denominator)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for nvars={nvars}")
+            key = total = 0
             for e in exps:
-                if isinstance(e, bool) or not isinstance(e, int):
+                if type(e) is not int and (isinstance(e, bool)
+                                           or not isinstance(e, int)):
                     raise InputError(f"exponents must be ints, got {exps!r}")
-                if e < 0:
-                    raise ValueError(f"negative exponent in {exps}")
-                if e > _MASK:
-                    raise ValueError(f"exponent in {exps} does not fit a "
-                                     f"{FIELD_BITS}-bit field")
-            if sum(exps) != degree:
+                if not 0 <= e <= _MASK:
+                    raise ValueError(
+                        f"negative exponent in {exps}" if e < 0 else
+                        f"exponent in {exps} does not fit a {FIELD_BITS}-bit field")
+                key = key << FIELD_BITS | e
+                total += e
+            if total != degree:
                 raise ValueError(f"monomial {exps} is not of degree {degree}")
             if c:
-                clean[monomial_key(exps)] = c
-        # The least common denominator is coprime to the set of numerators.
-        den = lcm(*(c.denominator for c in clean.values()))
-        num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+                num[key] = c
+        if den != 1:
+            # The least common denominator is coprime to the set of numerators.
+            num = {k: c.numerator * (den // c.denominator) for k, c in num.items()}
         _set_nvars(self, nvars)
         _set_degree(self, degree)
         _set_num(self, num)
@@ -273,11 +287,12 @@ class Form:
             raise InputError(f"index must be below nvars={nvars}, got {index}")
         exps = [0] * nvars
         exps[index] = 1
-        return Form(nvars, 1, {tuple(exps): Fraction(1)})
+        return Form(nvars, 1, {tuple(exps): 1})
 
     @staticmethod
     def from_coeffs(nvars: int, degree: int, mapping: Mapping[Sequence[int], object]) -> "Form":
-        return Form(nvars, degree, {tuple(k): _coerce(v) for k, v in mapping.items()})
+        return Form(nvars, degree, {tuple(k): v if type(v) is int else _coerce(v)
+                                    for k, v in mapping.items()})
 
     # ----- basic queries ------------------------------------------------
 
@@ -588,14 +603,14 @@ def random_form(nvars: int, degree: int, rng, coeff_bound: int = 9,
     """
     require_int("coeff_bound", coeff_bound, 1)
     monos = monomials_of_degree(nvars, degree)
-    terms: Dict[Exponent, Fraction] = {}
+    terms: Dict[Exponent, int] = {}
     for e in monos:
         if density < 1.0 and rng.random() > density:
             continue
         c = rng.randint(-coeff_bound, coeff_bound)
         if c:
-            terms[e] = Fraction(c)
+            terms[e] = c
     if not terms:
         e = monos[rng.randrange(len(monos))]
-        terms[e] = Fraction(rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c]))
+        terms[e] = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
     return Form(nvars, degree, terms)

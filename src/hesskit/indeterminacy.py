@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
-from .forms import Form, _coerce, dot, monomials_of_degree, powers
+from .forms import (Form, _coerce, common_monomial, dot, monomials_of_degree,
+                    powers)
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
 from .orbit_checks import SPECIAL_POINTS, PointKind
@@ -37,7 +38,7 @@ from .records import json_dict
 
 def _linear(a, b) -> Form:
     """The linear form a x1 + b x2 in three variables."""
-    return Form.from_coeffs(3, 1, {(0, 1, 0): a, (0, 0, 1): b})
+    return Form(3, 1, {(0, 1, 0): a, (0, 0, 1): b})
 
 
 def _x12(u: Form) -> Tuple[Fraction, Fraction]:
@@ -45,9 +46,23 @@ def _x12(u: Form) -> Tuple[Fraction, Fraction]:
     return u.coefficient((0, 1, 0)), u.coefficient((0, 0, 1))
 
 
+_X0_POWERS = powers(Form.variable(3, 0), 1)
+
+
+def _x0_powers(top: int) -> List[Form]:
+    """[1, x0, ..., x0**top] and perhaps more, in three variables.  Forms are
+    immutable, so one list is built and shared, and rebuilt longer when a
+    caller needs a higher power; callers only index it."""
+    global _X0_POWERS
+    xs = _X0_POWERS
+    if len(xs) <= top:
+        xs = _X0_POWERS = powers(xs[1], top)
+    return xs
+
+
 def _cone_form(d: int, l: Form, m: Form, cs) -> Form:
     """x0**d + x0**(d-1) l + sum_{i>=2} c_i x0**(d-i) m**i, cs = (c_2, ...)."""
-    xs = powers(Form.variable(3, 0), d - 1)
+    xs = _x0_powers(d - 1)
     ms = powers(m, len(cs) + 1)
     terms = [(1, xs[d - 1], xs[1]), (1, xs[d - 1], l)]
     terms += [(c, xs[d - i], ms[i]) for i, c in enumerate(cs, start=2)]
@@ -131,7 +146,9 @@ def normal_form_check(n: ConeNormalForm) -> NormalFormReport:
 
 
 def f_divisible_by_x0(f: Form, power: int) -> bool:
-    return all(e[0] >= power for e in f.terms)
+    """True when x0**power divides f, read off the x0 field of its packed
+    keys; the zero form is divisible by every power."""
+    return f.is_zero() or common_monomial((f,), f.nvars)[0] >= power
 
 
 def multiplicity_profile(n: ConeNormalForm) -> dict:
@@ -226,16 +243,16 @@ def _verdict(name: str, d: int, case: str, values, power: int) -> GateReport:
 # ---------------------------------------------------------------------------
 
 
-def _rand_coeff(rng: random.Random, nonzero: bool = False) -> Fraction:
+def _rand_coeff(rng: random.Random, nonzero: bool = False) -> int:
     while True:
         v = rng.randint(-9, 9)
         if v or not nonzero:
-            return Fraction(v)
+            return v
 
 
 def _rand_binary(rng: random.Random, u: Form, degree: int) -> Form:
     """Random nonzero form of the given degree in the pencil of x0 and u."""
-    xs, us = powers(Form.variable(3, 0), degree), powers(u, degree)
+    xs, us = _x0_powers(degree), powers(u, degree)
     out = dot(3, degree, [(_rand_coeff(rng), xs[degree - i], us[i])
                           for i in range(degree + 1)])
     return xs[degree] if out.is_zero() else out
@@ -259,7 +276,7 @@ def sample_cone(d: int, rng: random.Random,
     the normal shape with l = c_1 u and m = u.
     """
     a = _rand_coeff(rng, nonzero=True)
-    b = Fraction(0) if x2_free else _rand_coeff(rng)
+    b = 0 if x2_free else _rand_coeff(rng)
     u = _linear(a, b)
     cs = [_rand_coeff(rng) for _ in range(d)]
     return _cone_form(d, cs[0] * u, u, cs[1:]), u
@@ -297,17 +314,17 @@ def _rand_dense(rng: random.Random, d: int) -> Form:
     for exps in monomials_of_degree(3, d):
         c = rng.randint(-9, 9)
         if c and rng.random() < 0.6:
-            terms[exps] = Fraction(c)
+            terms[exps] = c
     if not terms:
-        terms[(d, 0, 0)] = Fraction(1)
-    return Form.from_coeffs(3, d, terms)
+        terms[(d, 0, 0)] = 1
+    return Form(3, d, terms)
 
 
 def _normal_form_sample(d: int, rng: random.Random) -> ConeNormalForm:
     """A random normal form with the direction m = x1."""
     l = _linear(_rand_coeff(rng), _rand_coeff(rng))
     cs = tuple(_rand_coeff(rng) for _ in range(d - 1))
-    return ConeNormalForm(d, l, _linear(Fraction(1), Fraction(0)), cs)
+    return ConeNormalForm(d, l, _linear(1, 0), cs)
 
 
 def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, str]:
@@ -344,10 +361,10 @@ def _no_x2sq_sample(d: int, rng: random.Random) -> Form:
             continue
         c = rng.randint(-9, 9)
         if c:
-            terms[exps] = Fraction(c)
+            terms[exps] = c
     if not terms:
-        terms[(d, 0, 0)] = Fraction(1)
-    return Form.from_coeffs(3, d, terms)
+        terms[(d, 0, 0)] = 1
+    return Form(3, d, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +413,7 @@ def sample_family(d: int, rng: random.Random, max_slots: int = 3,
                   max_exponent: int = 4) -> TParameterForm:
     """Random truncated family x0**d + sum of t-weighted random forms."""
     require_int("d", d, 0)
-    x0d = Form.monomial((d, 0, 0))
-    slots: Dict[int, Form] = {0: x0d}
+    slots: Dict[int, Form] = {0: _x0_powers(d)[d]}
     nslots = rng.randint(1, max_slots)
     exps = rng.sample(range(1, max_exponent + 1), min(nslots, max_exponent))
     for a in exps:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .curves import CONDITIONS, even_a, even_b, odd_c
 from .errors import InputError, VerificationError, require_int
@@ -37,13 +37,20 @@ from .hessians import (adjugate_second_partials, adjugate_trace, hess,
 from .records import json_dict
 
 
+_QUADRICS: Dict[int, Form] = {}
+
+
 def hyperbolic_q(r: int) -> Form:
-    """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables."""
+    """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables.  Forms are
+    immutable, so one is built per r and shared."""
     require_int("r", r, 1)
-    terms = {(1, 1) + (0,) * (r - 1): 1}
-    for i in range(2, r + 1):
-        terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
-    return Form.from_coeffs(r + 1, 2, terms)
+    q = _QUADRICS.get(r)
+    if q is None:
+        terms = {(1, 1) + (0,) * (r - 1): 1}
+        for i in range(2, r + 1):
+            terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
+        q = _QUADRICS[r] = Form(r + 1, 2, terms)
+    return q
 
 
 def power_product(r: int, k: int, h: int) -> Form:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,8 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesskit.forms import (FIELD_BITS, Form, dim_sym, dot, exact_quotient,
-                           monomials_of_degree, powers, random_form)
+from hesskit.errors import InputError, require_int
+from hesskit.forms import (FIELD_BITS, Form, _coerce, dim_sym, dot,
+                           exact_quotient, monomials_of_degree, packed, powers,
+                           random_form)
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
 from hesskit.orbit_checks import hyperbolic_q
 from hesskit.rank_certificates import differential_matrix
@@ -94,7 +97,114 @@ def check_derivative_against_sympy(f, i):
     assert to_sympy(df) == sympy.expand(sympy.diff(to_sympy(f), SYMS[i]))
 
 
+def reference_init(nvars, degree, terms):
+    """``Form.__init__`` as a validation loop in several passes: each
+    coefficient through ``Fraction``, then the length, then each exponent
+    entry, then the degree by ``sum``; returns the numerators by exponent
+    tuple and their least common denominator."""
+    require_int("nvars", nvars, 1)
+    require_int("degree", degree, 0)
+    clean = {}
+    for exps, c in terms.items():
+        c = _coerce(c)
+        if len(exps) != nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong length for nvars={nvars}")
+        for e in exps:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise InputError(f"exponents must be ints, got {exps!r}")
+            if e < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            if e > (1 << FIELD_BITS) - 1:
+                raise ValueError(f"exponent in {exps} does not fit a "
+                                 f"{FIELD_BITS}-bit field")
+        if sum(exps) != degree:
+            raise ValueError(f"monomial {exps} is not of degree {degree}")
+        if c:
+            clean[tuple(exps)] = c
+    den = lcm(*(c.denominator for c in clean.values()))
+    return ({e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            den)
+
+
+def refusal(build, *args):
+    """The type and message of the exception ``build(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return type(info.value), str(info.value)
+
+
+class Exp(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+BIG = 1 << FIELD_BITS
+
+# (nvars, degree, terms) that the constructor refuses; the later rows put
+# two faults in one term, or in two terms, to pin which one is reported
+REFUSED_TERMS = [
+    (2, 2, {(True, 1): 1}),
+    (2, 2, {(1.0, 1): 1}),
+    (2, 2, {(-1, 3): 1}),
+    (2, BIG, {(BIG, 0): 1}),
+    (3, 2, {(2, 0): 1}),
+    (3, 2, {(2, 1, 0): 1}),
+    (1, 2, {(2,): True}),
+    (1, 2, {(2,): 0.5}),
+    (2, 2, {(1.0, 1): 0}),
+    (3, 2, {(2, 1, 0): 0}),
+    (2, 2, {("1", 1): 1}),
+    (1, 2, {(2,): "abc"}),
+    (True, 2, {(2,): 1}),
+    (1, 2.0, {(2,): 1}),
+    (1, 0, {(0,): None}),
+    (2, 2, {(1.0, 1): 0.5}),
+    (2, 2, {(-1, BIG): 1}),
+    (2, 2, {(BIG, -1): 1}),
+    (2, 2, {(1, 0): Fraction(1, 2), (2, 0): 0.5}),
+    (2, 2, {(2, 0): Fraction(1, 2), (1, 1): 1, (3, -1): 2, (True, 1): 1}),
+    (2, 1, {(1, 0, 0): "x"}),
+]
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("nvars,degree,terms", REFUSED_TERMS)
+    def test_refusals_match_the_reference_loop(self, nvars, degree, terms):
+        got = refusal(Form, nvars, degree, terms)
+        assert got == refusal(reference_init, nvars, degree, terms)
+
+    @pytest.mark.parametrize("terms", [
+        {}, {(2, 1): 3}, {(2, 1): 0, (1, 2): "0"}, {(Exp.TWO, Exp.ONE): 3},
+        {(Exp.ONE, Exp.TWO): Exp.TWO, (3, 0): Fraction(-5, 6)},
+        {(3, 0): Fraction(4, 2), (0, 3): "7/21", (1, 2): -4},
+        {(3, 0): Fraction(1, 6), (2, 1): Fraction(1, 10), (0, 3): 15}])
+    def test_accepted_terms_match_the_reference_loop(self, terms):
+        f = Form(2, 3, terms)
+        assert (dict(f.numerators), packed(f)[1]) == reference_init(2, 3, terms)
+        assert all(type(k) is int for k in packed(f)[0])
+        assert_canonical(f)
+
+    def test_an_int_enum_exponent_is_accepted(self):
+        f = Form(2, 3, {(Exp.TWO, Exp.ONE): 3})
+        assert f == Form(2, 3, {(2, 1): 3}) and f.terms == {(2, 1): 3}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_int_and_fraction_coefficients_build_equal_forms(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        degree = data.draw(st.integers(0, 5))
+        monos = st.sampled_from(monomials_of_degree(nvars, degree))
+        ints = data.draw(st.dictionaries(monos, st.integers(-10 ** 20, 10 ** 20)))
+        f = Form(nvars, degree, ints)
+        g = Form(nvars, degree, {e: Fraction(c) for e, c in ints.items()})
+        assert f == g and hash(f) == hash(g)
+        assert packed(f)[1] == 1 and dict(f.numerators) == dict(g.numerators)
+        mixed = data.draw(st.dictionaries(monos, coefficients))
+        h = Form(nvars, degree, mixed)
+        assert (dict(h.numerators), packed(h)[1]) \
+            == reference_init(nvars, degree, mixed)
+        assert_canonical(h)
+
     def test_monomial_infers_variable_count(self):
         f = Form.monomial((2, 1, 0), 3)
         assert f.nvars == 3 and f.degree == 3
@@ -582,7 +692,43 @@ class TestExactQuotient:
             exact_quotient(q, hyperbolic_q(3))
 
 
+def reference_random_form(nvars, degree, rng, coeff_bound=9, density=1.0):
+    """``random_form`` with its draws built as ``Fraction`` coefficients."""
+    monos = monomials_of_degree(nvars, degree)
+    terms = {}
+    for e in monos:
+        if density < 1.0 and rng.random() > density:
+            continue
+        c = rng.randint(-coeff_bound, coeff_bound)
+        if c:
+            terms[e] = Fraction(c)
+    if not terms:
+        e = monos[rng.randrange(len(monos))]
+        terms[e] = Fraction(rng.choice(
+            [c for c in range(-coeff_bound, coeff_bound + 1) if c]))
+    return Form(nvars, degree, terms)
+
+
 class TestRandomAndJson:
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    @pytest.mark.parametrize("density", [1.0, 0.5, 0.0])
+    def test_random_form_matches_the_reference(self, nvars, density):
+        """The same form and the same draws; at density 0 every monomial is
+        skipped and the one-term fallback draws the form."""
+        for degree in range(7):
+            for seed in range(4):
+                ours, theirs = (random.Random(f"{nvars}:{degree}:{seed}")
+                                for _ in range(2))
+                got = random_form(nvars, degree, ours, coeff_bound=3,
+                                  density=density)
+                want = reference_random_form(nvars, degree, theirs,
+                                             coeff_bound=3, density=density)
+                assert got == want, (nvars, degree, seed)
+                assert ours.getstate() == theirs.getstate()
+                assert_canonical(got)
+                if density == 0.0:
+                    assert got.num_terms() == 1
+
     def test_random_form_is_seed_stable(self):
         a = random_form(3, 4, random.Random(11))
         b = random_form(3, 4, random.Random(11))

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import hesskit.hessians
 from hesskit import indeterminacy
-from hesskit.forms import Form, dot, monomials_of_degree, powers
+from hesskit.forms import Form, dot, monomials_of_degree, powers, random_form
 from hesskit.hessians import (TParameterForm, hess, hess_t, hess_t_leading,
                               lowest_t_order)
 from hesskit.indeterminacy import (ConeNormalForm, NAMED_FAMILIES,
-                                   _gate_record, _linear, _normal_form_sample,
-                                   _no_x2sq_sample, _rand_coeff, _rand_dense,
-                                   exclusion_gate, f_divisible_by_x0,
+                                   _gate_record, _linear, exclusion_gate,
+                                   f_divisible_by_x0,
                                    limit_divisibility_check,
                                    multiplicity_profile, normal_form_check,
                                    pair_divisibility_check, sample_cone,
@@ -150,6 +149,13 @@ class TestNormalForms:
         assert f_divisible_by_x0(f, 3)
         assert not f_divisible_by_x0(f, 4)
         assert f_divisible_by_x0(Form.zero(3, 4), 10)
+        rng = random.Random(5)
+        for _ in range(40):
+            g = Form.variable(3, 0) ** rng.randint(0, 3) * random_form(
+                3, rng.randint(0, 4), rng, coeff_bound=2, density=0.4)
+            for power in range(-1, 8):
+                assert f_divisible_by_x0(g, power) \
+                    == all(e[0] >= power for e in g.terms)
 
 
 class TestGatedPairs:
@@ -207,6 +213,51 @@ class TestGatedTriples:
         assert seen == {"g11-zero", "b-zero-h22", "c-zero"}
 
 
+# The samplers' draws taken as Fraction coefficients, each form built
+# through ``Form.from_coeffs``, so that the oracle does not share the int
+# path that the library samplers take.
+
+def reference_coeff(rng, nonzero=False):
+    while True:
+        v = rng.randint(-9, 9)
+        if v or not nonzero:
+            return Fraction(v)
+
+
+def reference_linear(a, b):
+    return Form.from_coeffs(3, 1, {(0, 1, 0): a, (0, 0, 1): b})
+
+
+def reference_dense(rng, d):
+    terms = {}
+    for exps in monomials_of_degree(3, d):
+        c = rng.randint(-9, 9)
+        if c and rng.random() < 0.6:
+            terms[exps] = Fraction(c)
+    if not terms:
+        terms[(d, 0, 0)] = Fraction(1)
+    return Form.from_coeffs(3, d, terms)
+
+
+def reference_no_x2sq(d, rng):
+    terms = {}
+    for exps in monomials_of_degree(3, d):
+        if exps[2] > 1:
+            continue
+        c = rng.randint(-9, 9)
+        if c:
+            terms[exps] = Fraction(c)
+    if not terms:
+        terms[(d, 0, 0)] = Fraction(1)
+    return Form.from_coeffs(3, d, terms)
+
+
+def reference_normal_form(d, rng):
+    l = reference_linear(reference_coeff(rng), reference_coeff(rng))
+    cs = tuple(reference_coeff(rng) for _ in range(d - 1))
+    return ConeNormalForm(d, l, reference_linear(Fraction(1), Fraction(0)), cs)
+
+
 def reference_build(n):
     """``ConeNormalForm.build`` by its former route: one ``dot`` over the
     nonzero c_i, with every power of m up to m**d."""
@@ -223,15 +274,15 @@ def reference_binary(rng, x, u, degree, monic_x=False):
     xs, us = powers(x, degree), powers(u, degree)
     terms = [(1, xs[degree], us[0])] if monic_x else []
     for i in range(1 if monic_x else 0, degree + 1):
-        terms.append((_rand_coeff(rng), xs[degree - i], us[i]))
+        terms.append((reference_coeff(rng), xs[degree - i], us[i]))
     out = dot(3, degree, terms)
     return xs[degree] if out.is_zero() else out
 
 
 def reference_cone(d, rng, x2_free=False):
-    a = _rand_coeff(rng, nonzero=True)
-    b = Fraction(0) if x2_free else _rand_coeff(rng)
-    u = _linear(a, b)
+    a = reference_coeff(rng, nonzero=True)
+    b = Fraction(0) if x2_free else reference_coeff(rng)
+    u = reference_linear(a, b)
     return reference_binary(rng, Form.variable(3, 0), u, d, monic_x=True), u
 
 
@@ -246,17 +297,18 @@ def reference_pair(d, rng):
     branch = rng.choice(["f11-zero", "directional-g", "shared-direction"])
     x0 = Form.variable(3, 0)
     if branch == "f11-zero":
-        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
-        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
-        return f, _rand_dense(rng, d), branch
+        u = reference_linear(reference_coeff(rng, nonzero=True),
+                             reference_coeff(rng))
+        f = x0 ** d + reference_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
+        return f, reference_dense(rng, d), branch
     if branch == "directional-g":
         f, u = reference_cone(d, rng)
-        v = _linear(*reference_transverse_direction(u))
+        v = reference_linear(*reference_transverse_direction(u))
         g0 = reference_binary(rng, x0, u, d)
         g1 = reference_binary(rng, x0, u, d - 1)
         return f, g0 + v * g1, branch
     f, _ = reference_cone(d, rng, x2_free=True)
-    return f, reference_build(_normal_form_sample(d, rng)), branch
+    return f, reference_build(reference_normal_form(d, rng)), branch
 
 
 def reference_triple(d, rng):
@@ -265,19 +317,29 @@ def reference_triple(d, rng):
     x0 = Form.variable(3, 0)
     if branch == "g11-zero":
         f, u = reference_cone(d, rng)
-        l = _linear(_rand_coeff(rng), _rand_coeff(rng))
+        l = reference_linear(reference_coeff(rng), reference_coeff(rng))
         g = x0 ** d + (x0 ** (d - 1)) * l
-        v = _linear(*reference_transverse_direction(u))
+        v = reference_linear(*reference_transverse_direction(u))
         h = (reference_binary(rng, x0, u, d)
              + v * reference_binary(rng, x0, u, d - 1))
         return f, g, h, branch
     if branch == "b-zero-h22":
         f, _ = reference_cone(d, rng, x2_free=True)
     else:
-        u = _linear(_rand_coeff(rng, nonzero=True), _rand_coeff(rng))
-        f = x0 ** d + _rand_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
-    g = reference_build(_normal_form_sample(d, rng))
-    return f, g, _no_x2sq_sample(d, rng), branch
+        u = reference_linear(reference_coeff(rng, nonzero=True),
+                             reference_coeff(rng))
+        f = x0 ** d + reference_coeff(rng, nonzero=True) * (x0 ** (d - 1)) * u
+    g = reference_build(reference_normal_form(d, rng))
+    return f, g, reference_no_x2sq(d, rng), branch
+
+
+def reference_family(d, rng):
+    """``sample_family`` at its default slot counts."""
+    slots = {0: Form.monomial((d, 0, 0))}
+    nslots = rng.randint(1, 3)
+    for a in rng.sample(range(1, 5), min(nslots, 4)):
+        slots[a] = reference_dense(rng, d)
+    return TParameterForm(slots)
 
 
 class TestSamplersAgainstReference:
@@ -313,6 +375,13 @@ class TestSamplersAgainstReference:
             return lambda d, rng: (*sample(d, rng, x2_free), "cone")
         self.assert_same_draws(tagged(sample_cone), tagged(reference_cone),
                                d, 1)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_family_sampler(self, d):
+        def tagged(sample):
+            return lambda d, rng: (sample(d, rng).slots, "family")
+        self.assert_same_draws(tagged(sample_family),
+                               tagged(reference_family), d, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(n=cone_normal_forms())

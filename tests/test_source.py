@@ -203,6 +203,46 @@ def test_the_constructor_guard_sees_a_second_loop():
     assert _make_callers(ast.parse(by_hand)) == {"__neg__", "<module>"}
 
 
+def _fraction_callers(tree):
+    """The functions that call ``Fraction``, by name, whether imported from
+    ``fractions`` or called as ``fractions.Fraction``."""
+    return _callers(tree, lambda func: "Fraction" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def _is_sampler(name):
+    return (name.startswith(("_rand_", "sample_")) or name.endswith("_sample")
+            or name == "random_form")
+
+
+def test_the_samplers_draw_ints():
+    """``forms.random_form`` and the samplers of ``indeterminacy`` hand int
+    coefficients to the constructor, which keeps them as ints; a
+    ``Fraction`` per draw was most of their cost."""
+    trees = [tree for name, tree in _library_trees()
+             if name in ("forms.py", "indeterminacy.py")]
+    samplers = {node.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and _is_sampler(node.name)}
+    assert {"random_form", "_rand_coeff", "_rand_dense", "_rand_binary",
+            "_no_x2sq_sample", "sample_cone", "sample_gated_pair",
+            "sample_gated_triple", "sample_family"} <= samplers
+    found = {owner for tree in trees for owner in _fraction_callers(tree)}
+    assert sorted(found & samplers) == []
+
+
+def test_the_fraction_guard_sees_a_fraction_call():
+    by_hand = ("def _rand_coeff(rng):\n"
+               "    return Fraction(rng.randint(-9, 9))\n"
+               "def sample_cone(d, rng):\n"
+               "    b = fractions.Fraction(0)\n"
+               "def _x12(u):\n"
+               "    return Fraction(1), Fraction(0)\n")
+    found = _fraction_callers(ast.parse(by_hand))
+    assert found == {"_rand_coeff", "sample_cone", "_x12"}
+    assert {owner for owner in found if _is_sampler(owner)} \
+        == {"_rand_coeff", "sample_cone"}
+
+
 def _heappop_callers(tree):
     """The functions that call ``heappop``, by name, whether imported from
     ``heapq`` or called as ``heapq.heappop``."""
