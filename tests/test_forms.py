@@ -184,10 +184,6 @@ class TestConstruction:
         assert all(type(k) is int for k in packed(f)[0])
         assert_canonical(f)
 
-    def test_an_int_enum_exponent_is_accepted(self):
-        f = Form(2, 3, {(Exp.TWO, Exp.ONE): 3})
-        assert f == Form(2, 3, {(2, 1): 3}) and f.terms == {(2, 1): 3}
-
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_int_and_fraction_coefficients_build_equal_forms(self, data):
