@@ -133,6 +133,14 @@ SIEVE_MODULI = tuple(m for group in SIEVE_GROUPS for m in group)
 _BLOCK = 1 << 15
 
 
+def _horner(coeffs: Sequence, x):
+    """The polynomial with ascending coefficients ``coeffs`` at x."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
 class QuadraticInY:
     """Affine curve a(x) y**2 + b(x) y + c(x) = 0 with integer coefficients.
 
@@ -145,16 +153,8 @@ class QuadraticInY:
         self.b = tuple(b)
         self.c = tuple(c)
 
-    @staticmethod
-    def _eval_poly(coeffs: Sequence[int], x):
-        total = 0
-        for k in reversed(coeffs):
-            total = total * x + k
-        return total
-
     def _coeffs_at(self, x):
-        return (self._eval_poly(self.a, x), self._eval_poly(self.b, x),
-                self._eval_poly(self.c, x))
+        return _horner(self.a, x), _horner(self.b, x), _horner(self.c, x)
 
     def evaluate(self, x, y):
         a, b, c = self._coeffs_at(x)
@@ -271,11 +271,11 @@ class WeierstrassCurve:
     label: Optional[str] = None  # LMFDB label when the model is minimal
 
     def rhs(self, x) -> Fraction:
-        x = Fraction(x)
+        x = _coerce(x)
         return x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
 
     def on_curve(self, x, y) -> bool:
-        return Fraction(y) ** 2 == self.rhs(x)
+        return _coerce(y) ** 2 == self.rhs(x)
 
     def rescaled(self, u: int, name: str, label: Optional[str] = None) -> "WeierstrassCurve":
         """The model hit by (x, y) -> (u**2 x, u**3 y)."""
@@ -400,7 +400,7 @@ def rho1(family: int, x, y) -> ProjectiveImage:
     the point at infinity of the Weierstrass model.
     """
     _family(family)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _coerce(x), _coerce(y)
     if family == 1:
         cx = 6 * x * y
         cy = 3 * x * x - Fraction(9, 2) * x * y - 3 * y * y + Fraction(3, 2) * x - 6 * y
@@ -415,7 +415,7 @@ def rho1(family: int, x, y) -> ProjectiveImage:
 def rho2(family: int, x, y) -> Point:
     """The rescaling isomorphism (x, y) -> (u**2 x, u**3 y) from W onto X."""
     u = _family(family).u
-    return (u * u * Fraction(x), u ** 3 * Fraction(y))
+    return (u * u * _coerce(x), u ** 3 * _coerce(y))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +468,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     for p in _divisors(a0):
         for q in _divisors(an):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                total = Fraction(0)
-                for c in reversed(ints):
-                    total = total * cand + c
-                if total == 0:
+                if _horner(ints, cand) == 0:
                     roots.append(cand)
     return sorted(set(roots))
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -277,7 +278,7 @@ class Form:
     @staticmethod
     def monomial(exps: Sequence[int], coeff=1) -> "Form":
         exps = tuple(exps)
-        return Form(len(exps), sum(exps), {exps: _coerce(coeff)})
+        return Form(len(exps), sum(exps), {exps: coeff})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Form":
@@ -333,7 +334,8 @@ class Form:
 
     def scale(self, c) -> "Form":
         return dot(self.nvars, self.degree,
-                   ((_coerce(c), self, _unit(self.nvars)),))
+                   ((c if type(c) is int else _coerce(c), self,
+                     _unit(self.nvars)),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -449,17 +451,14 @@ class Form:
 _set_nvars, _set_degree, _set_num, _set_den, _set_partials = (
     vars(Form)[name].__set__ for name in Form.__slots__)
 
-_UNITS: Dict[int, Form] = {}
 
-
+@cache
 def _unit(nvars: int) -> Form:
     """The constant form 1 in ``nvars`` variables: with it as the second
     factor of every term, ``dot`` is a linear combination of forms.  Forms
-    are immutable, so one is built per ``nvars`` and shared."""
-    one = _UNITS.get(nvars)
-    if one is None:
-        one = _UNITS[nvars] = Form._make(nvars, 0, {0: 1}, 1)
-    return one
+    are immutable, so one is built per ``nvars`` and shared through the
+    cache."""
+    return Form._make(nvars, 0, {0: 1}, 1)
 
 
 def packed(f: Form) -> Tuple[Mapping[int, int], int]:

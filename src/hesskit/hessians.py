@@ -39,6 +39,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import require_int
 from .forms import Form, dot
 
+_ONE_HALF, _ONE_THIRD, _ONE_SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+
+
 # ---------------------------------------------------------------------------
 # determinants of matrices with ring-element entries
 # ---------------------------------------------------------------------------
@@ -193,9 +196,8 @@ def h12(f: Form, g: Optional[Form] = None) -> Form:
         raise ValueError("h12 arguments must have equal degree")
     f11, f12, f22 = _lower_partials(f)
     g11, g12, g22 = _lower_partials(g)
-    half = Fraction(1, 2)
     return dot(3, 2 * f11.degree,
-               ((half, f11, g22), (-1, f12, g12), (half, f22, g11)))
+               ((_ONE_HALF, f11, g22), (-1, f12, g12), (_ONE_HALF, f22, g11)))
 
 
 def h3(f: Form, g: Form, h: Form) -> Form:
@@ -237,11 +239,11 @@ def h3(f: Form, g: Form, h: Form) -> Form:
     for i in range(3):
         p, r = (i + 1) % 3, (i + 2) % 3
         mixed = crossed(1, (p, p), (r, r)) + [(-2, b[p][r], c[p][r])]
-        outer.append((Fraction(1, 6), a[i][i], dot(3, 2 * e, mixed)))
+        outer.append((_ONE_SIXTH, a[i][i], dot(3, 2 * e, mixed)))
         for j in range(i + 1, 3):
             q, s = (j + 1) % 3, (j + 2) % 3
             mixed = crossed(1, (p, q), (r, s)) + crossed(-1, (p, s), (r, q))
-            outer.append((Fraction(1, 3), a[i][j], dot(3, 2 * e, mixed)))
+            outer.append((_ONE_THIRD, a[i][j], dot(3, 2 * e, mixed)))
     return dot(3, 3 * e, outer)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, VerificationError, require_int
@@ -46,18 +47,12 @@ def _x12(u: Form) -> Tuple[Fraction, Fraction]:
     return u.coefficient((0, 1, 0)), u.coefficient((0, 0, 1))
 
 
-_X0_POWERS = powers(Form.variable(3, 0), 1)
-
-
+@cache
 def _x0_powers(top: int) -> List[Form]:
-    """[1, x0, ..., x0**top] and perhaps more, in three variables.  Forms are
-    immutable, so one list is built and shared, and rebuilt longer when a
-    caller needs a higher power; callers only index it."""
-    global _X0_POWERS
-    xs = _X0_POWERS
-    if len(xs) <= top:
-        xs = _X0_POWERS = powers(xs[1], top)
-    return xs
+    """[1, x0, ..., x0**top] in three variables.  Forms are immutable, so
+    one list is built per top and shared through the cache; callers only
+    index it."""
+    return powers(Form.variable(3, 0), top)
 
 
 def _cone_form(d: int, l: Form, m: Form, cs) -> Form:

@@ -27,30 +27,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .curves import CONDITIONS, even_a, even_b, odd_c
 from .errors import InputError, VerificationError, require_int
 from .forms import Form
+from .harmonic import QuadraticForm
 from .hessians import (adjugate_second_partials, adjugate_trace, hess,
                        hess_from_adjugate)
 from .records import json_dict
 
 
-_QUADRICS: Dict[int, Form] = {}
-
-
+@lru_cache(maxsize=None, typed=True)
 def hyperbolic_q(r: int) -> Form:
-    """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables.  Forms are
-    immutable, so one is built per r and shared."""
-    require_int("r", r, 1)
-    q = _QUADRICS.get(r)
-    if q is None:
-        terms = {(1, 1) + (0,) * (r - 1): 1}
-        for i in range(2, r + 1):
-            terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
-        q = _QUADRICS[r] = Form(r + 1, 2, terms)
-    return q
+    """The quadric x0*x1 + x2**2 + ... + xr**2 in r+1 variables, the
+    polynomial of ``QuadraticForm.canonical_hyperbolic(r)``.  Forms are
+    immutable, so one is built per r and shared; the cache is typed, so
+    ``True`` is refused rather than read as 1."""
+    return QuadraticForm.canonical_hyperbolic(r).polynomial()
 
 
 def power_product(r: int, k: int, h: int) -> Form:
@@ -58,7 +53,7 @@ def power_product(r: int, k: int, h: int) -> Form:
     require_int("r", r, 1)
     require_int("k", k, 0)
     require_int("h", h, 0)
-    out = Form.monomial((h,) + (0,) * r, Fraction(1))
+    out = Form.monomial((h,) + (0,) * r)
     if k:
         out = out * hyperbolic_q(r) ** k
     return out
@@ -91,12 +86,22 @@ def verify_closed_form(r: int, k: int, h: int) -> ClosedFormReport:
     """Expand hess(q**k l**h) and compare with the predicted monomial in q, l."""
     c = closed_form_constant(r, k, h)
     actual = hess(power_product(r, k, h))
-    qp, lp = _hess_image(r, (k, h)) if k else (0, 0)
+    img = _hess_image(r, (k, h)) if k else (0, 0)
+    return ClosedFormReport(r, k, h, c, *img,
+                            actual == _predicted(r, c, img, actual.degree))
+
+
+def _predicted(r: int, c: Fraction, img: Tuple[int, int], degree: int) -> Form:
+    """The predicted c * q**a * l**b, img = (a, b), of the given degree; a
+    zero c predicts the zero form whatever img is."""
     if c == 0:
-        predicted = Form.zero(r + 1, actual.degree)
-    else:
-        predicted = c * power_product(r, qp, lp)
-    return ClosedFormReport(r, k, h, c, qp, lp, actual == predicted)
+        return Form.zero(r + 1, degree)
+    qp, lp = img
+    if qp < 0 or lp < 0:
+        # A negative power can only be predicted alongside a vanishing
+        # constant; reaching here means the closed form is wrong.
+        raise VerificationError("nonzero constant with invalid power product")
+    return c * power_product(r, qp, lp)
 
 
 def _hess_image(r: int, powers: Tuple[int, int]) -> Tuple[int, int]:
@@ -236,22 +241,12 @@ def verify_pairs(kind: str, r: int, k: int,
     row = _PAIR_ROWS[kind]
     point = row.powers(k)
 
-    def predicted(c: Fraction, img: Tuple[int, int], like: Form) -> Form:
-        if c == 0:
-            return Form.zero(r + 1, like.degree)
-        qp, lp = img
-        if qp < 0 or lp < 0:
-            # A negative power can only be predicted alongside a vanishing
-            # constant; reaching here means the closed form is wrong.
-            raise VerificationError("nonzero constant with invalid power product")
-        return c * power_product(r, qp, lp)
-
     base_img = _hess_image(r, point)
     base = power_product(r, *point)
     adj = adjugate_second_partials(base)
     h0 = hess_from_adjugate(base, adj)
     c0 = closed_form_constant(r, *point)
-    base_ok = h0 == predicted(c0, base_img, h0)
+    base_ok = h0 == _predicted(r, c0, base_img, h0.degree)
     c0_extracted = _coefficient_at(h0, base_img)
     condition = CONDITIONS[row.condition][0]
 
@@ -265,7 +260,7 @@ def verify_pairs(kind: str, r: int, k: int,
             c0_extracted=c0_extracted,
             c1_extracted=_coefficient_at(h1, eps_img),
             base_matches=base_ok,
-            eps_matches=h1 == predicted(c1, eps_img, h1),
+            eps_matches=h1 == _predicted(r, c1, eps_img, h1.degree),
             condition_value=condition(r, k, m),
         ))
     return reports

@@ -454,17 +454,16 @@ def block_structure_check(k: int, r: int) -> BlockReport:
     require_int("k", k, 1)
     require_int("r", r, 1)
     qform = QuadraticForm.canonical_hyperbolic(r)
-    qpoly = qform.polynomial()
-    adj = adjugate_second_partials(power_product(r, k, 0))
-    qpows = powers(qpoly, k)
-    report = BlockReport(k=k, r=r)
     target_total = (r + 1) * (k - 1)
+    qpows = powers(qform.polynomial(), max(k, target_total))
+    adj = adjugate_second_partials(qpows[k])
+    report = BlockReport(k=k, r=r)
 
     for i in range(0, k + 1):
         slot = target_total - i
         basis = harmonic_basis(2 * i, qform)
         lam = _predicted_constants("even", r, k, i)[1]
-        scale = lam * qpoly ** slot if lam else None
+        scale = lam * qpows[slot] if lam else None
         single = scalar_ok = True
         for h in basis:
             img = adjugate_trace(adj, qpows[k - i] * h)

@@ -13,11 +13,13 @@ from hesskit import (ConeNormalForm, Form, QuadraticForm, SpecialPoint,
                      sample_gated_pair, sample_gated_triple, scan_condition,
                      verify_closed_form, verify_family, verify_pair,
                      verify_pairs, verify_special_point_rank)
+from hesskit.curves import FAMILIES, rho1, rho2
 from hesskit.errors import InputError
 from hesskit.indeterminacy import exclusion_gate
 from hesskit.orbit_checks import hyperbolic_q, power_product
 
 X1, X2 = Form.variable(3, 1), Form.variable(3, 2)
+W1, W2 = FAMILIES[1].weierstrass, FAMILIES[2].weierstrass
 
 # (entry, callable, valid keyword arguments, {argument: least valid value}).
 # The entry names follow hesskit.__all__, "Class.method" for a method, so the
@@ -166,8 +168,17 @@ def test_inputs_once_accepted_are_refused(call):
     lambda: QuadraticForm([[True]]),
     lambda: fiber_recover(2, True, 0),
     lambda: ConeNormalForm(4, X2, X1, (True, 1, 1)),
+    lambda: rho1(1, 0.5, 1),
+    lambda: rho1(1, 1, True),
+    lambda: rho2(1, 0.1, 1),
+    lambda: rho2(1, 1, True),
+    lambda: W1.rhs(0.5),
+    lambda: W1.rhs(True),
+    lambda: W1.on_curve(1, 0.5),
+    lambda: W1.on_curve(1, True),
 ], ids=["gram", "fiber-a", "fiber-b", "cone-cs", "bool-form", "bool-gram",
-        "bool-fiber-a", "bool-cone-cs"])
+        "bool-fiber-a", "bool-cone-cs", "rho1-x", "bool-rho1-y", "rho2-x",
+        "bool-rho2-y", "rhs", "bool-rhs", "on-curve-y", "bool-on-curve-y"])
 def test_floats_in_exact_inputs_are_refused(call):
     with pytest.raises(TypeError, match="must be int, Fraction or string"):
         call()
@@ -179,3 +190,11 @@ def test_exact_inputs_still_take_fractions_and_strings():
     assert fiber_recover(2, "1/2", 0) == fiber_recover(2, Fraction(1, 2), 0)
     cone = ConeNormalForm(4, X2, X1, ("1/2", 1, Fraction(3)))
     assert cone.cs == (Fraction(1, 2), Fraction(1), Fraction(3))
+    # the curve maps take an int, a Fraction and a numeric string alike
+    half = Fraction(1, 2)
+    assert rho1(1, 1, "1/2") == rho1(1, Fraction(1), half) == rho1(1, 1, half)
+    assert rho2(1, 1, "1/2") == rho2(1, Fraction(1), half) == (2 ** 12,
+                                                               2 ** 17)
+    assert W1.rhs(1) == W1.rhs(Fraction(1)) == W1.rhs("1") == Fraction(17, 64)
+    assert W1.on_curve(0, Fraction(3, 8)) and W1.on_curve("0", "3/8")
+    assert W2.on_curve(-6, 6) and W2.on_curve(Fraction(-6), "6")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hesskit import orbit_checks
 from hesskit.curves import even_a, even_b, odd_c
-from hesskit.errors import VerificationError
+from hesskit.errors import InputError, VerificationError
 from hesskit.forms import Form
 from hesskit.harmonic import QuadraticForm
 from hesskit.hessians import adjugate_second_partials, adjugate_trace, hess
@@ -61,8 +61,26 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_hyperbolic_q_is_the_canonical_quadric(self, r):
-        expected = QuadraticForm.canonical_hyperbolic(r).polynomial()
-        assert hyperbolic_q(r) == expected
+        # the quadric's terms written out one by one, independently of the
+        # Gram matrix that hyperbolic_q builds it from
+        terms = {(1, 1) + (0,) * (r - 1): 1}
+        for i in range(2, r + 1):
+            terms[(0,) * i + (2,) + (0,) * (r - i)] = 1
+        assert hyperbolic_q(r) == Form(r + 1, 2, terms)
+        assert hyperbolic_q(r) is hyperbolic_q(r)
+
+    def test_a_cached_r_does_not_let_a_bool_through(self):
+        # True == 1 and hash(True) == hash(1), so an untyped cache would
+        # hand back the quadric of r = 1.  A lone positional int is its own
+        # cache key, which keeps True apart by accident; the keyword calls
+        # are keyed by (name, value) and meet.
+        hyperbolic_q(1)
+        hyperbolic_q(r=1)
+        for build in (hyperbolic_q, QuadraticForm.canonical_hyperbolic):
+            with pytest.raises(InputError, match="r must be an int"):
+                build(True)
+            with pytest.raises(InputError, match="r must be an int"):
+                build(r=True)
 
     def test_hyperbolic_q_needs_two_variables(self):
         with pytest.raises(ValueError):

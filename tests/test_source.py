@@ -72,6 +72,65 @@ def test_no_import_inside_a_function():
     assert sorted(set(found)) == []
 
 
+_MUTATORS = {"append", "extend", "insert", "setdefault", "update", "pop",
+             "popitem", "clear", "remove", "add", "discard"}
+
+
+def _module_cache_sites(tree):
+    """Lines with a ``global`` statement, or where a function fills a
+    module-level name by item assignment or a mutating method."""
+    names = {name.id for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+             for name in ast.walk(target) if isinstance(name, ast.Name)}
+    found = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Global)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and not isinstance(
+                    node.ctx, ast.Load):
+                owner = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                owner = node.func.value
+            else:
+                continue
+            if isinstance(owner, ast.Name) and owner.id in names:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_level_cache():
+    """A shared form is memoised by ``functools.cache`` or ``lru_cache``,
+    never by a module-level dict or list that functions fill or rebind."""
+    found = [f"{name}:{line}" for name, tree in _library_trees()
+             for line in _module_cache_sites(tree)]
+    assert found == []
+
+
+def test_the_cache_guard_sees_a_filled_table():
+    by_hand = ("_UNITS: Dict[int, Form] = {}\n"
+               "_X0, _SEEN, TABLE = [], {}, {'a': 1}\n"
+               "def _unit(n):\n"
+               "    one = _UNITS.get(n)\n"
+               "    if one is None:\n"
+               "        one = _UNITS[n] = make(n)\n"
+               "    return one\n"
+               "def _x0_powers(top):\n"
+               "    global _X0\n"
+               "    _X0.extend(powers(x, top))\n"
+               "def seen(k):\n"
+               "    return _SEEN.setdefault(k, TABLE['a'])\n"
+               "_CACHE = {}\n"
+               "def drop(k):\n"
+               "    del _CACHE[k]\n")
+    assert _module_cache_sites(ast.parse(by_hand)) == [6, 9, 10, 12, 15]
+
+
 def test_only_curves_pairs_a_family_with_its_curve():
     """Other modules reach a curve through ``curves.FAMILIES`` or
     ``curves.CONDITION_FAMILIES``, never by the per-family names."""
