@@ -78,7 +78,8 @@ _MUTATORS = {"append", "extend", "insert", "setdefault", "update", "pop",
 
 def _module_cache_sites(tree):
     """Lines with a ``global`` statement, or where a function fills a
-    module-level name by item assignment or a mutating method."""
+    module-level name by item assignment or deletion or by a mutating
+    method."""
     names = {name.id for node in tree.body
              if isinstance(node, (ast.Assign, ast.AnnAssign))
              for target in (node.targets if isinstance(node, ast.Assign)
