@@ -77,15 +77,19 @@ class QuadraticForm:
 
     def laplacian(self, f: Form) -> Form:
         """The dual second-order operator sum_ij (A**-1)_ij d_i d_j f, one
-        ``dot`` over the nonzero entries of A**-1."""
+        ``dot`` over the nonzero entries of the symmetric A**-1 on and above
+        the diagonal, doubled off it, with d_i f taken only for their rows."""
         if f.nvars != self.nvars:
             raise ValueError("form and quadric have different variable counts")
-        firsts = [f.diff(i) for i in range(self.nvars)]
         one = f ** 0
-        return dot(self.nvars, max(f.degree - 2, 0),
-                   [(c, firsts[i].diff(j), one)
-                    for i, row in enumerate(self.dual)
-                    for j, c in enumerate(row) if c])
+        terms = []
+        for i, row in enumerate(self.dual):
+            upper = [(j, c) for j, c in enumerate(row[i:], i) if c]
+            if upper:
+                first = f.diff(i)
+                terms += [(c if i == j else 2 * c, first.diff(j), one)
+                          for j, c in upper]
+        return dot(self.nvars, max(f.degree - 2, 0), terms)
 
     def __repr__(self) -> str:
         return f"QuadraticForm({self.nvars} vars)"

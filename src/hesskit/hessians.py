@@ -13,10 +13,12 @@ the same adjugate.  Every kernel reads second partials through
 ``Form.second_partials``, which a form derives once and keeps, so ``hess``,
 the adjugate, h12 and h3 on one form share a single derivation.
 
-For three variables the polarized operators h12 and h3 are provided; h3 is
+For three variables the polarized operators h12 and h3 are provided, both
+from one helper that writes the terms of a polarized cofactor; h3 is
 (1/3) * trace(A * M(B, C)) with M the polarized (mixed) adjugate, six
-``dot``s for the entries of M and one to contract them with A.  ``hess``
-keeps its Laplace expansion, so h3(f, f, f) == hess(f) compares two routes.
+``dot``s for the entries of M and one to contract them with A, and h12 is
+the (0, 0) entry of M.  ``hess`` keeps its Laplace expansion, so
+h3(f, f, f) == hess(f) compares two routes.
 
 A family depending polynomially on a parameter t is a ``TParameterForm``;
 its one operation is the product.  The family sum of products groups slot
@@ -175,29 +177,41 @@ def _require_ternary(*forms: Form) -> None:
             raise ValueError("this operator is defined for three variables only")
 
 
-def _lower_partials(f: Form) -> Tuple[Form, Form, Form]:
-    """(f11, f12, f22), read off the second-partial matrix of f."""
-    mat = f.second_partials()
-    return mat[1][1], mat[1][2], mat[2][2]
+def _cofactor_terms(w, b, c, i: int, j: int) -> list:
+    """The ``dot`` terms of w times twice the (i, j) entry of the polarized
+    adjugate (adj(B + C) - adj B - adj C) / 2 of symmetric 3 x 3 matrices
+    ``b`` and ``c``.
+
+    Cofactor (i, j) of a symmetric X is X[p][q] X[r][s] - X[p][s] X[r][q],
+    with (p, r) and (q, s) the indices after i and after j in cyclic order.
+    Polarized, a product X[x] X[y] becomes B[x] C[y] + C[x] B[y]: one product
+    of weight 2 when B is C, or when x and y name one entry, as the
+    subtracted product on the diagonal does.
+    """
+    p, r, q, s = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    terms = []
+    for v, (x, y), (u, z) in ((w, (p, q), (r, s)), (-w, (p, s), (r, q))):
+        if b is c or {x, y} == {u, z}:
+            terms.append((2 * v, b[x][y], c[u][z]))
+        else:
+            terms += [(v, b[x][y], c[u][z]), (v, c[x][y], b[u][z])]
+    return terms
 
 
 def h12(f: Form, g: Optional[Form] = None) -> Form:
     """Polarized 2x2 lower-right Hessian minor in three variables.
 
-    h12(f, g) = (f11*g22 - 2*f12*g12 + f22*g11) / 2, and h12(f) is the
-    diagonal f11*f22 - f12**2; either is one ``dot``.
+    h12(f, g) = (f11*g22 - 2*f12*g12 + f22*g11) / 2, the polarized (0, 0)
+    cofactor, and h12(f) = h12(f, f) = f11*f22 - f12**2; one ``dot`` of
+    three products, or of two when g is omitted or is f.
     """
     if g is None:
-        _require_ternary(f)
-        f11, f12, f22 = _lower_partials(f)
-        return dot(3, 2 * f11.degree, ((1, f11, f22), (-1, f12, f12)))
+        g = f
     _require_ternary(f, g)
     if f.degree != g.degree:
         raise ValueError("h12 arguments must have equal degree")
-    f11, f12, f22 = _lower_partials(f)
-    g11, g12, g22 = _lower_partials(g)
-    return dot(3, 2 * f11.degree,
-               ((_ONE_HALF, f11, g22), (-1, f12, g12), (_ONE_HALF, f22, g11)))
+    b, c = f.second_partials(), g.second_partials()
+    return dot(3, 2 * b[0][0].degree, _cofactor_terms(_ONE_HALF, b, c, 0, 0))
 
 
 def h3(f: Form, g: Form, h: Form) -> Form:
@@ -209,11 +223,12 @@ def h3(f: Form, g: Form, h: Form) -> Form:
     is the polarized adjugate.  Jacobi's formula gives h3(f, g, g) =
     (1/3) * trace(A * adj B); both sides are symmetric bilinear in (g, h)
     and agree for g = h, so they agree everywhere.  Each entry of twice M on
-    and above the diagonal is one ``dot``: three products on the diagonal
-    and four off it.  One outer ``dot`` of six products, with coefficients
-    1/6 and 1/3, contracts them with A, so a call takes 21 + 6 products.
-    When two arguments are the same object they fill the (g, h) slots, and
-    then M = adj B takes two products per entry, 12 + 6 in all.
+    and above the diagonal is one ``dot`` of the terms of
+    ``_cofactor_terms`` with weight 1: three products on the diagonal and
+    four off it.  One outer ``dot`` of six products, with coefficients 1/6
+    and 1/3, contracts them with A, so a call takes 21 + 6 products.  When
+    two arguments are the same object they fill the (g, h) slots, and then
+    M = adj B takes two products per entry, 12 + 6 in all.
     """
     _require_ternary(f, g, h)
     if not (f.degree == g.degree == h.degree):
@@ -224,26 +239,9 @@ def h3(f: Form, g: Form, h: Form) -> Form:
         f, g = g, f
     a, b, c = f.second_partials(), g.second_partials(), h.second_partials()
     e = a[0][0].degree
-
-    def crossed(sign: int, x: Tuple[int, int], y: Tuple[int, int]):
-        """The terms of sign * (B[x] C[y] + C[x] B[y])."""
-        if g is h:
-            return [(2 * sign, b[x[0]][x[1]], b[y[0]][y[1]])]
-        return [(sign, b[x[0]][x[1]], c[y[0]][y[1]]),
-                (sign, c[x[0]][x[1]], b[y[0]][y[1]])]
-
-    # cofactor (i, j) of a symmetric 3 x 3 matrix X is
-    # X[p][q] X[r][s] - X[p][s] X[r][q], with (p, r) and (q, s) the two
-    # indices after i and after j in cyclic order
-    outer = []
-    for i in range(3):
-        p, r = (i + 1) % 3, (i + 2) % 3
-        mixed = crossed(1, (p, p), (r, r)) + [(-2, b[p][r], c[p][r])]
-        outer.append((_ONE_SIXTH, a[i][i], dot(3, 2 * e, mixed)))
-        for j in range(i + 1, 3):
-            q, s = (j + 1) % 3, (j + 2) % 3
-            mixed = crossed(1, (p, q), (r, s)) + crossed(-1, (p, s), (r, q))
-            outer.append((_ONE_THIRD, a[i][j], dot(3, 2 * e, mixed)))
+    outer = [(_ONE_SIXTH if i == j else _ONE_THIRD, a[i][j],
+              dot(3, 2 * e, _cofactor_terms(1, b, c, i, j)))
+             for i in range(3) for j in range(i, 3)]
     return dot(3, 3 * e, outer)
 
 

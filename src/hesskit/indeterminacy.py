@@ -21,14 +21,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import InputError, VerificationError, require_int
 from .forms import (Form, _coerce, common_monomial, dot, monomials_of_degree,
                     powers)
 from .hessians import (TParameterForm, h3, h12, hess, hess_t_leading,
                        lowest_t_order)
-from .orbit_checks import SPECIAL_POINTS, PointKind
+from .orbit_checks import SPECIAL_POINTS, PointKind, _hess_image
 from .records import json_dict
 
 
@@ -48,11 +48,11 @@ def _x12(u: Form) -> Tuple[Fraction, Fraction]:
 
 
 @cache
-def _x0_powers(top: int) -> List[Form]:
-    """[1, x0, ..., x0**top] in three variables.  Forms are immutable, so
-    one list is built per top and shared through the cache; callers only
+def _x0_powers(top: int) -> Tuple[Form, ...]:
+    """(1, x0, ..., x0**top) in three variables.  Forms are immutable, so
+    one tuple is built per top and shared through the cache; callers only
     index it."""
-    return powers(Form.variable(3, 0), top)
+    return tuple(powers(Form.variable(3, 0), top))
 
 
 def _cone_form(d: int, l: Form, m: Form, cs) -> Form:
@@ -71,11 +71,12 @@ class ConeNormalForm:
     d: int
     l: Form
     m: Form
-    cs: Tuple[Fraction, ...]  # c_2 ... c_d
+    cs: Tuple[Union[int, Fraction], ...]  # c_2 ... c_d
 
     def __post_init__(self):
         require_int("d", self.d, 3)
-        object.__setattr__(self, "cs", tuple(map(_coerce, self.cs)))
+        object.__setattr__(self, "cs", tuple(
+            c if type(c) is int else _coerce(c) for c in self.cs))
         if len(self.cs) != self.d - 1:
             raise ValueError("need exactly d-1 coefficients c_2..c_d")
         for g in (self.l, self.m):
@@ -304,15 +305,20 @@ def sample_gated_pair(d: int, rng: random.Random) -> Tuple[Form, Form, str]:
     return f, g, branch
 
 
-def _rand_dense(rng: random.Random, d: int) -> Form:
+def _rand_terms(rng: random.Random, d: int, monos, thin: bool) -> Form:
+    """A degree-d ternary form with a coefficient in [-9, 9] drawn per
+    monomial of ``monos`` and kept when nonzero and, if ``thin``, when one
+    more draw falls below 0.6; x0**d when none is kept."""
     terms = {}
-    for exps in monomials_of_degree(3, d):
+    for exps in monos:
         c = rng.randint(-9, 9)
-        if c and rng.random() < 0.6:
+        if c and (not thin or rng.random() < 0.6):
             terms[exps] = c
-    if not terms:
-        terms[(d, 0, 0)] = 1
-    return Form(3, d, terms)
+    return Form(3, d, terms or {(d, 0, 0): 1})
+
+
+def _rand_dense(rng: random.Random, d: int) -> Form:
+    return _rand_terms(rng, d, monomials_of_degree(3, d), True)
 
 
 def _normal_form_sample(d: int, rng: random.Random) -> ConeNormalForm:
@@ -350,16 +356,8 @@ def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, s
 
 def _no_x2sq_sample(d: int, rng: random.Random) -> Form:
     """Random ternary form of degree d with x2-degree at most one."""
-    terms = {}
-    for exps in monomials_of_degree(3, d):
-        if exps[2] > 1:
-            continue
-        c = rng.randint(-9, 9)
-        if c:
-            terms[exps] = c
-    if not terms:
-        terms[(d, 0, 0)] = 1
-    return Form(3, d, terms)
+    return _rand_terms(rng, d, [e for e in monomials_of_degree(3, d) if e[2] <= 1],
+                       False)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def _gate_record(row: PointKind, d: int) -> dict:
     """The exclusion gate of a special-point row at degree d."""
     k = d // 2
     qp, lp = row.powers(k)
-    valuation = 3 * lp
+    valuation = _hess_image(2, (qp, lp))[1]
     lpart = "" if lp == 0 else "*l" if lp == 1 else f"*l^{lp}"
     rec = {"point": f"q^{qp}{lpart}", "valuation": valuation,
            "excluded": d - 3 > valuation, "needs": f"k >= {row.gate_k}",

@@ -109,21 +109,20 @@ class IntColumns:
         return out
 
 
-def _echelon(m: IntMatrix, ncols: int) -> Tuple[List[int], int]:
-    """Fraction-free Gauss-Jordan elimination of ``m`` in place.
+def _echelon(m: IntMatrix) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of ``m`` in place, every column.
 
-    Columns ``0 .. ncols-1`` are eliminated; any further columns (right-hand
-    sides) are carried along.  Returns ``(pivot_cols, den)``: afterwards
-    ``m[r][c] / den`` is the reduced row echelon form and its first
-    ``len(pivot_cols)`` rows hold the pivots.  Each step replaces every other
-    row by ``(p * row - row[col] * pivot_row) / den`` with ``p`` the new pivot
-    and ``den`` the previous one; by Sylvester's identity the division is
-    exact, so all entries stay integers (Bareiss, Math. Comp. 22, 1968).
+    Returns ``(pivot_cols, den)``: afterwards ``m[r][c] / den`` is the
+    reduced row echelon form and its first ``len(pivot_cols)`` rows hold the
+    pivots.  Each step replaces every other row by
+    ``(p * row - row[col] * pivot_row) / den`` with ``p`` the new pivot and
+    ``den`` the previous one; by Sylvester's identity the division is exact,
+    so all entries stay integers (Bareiss, Math. Comp. 22, 1968).
     """
     nrows = len(m)
     pivots: List[int] = []
     den = 1
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         row = len(pivots)
         if row == nrows:
             break
@@ -149,12 +148,8 @@ def rank_bareiss(matrix: Union[IntColumns, Sequence[Sequence]]) -> int:
 
     ``matrix`` is ``IntColumns`` or dense rows of ints and Fractions.
     """
-    if isinstance(matrix, IntColumns):
-        m, ncols = matrix.dense(), matrix.ncols
-    else:
-        m = clear_denominators(matrix)
-        ncols = len(m[0]) if m else 0
-    return len(_echelon(m, ncols)[0])
+    m = matrix.dense() if isinstance(matrix, IntColumns) else clear_denominators(matrix)
+    return len(_echelon(m)[0])
 
 
 def _residues(columns: Sequence[Dict[int, int]], q: int) -> List[Dict[int, int]]:
@@ -268,15 +263,18 @@ def rank_with_certificate(matrix: Union[IntColumns, Sequence[Sequence]]
 def invert(a: Sequence[Sequence]) -> Matrix:
     """Exact inverse of a square matrix (row-major).
 
-    Raises ValueError on a matrix that is not square or is singular.
+    [A | I] is eliminated at full width.  It has rank n whatever A is, so
+    the elimination always takes n pivots, and A is invertible exactly when
+    they are the columns 0 .. n-1; the right block is then A**-1.  Raises
+    ValueError on a matrix that is not square or is singular.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     m = clear_denominators([list(row) + [int(i == k) for k in range(n)]
                             for i, row in enumerate(a)])
-    pivots, den = _echelon(m, n)
-    if len(pivots) < n:
+    pivots, den = _echelon(m)
+    if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [[Fraction(x, den) for x in row[n:]] for row in m]
 
@@ -290,7 +288,7 @@ def nullspace(a: Sequence[Sequence]) -> Matrix:
     """
     n_cols = len(a[0])
     m = clear_denominators(a)
-    pivots, den = _echelon(m, n_cols)
+    pivots, den = _echelon(m)
     basis: Matrix = []
     for fc in [c for c in range(n_cols) if c not in pivots]:
         v = [Fraction(0)] * n_cols

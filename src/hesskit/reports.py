@@ -28,7 +28,6 @@ import platform
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
@@ -352,9 +351,9 @@ def _entry_cone_normal_forms(ctx: dict) -> dict:
     rng = _rng_for(ctx, "cone-normal-forms")
     x1, x2 = _linear(1, 0), _linear(0, 1)
     fixtures = [
-        ConeNormalForm(4, x2, x1, tuple(Fraction(1) for _ in range(3))),
-        ConeNormalForm(4, x1, x1, (Fraction(1), Fraction(2), Fraction(3))),
-        ConeNormalForm(5, x2, x1, (Fraction(0),) * 4),
+        ConeNormalForm(4, x2, x1, (1,) * 3),
+        ConeNormalForm(4, x1, x1, (1, 2, 3)),
+        ConeNormalForm(5, x2, x1, (0,) * 4),
     ]
     ok = all(normal_form_check(n).passed() for n in fixtures)
     iff_hits = 0
@@ -363,14 +362,14 @@ def _entry_cone_normal_forms(ctx: dict) -> dict:
         d = rng.randint(3, 6)
         l = _linear(rng.randint(-4, 4), rng.randint(-4, 4))
         m = _linear(rng.randint(-4, 4), rng.randint(-4, 4))
-        cs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d - 1))
+        cs = tuple(rng.randint(-3, 3) for _ in range(d - 1))
         rep = normal_form_check(ConeNormalForm(d, l, m, cs))
         if rep.passed():
             iff_hits += 1
     profiles_ok = True
     for d in (4, 5, 6):
         prof = multiplicity_profile(
-            ConeNormalForm(d, x2, x1, tuple(Fraction(1) for _ in range(d - 1))))
+            ConeNormalForm(d, x2, x1, (1,) * (d - 1)))
         profiles_ok = (profiles_ok
                        and prof["vanishing_through_order"] == d - 2
                        and prof["nonzero_at_order_d_minus_1"] == [(d - 1, 0, 0)])
@@ -523,7 +522,8 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
 
     ``name_filter`` keeps entries whose name contains the string; one that
     keeps none raises ``InputError``, naming the known entries.  ``jobs``
-    must be at least 1; more than one distributes entries over processes.
+    must be at least 1; more than one distributes entries over processes,
+    never more processes than selected entries.
     ``bound`` must be an int of at least 10, as on the command line: below
     that the curve-family check fails for want of range, a failure that
     says nothing about the curves.  Reports come in registration order, as
@@ -540,7 +540,8 @@ def run_suite(name_filter: Optional[str] = None, jobs: int = 1,
     ctx = {"seed": seed, "bound": bound}
     tasks = [(name, ctx) for name, _ in selected]
     if jobs > 1 and len(selected) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
         results = [_run_one(task) for task in tasks]

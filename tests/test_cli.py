@@ -400,6 +400,37 @@ class TestSuiteAndConfig:
         assert (hesskit.reports.canonical_json(two.to_json_dict())
                 == hesskit.reports.canonical_json(one.to_json_dict()))
 
+    @pytest.mark.parametrize("jobs,width", [(64, 6), (2, 2)])
+    def test_the_pool_is_no_wider_than_the_entries(self, jobs, width,
+                                                    monkeypatch):
+        # a stand-in executor records the width asked for and runs the tasks
+        # in this process, so no worker is ever started
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(hesskit.reports.concurrent.futures,
+                            "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(hesskit.reports, "_run_one",
+                            lambda task: (task[0], {"passed": True}, 0.0))
+        # "o" keeps six entries: closed-forms, pair-expansions,
+        # block-structure, condition-scans, harmonic-structure and
+        # cone-normal-forms
+        result = hesskit.reports.run_suite(name_filter="o", jobs=jobs, bound=10)
+        assert len(result.entries) == 6
+        assert widths == [width]
+
     def test_start_up_leaves_the_process_pool_unloaded(self):
         src = str(pathlib.Path(hesskit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)

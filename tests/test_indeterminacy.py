@@ -383,6 +383,12 @@ class TestSamplersAgainstReference:
         self.assert_same_draws(tagged(sample_family),
                                tagged(reference_family), d, 1)
 
+    def test_the_shared_x0_powers_cannot_be_changed(self):
+        # one sequence per top is shared by every caller, so it is a tuple
+        xs = indeterminacy._x0_powers(5)
+        assert type(xs) is tuple and xs is indeterminacy._x0_powers(5)
+        assert list(xs) == powers(Form.variable(3, 0), 5)
+
     @settings(max_examples=60, deadline=None)
     @given(n=cone_normal_forms())
     def test_build_matches_the_reference(self, n):

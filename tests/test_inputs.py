@@ -190,6 +190,10 @@ def test_exact_inputs_still_take_fractions_and_strings():
     assert fiber_recover(2, "1/2", 0) == fiber_recover(2, Fraction(1, 2), 0)
     cone = ConeNormalForm(4, X2, X1, ("1/2", 1, Fraction(3)))
     assert cone.cs == (Fraction(1, 2), Fraction(1), Fraction(3))
+    # as in Form.scale, only a non-int is coerced; the built form is the same
+    assert [type(c) for c in cone.cs] == [Fraction, int, Fraction]
+    assert cone.build() == ConeNormalForm(
+        4, X2, X1, (Fraction(1, 2), Fraction(1), Fraction(3))).build()
     # the curve maps take an int, a Fraction and a numeric string alike
     half = Fraction(1, 2)
     assert rho1(1, 1, "1/2") == rho1(1, Fraction(1), half) == rho1(1, 1, half)

@@ -571,6 +571,19 @@ class TestDetSolve:
         with pytest.raises(ValueError, match="square"):
             invert(m)
 
+    @pytest.mark.parametrize("m", [
+        [[1, 2], [2, 4]],
+        [[0, 1], [0, 1]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[Fraction(1, 2), 1, 3], [1, 2, 6], [0, 1, 1]]],
+        ids=["rank-1", "zero-column", "zero-last-column", "zero", "fractions"])
+    def test_singular_is_refused(self, m):
+        # [A | I] always has n pivots; a singular A shows as a pivot that
+        # runs on into the identity block
+        with pytest.raises(ValueError, match="singular"):
+            invert(m)
+
     def test_nullspace_vectors_annihilate(self):
         m = [[Fraction(1), Fraction(2), Fraction(3)],
              [Fraction(2), Fraction(4), Fraction(6)]]

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from functools import cache
 from pathlib import Path
 
 import hesskit
@@ -10,20 +11,24 @@ from hesskit.orbit_checks import SPECIAL_POINTS
 from test_inputs import ENTRIES
 
 
+@cache
+def _library_trees():
+    """(file name, syntax tree) of every library module, parsed once per
+    session; the guards only walk the trees."""
+    sources = sorted(Path(hesskit.__file__).parent.glob("*.py"))
+    return tuple((path.name, ast.parse(path.read_text(), str(path)))
+                 for path in sources)
+
+
 def test_library_has_no_assert_statement():
     """``python -O`` strips ``assert``; the library must raise instead."""
-    sources = sorted(Path(hesskit.__file__).parent.glob("*.py"))
-    assert "forms.py" in {path.name for path in sources}
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    trees = _library_trees()
+    assert "forms.py" in {name for name, _ in trees}
+    found = [f"{name}:{node.lineno}"
+             for name, tree in trees
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert found == []
-
-
-def _library_trees():
-    sources = sorted(Path(hesskit.__file__).parent.glob("*.py"))
-    return [(path.name, ast.parse(path.read_text(), str(path))) for path in sources]
 
 
 def _raised_name(node: ast.Raise):
