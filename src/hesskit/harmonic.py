@@ -82,14 +82,12 @@ class QuadraticForm:
         if f.nvars != self.nvars:
             raise ValueError("form and quadric have different variable counts")
         one = f ** 0
-        terms = []
-        for i, row in enumerate(self.dual):
-            upper = [(j, c) for j, c in enumerate(row[i:], i) if c]
-            if upper:
-                first = f.diff(i)
-                terms += [(c if i == j else 2 * c, first.diff(j), one)
-                          for j, c in upper]
-        return dot(self.nvars, max(f.degree - 2, 0), terms)
+        firsts = {i: f.diff(i)
+                  for i, row in enumerate(self.dual) if any(row[i:])}
+        return dot(self.nvars, max(f.degree - 2, 0),
+                   [(c if i == j else 2 * c, firsts[i].diff(j), one)
+                    for i, row in enumerate(self.dual)
+                    for j, c in enumerate(row[i:], i) if c])
 
     def __repr__(self) -> str:
         return f"QuadraticForm({self.nvars} vars)"

@@ -356,8 +356,8 @@ def sample_gated_triple(d: int, rng: random.Random) -> Tuple[Form, Form, Form, s
 
 def _no_x2sq_sample(d: int, rng: random.Random) -> Form:
     """Random ternary form of degree d with x2-degree at most one."""
-    return _rand_terms(rng, d, [e for e in monomials_of_degree(3, d) if e[2] <= 1],
-                       False)
+    monos = [e for e in monomials_of_degree(3, d) if e[2] <= 1]
+    return _rand_terms(rng, d, monos, False)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ def test_deep_certificates_match_the_pinned_digests():
     assert got == pinned
 
 
-
 # Run in a fresh interpreter, so that no earlier test has filled a cache or
 # derived a shared form's partials: the order below is the only history.
 _ORDER_PROBE = """
