@@ -31,11 +31,21 @@ shear back onto the curve.  ``CONDITION_FAMILIES`` finds a row from its
 condition.  What stays hand-written is the independent mathematics the rows
 are checked against: the condition polynomials, the formulas of ``rho1``
 and ``fiber_recover``, and the comparison of W rescaled by u with X.
+
+numpy serves the sieve alone, and hesskit never calls BLAS.  Yet numpy's
+OpenBLAS starts one worker thread per extra core at import, and that thread
+busy-waits through the first work.  So this module imports numpy with
+``OPENBLAS_NUM_THREADS=1`` when the caller has not set the variable, and
+removes it again afterwards: child processes and later reads see the
+caller's environment.  A caller who wants a threaded BLAS imports numpy
+before hesskit or sets the variable.  The pin covers only OpenBLAS, which
+the numpy wheels ship; other BLAS builds are not measured.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -43,7 +53,15 @@ from math import comb, isqrt, lcm, prod
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-import numpy as np
+# The OpenBLAS pin of the module docstring.
+_PIN_BLAS = "OPENBLAS_NUM_THREADS" not in os.environ
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN_BLAS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import InputError, require_int
 from .forms import Form, _coerce

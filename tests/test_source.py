@@ -176,6 +176,63 @@ def test_the_numpy_guard_sees_a_renamed_import():
     assert _numpy_importers(trees) == {"a.py", "b.py", "c.py"}
 
 
+def _is_environ(node):
+    """``os.environ``, or ``environ`` imported from os."""
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            or isinstance(node, ast.Name) and node.id == "environ")
+
+
+def _environ_writes(tree):
+    """Lines that write the process environment: an item store or
+    deletion on ``os.environ``, a mutating method of it, a rebinding of
+    ``os.environ``, or a call of ``putenv`` or ``unsetenv``."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and not isinstance(node.ctx, ast.Load)
+                and _is_environ(node.value)):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Load) and _is_environ(node)):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _MUTATORS
+                    and _is_environ(func.value)):
+                found.add(node.lineno)
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr in ("putenv", "unsetenv")
+                  or isinstance(func, ast.Name)
+                  and func.id in ("putenv", "unsetenv")):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_curves_writes_the_environment():
+    """``curves`` pins OpenBLAS around numpy's import and takes the pin back;
+    no other module may change what the caller's child processes see."""
+    found = [f"{name}:{line}"
+             for name, tree in _library_trees() if name != "curves.py"
+             for line in _environ_writes(tree)]
+    assert found == []
+
+
+def test_the_environment_guard_sees_a_write():
+    trees = dict(_library_trees())
+    assert _environ_writes(trees["curves.py"])
+    by_hand = ("os.environ['A'] = '1'\n"
+               "del os.environ['A']\n"
+               "os.environ.setdefault('B', '2')\n"
+               "environ.update(C='3')\n"
+               "os.putenv('D', '4')\n"
+               "os.environ = {}\n"
+               "pin = os.environ.get('E')\n"
+               "env = dict(os.environ, F='5')\n"
+               "keep = 'G' not in os.environ\n")
+    assert _environ_writes(ast.parse(by_hand)) == [1, 2, 3, 4, 5, 6]
+
+
 def _packing_sites(tree):
     """Lines that read a form's stored representation or pack monomials by
     hand: a ``._num`` or ``._den`` attribute; a positional weight list, that
