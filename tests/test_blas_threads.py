@@ -52,7 +52,7 @@ def seen():
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     out = {}
     for case, proc in procs.items():
-        stdout, stderr = proc.communicate()
+        stdout, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 0, stderr
         out[case] = json.loads(stdout)
     return out
